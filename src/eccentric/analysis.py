@@ -17,7 +17,6 @@ __all__ = [
     "Embedding",
     "AlignmentResult",
     "SimilarityMetrics",
-    "jacobi_eigh",
     "spectrum",
     "to_principal_embedding",
     "align",
@@ -27,52 +26,6 @@ __all__ = [
     "decode_eigen_components",
     "knn_classify",
 ]
-
-
-def jacobi_eigh(mat: np.ndarray, tol: float = 1e-12,
-                max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps row-by-row until the off-diagonal Frobenius norm drops below
-    tol times the Frobenius norm of the input.  Returns (eigenvalues,
-    eigenvectors) with eigenvectors as orthonormal columns, unsorted.
-    """
-    a = np.array(mat, dtype=np.float64)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.allclose(a, a.T, atol=1e-10 * max(1.0, float(np.abs(a).max(initial=0.0)))):
-        raise ValueError("matrix is not symmetric")
-    v = np.eye(n)
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return np.zeros(n), v
-
-    def off(m):
-        return math.sqrt(max(float(np.sum(m * m)) - float(np.sum(np.diag(m) ** 2)), 0.0))
-
-    for _ in range(max_sweeps):
-        if off(a) <= tol * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    return np.diag(a).copy(), v
 
 
 @dataclass(frozen=True)
@@ -93,13 +46,12 @@ def spectrum(batch: PointBatch) -> SpectrumReport:
     mean = z.mean(axis=0)
     centered = z - mean
     cov = centered.T @ centered / (batch.count - 1)
-    evals, evecs = jacobi_eigh(cov)
-    order = np.argsort(evals)[::-1]
+    evals, evecs = np.linalg.eigh(cov)
     return SpectrumReport(
-        eigenvalues=evals[order],
+        eigenvalues=evals[::-1],
         trace=float(np.trace(cov)),
         mean=mean,
-        eigenvectors=evecs[:, order],
+        eigenvectors=evecs[:, ::-1],
     )
 
 
@@ -329,7 +281,7 @@ def sample_latents(mode: str, reference: PointBatch | None, n: int, dim: int,
     mean = reference.data.mean(axis=0)
     centered = reference.data - mean
     cov = centered.T @ centered / max(reference.count - 1, 1)
-    evals, evecs = jacobi_eigh(cov)
+    evals, evecs = np.linalg.eigh(cov)
     factor = evecs @ np.diag(np.sqrt(np.maximum(evals, 0.0))) @ evecs.T
     g = rng.standard_normal((n, dim))
     return PointBatch(mean + g @ factor)

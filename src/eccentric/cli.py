@@ -9,11 +9,10 @@ success, 1 on a validation error, 2 on a numerical failure.
 from __future__ import annotations
 
 import argparse
-import math
+import shutil
 import sys
+import tempfile
 from pathlib import Path
-
-import numpy as np
 
 from . import analysis, autoencoder, datasets, io, particles, radius
 from .kernel import ParamSet, PointBatch, choose_big_n
@@ -82,6 +81,13 @@ def _resolve_big_n(cfg) -> float:
     return cfg["big_n"]
 
 
+def _out_file(out: Path, name: str) -> Path:
+    """--out names a file inside --out-dir: the manifest and --verify key outputs by name."""
+    if Path(name).name != name:
+        raise ValueError(f"--out must be a bare file name, got {name!r}")
+    return out / name
+
+
 def _parse_int_list(text: str) -> list[int]:
     return [int(v) for v in str(text).split(",") if v != ""]
 
@@ -128,7 +134,7 @@ def _cmd_solve_radius(cfg, out):
 def _cmd_sweep_radius(cfg, out):
     dims = _parse_int_list(cfg["dims"])
     rows = radius.sweep_radius(dims, mu_step=cfg["mu_step"])
-    path = out / cfg["out"]
+    path = _out_file(out, cfg["out"])
     io.write_csv(path, ["d", "max_percent_diff"], rows)
     return [path]
 
@@ -137,7 +143,7 @@ def _cmd_force_profile(cfg, out):
     big_n = _resolve_big_n(cfg)
     params = ParamSet(dim=max(cfg["dim"], 2), mu=cfg["mu"], big_n=big_n)
     prof = radius.force_profile(params, cfg["r_max"], cfg["steps"])
-    path = out / cfg["out"]
+    path = _out_file(out, cfg["out"])
     io.write_csv(path, ["distance", "magnitude"],
                  zip(prof.distances, prof.magnitudes))
     return [path]
@@ -376,12 +382,13 @@ def run(argv=None) -> int:
         if args.verify:
             if not (out_dir / io.MANIFEST_NAME).exists():
                 raise ValueError(f"--verify: no manifest in {out_dir}")
-            import json as _json
-            old = _json.loads((out_dir / io.MANIFEST_NAME).read_text())
-            outputs = handler(cfg, out_dir)
-            manifest = io.write_manifest(out_dir, args.command, cfg, outputs)
-            if manifest["outputs"] != old["outputs"]:
-                print("verify: output hashes differ from stored manifest",
+            # re-run into a scratch directory so the checked run is never touched
+            with tempfile.TemporaryDirectory() as scratch:
+                shutil.copy(out_dir / io.MANIFEST_NAME, scratch)
+                handler(cfg, Path(scratch))
+                bad = io.verify_manifest(scratch)
+            if bad:
+                print(f"verify: output hashes differ from stored manifest: {', '.join(bad)}",
                       file=sys.stderr)
                 return 1
             print("verify: outputs match stored manifest")
@@ -392,8 +399,7 @@ def run(argv=None) -> int:
     except (ValueError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (radius.QuadratureError, radius.SolverError, particles.DivergenceError,
-            FloatingPointError) as exc:
+    except (radius.SolverError, particles.DivergenceError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""Stationary sphere radius: quadrature, bisection solver, lemma oracles, force profile.
+"""Stationary sphere radius: closed-form integral, bisection solver, lemma oracles, force profile.
 
 A uniform distribution on the sphere of radius rho in dimension d >= 3 is a
 stationary point of the repulsive pair loss exactly when
@@ -10,25 +10,31 @@ with a = N/(2 rho^2) and
     f_{d,a}(u) = (2a/sqrt(pi)) * (Gamma(d/2)/Gamma((d-1)/2))
                  * (a(u-1))^((d-1)/2) * (2 - a(u-1))^((d-3)/2) / u.
 
-This module evaluates that integral with an adaptive subdivision scheme,
-solves for rho by bisection, sweeps the maximum deviation of rho from
-sqrt(d) over a mu grid, and provides the two identities used to justify the
-N(d, mu) selection rule as numerical oracles.
+With t = a(u-1) this is Euler's integral of a Jacobi weight against
+1/(1 + t/a) (DLMF 15.6.1).  Pfaff's transform (DLMF 15.8.1) moves the 2F1
+argument -2/a into (0, 1), and Legendre's duplication formula (DLMF 5.5.5)
+collapses the Gamma and Beta prefactor to exactly 2:
+
+    I(a) = 2a/(a+2) * 2F1(1, (d-1)/2; d; 2/(a+2)).
+
+This module evaluates that closed form (scipy's hyp2f1 below d = 64, the
+summed series above), solves for rho by one array-valued bisection (a
+single cell or a whole (d, mu) sweep), and provides the two identities used
+to justify the N(d, mu) selection rule as numerical oracles; those
+integrate f_{d,a} numerically.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import hyp2f1
 
 from .kernel import ParamSet, choose_big_n
 
 __all__ = [
-    "QuadratureError",
     "SolverError",
     "RadiusProblem",
     "RadiusSolution",
@@ -43,12 +49,6 @@ __all__ = [
     "force_profile",
 ]
 
-MAX_QUAD_NODES = 1 << 20
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive refinement failed to converge within the node budget."""
-
 
 class SolverError(RuntimeError):
     """Root bracketing or bisection failed for the given parameters."""
@@ -59,66 +59,6 @@ def gamma_ratio(dim: int) -> float:
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     return math.exp(math.lgamma(dim / 2.0) - math.lgamma((dim - 1) / 2.0))
-
-
-def _adaptive_simpson(f, lo: float, hi: float, rel_tol: float = 1e-12,
-                      max_nodes: int = MAX_QUAD_NODES) -> tuple[float, int]:
-    """Integrate f on [lo, hi] by adaptive Simpson subdivision.
-
-    Intervals are halved until the Richardson error estimate of each falls
-    under its width-proportional share of the tolerance; all pending
-    intervals are refined in one vectorized batch per generation.  Returns
-    (value, nodes_evaluated); raises QuadratureError past max_nodes.
-    """
-    if not hi > lo:
-        raise ValueError(f"empty integration interval [{lo}, {hi}]")
-    span = hi - lo
-    # initial partition: 8 panels
-    k0 = 8
-    edges = np.linspace(lo, hi, k0 + 1)
-    a = edges[:-1]
-    b = edges[1:]
-    m = 0.5 * (a + b)
-    fa = f(a)
-    fb = f(b)
-    fm = f(m)
-    nodes = 3 * k0
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    scale = max(abs(float(np.sum(whole))), 1e-300)
-    abs_tol = rel_tol * scale
-
-    total = 0.0
-    min_width = span * 2.0 ** -48
-    while a.size:
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm = f(lm)
-        frm = f(rm)
-        nodes += 2 * a.size
-        if nodes > max_nodes:
-            raise QuadratureError(
-                f"no convergence after {nodes} nodes (cap {max_nodes}) on [{lo}, {hi}]"
-            )
-        h = b - a
-        left = h / 12.0 * (fa + 4.0 * flm + fm)
-        right = h / 12.0 * (fm + 4.0 * frm + fb)
-        s2 = left + right
-        err = s2 - whole
-        # accept once resolved, at the width floor, or at ulp resolution
-        # (lm/rm collide with the interval ends and halving makes no progress)
-        splittable = (a < lm) & (lm < m) & (m < rm) & (rm < b)
-        done = (np.abs(err) <= 15.0 * abs_tol * h / span) | (h <= min_width) | ~splittable
-        total += float(np.sum(s2[done] + err[done] / 15.0))
-        keep = ~done
-        # split surviving intervals into their two halves
-        a = np.concatenate([a[keep], m[keep]])
-        b = np.concatenate([m[keep], b[keep]])
-        fa = np.concatenate([fa[keep], fm[keep]])
-        fb = np.concatenate([fm[keep], fb[keep]])
-        m = np.concatenate([lm[keep], rm[keep]])
-        fm = np.concatenate([flm[keep], frm[keep]])
-        whole = np.concatenate([left[keep], right[keep]])
-    return total, nodes
 
 
 def _f_integrand(u: np.ndarray, dim: int, a: float) -> np.ndarray:
@@ -152,7 +92,10 @@ class RadiusProblem:
 
 @dataclass(frozen=True)
 class RadiusSolution:
-    """Solved stationary radius with residual and work diagnostics."""
+    """Solved stationary radius with residual and work diagnostics.
+
+    quadrature_points counts closed-form evaluations of the integral.
+    """
 
     rho: float
     residual: float
@@ -168,10 +111,35 @@ class ForceProfile:
     magnitudes: np.ndarray = field(repr=False)
 
 
-def _integral(rho: float, dim: int, big_n: float) -> tuple[float, int]:
+SERIES_MIN_DIM = 64
+SERIES_TERMS = 128
+
+
+def _hyp2f1_pfaff(dim: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """2F1(1, (d-1)/2; d; x) for x in (0, 1), elementwise over 1-D arrays.
+
+    scipy's hyp2f1 matches 30-digit mpmath to ~1e-13 below d = 131, but
+    returns nan or inf for every odd d >= 131 above x = 0.9.  From d = 64 on
+    the direct series is summed instead: its terms shrink like (x/2)^n for
+    n << d and like n^(-(d+1)/2) even at x = 1, so SERIES_TERMS terms leave
+    a tail below 3e-17.
+    """
+    out = np.empty_like(x)
+    small = dim < SERIES_MIN_DIM
+    out[small] = hyp2f1(1.0, 0.5 * (dim[small] - 1.0), dim[small], x[small])
+    big = ~small
+    if big.any():
+        b = 0.5 * (dim[big, None] - 1.0)
+        j = np.arange(SERIES_TERMS)
+        terms = np.cumprod((b + j) / (dim[big, None] + j) * x[big, None], axis=1)
+        out[big] = 1.0 + terms.sum(axis=1)
+    return out
+
+
+def _integral(rho: np.ndarray, dim: np.ndarray, big_n: np.ndarray) -> np.ndarray:
+    """Closed-form stationarity integral, elementwise over 1-D arrays."""
     a = big_n / (2.0 * rho * rho)
-    hi = 1.0 + 2.0 / a
-    return _adaptive_simpson(lambda u: _f_integrand(u, dim, a), 1.0, hi)
+    return 2.0 * a / (a + 2.0) * _hyp2f1_pfaff(dim, 2.0 / (a + 2.0))
 
 
 def stationarity_integral(rho: float, problem: RadiusProblem) -> float:
@@ -181,97 +149,97 @@ def stationarity_integral(rho: float, problem: RadiusProblem) -> float:
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    value, _ = _integral(rho, problem.dim, problem.big_n)
-    return value
+    return float(_integral(np.array([float(rho)]), np.array([float(problem.dim)]),
+                           np.array([float(problem.big_n)]))[0])
+
+
+def _bisect(dim, mu, big_n, rho_tol=1e-12, residual_tol=1e-10, max_iter=200):
+    """Solve I(rho) = 1/mu for every cell of the 1-D arrays (dim, mu, big_n).
+
+    The integral is monotone decreasing in rho (from 2 at rho -> 0 toward 0),
+    so each residual changes sign exactly once.  Each bracket starts at
+    [sqrt(d)/4, 4 sqrt(d)] and expands geometrically if needed; a cell stops
+    once its bracket is rho_tol-relative narrow and its residual is under
+    residual_tol.  Returns (rho, residual, iterations, evaluations) arrays.
+    """
+    target = 1.0 / mu
+    evals = np.zeros(dim.size, dtype=np.int64)
+
+    def residual_at(rho, idx):
+        evals[idx] += 1
+        return _integral(rho, dim[idx], big_n[idx]) - target[idx]
+
+    def cell(k):
+        return f"(d={int(dim[k])}, mu={mu[k]}, N={big_n[k]})"
+
+    every = np.arange(dim.size)
+    root_d = np.sqrt(dim)
+    lo, hi = root_d / 4.0, 4.0 * root_d
+    g_lo = residual_at(lo, every)
+    g_hi = residual_at(hi, every)
+    # residual decreasing in rho: need sign * g >= 0 with sign +1 at lo, -1 at hi
+    for side, bound, g, sign, factor in (("below", lo, g_lo, 1.0, 0.5),
+                                         ("above", hi, g_hi, -1.0, 2.0)):
+        for _ in range(60):
+            idx = np.flatnonzero(sign * g < 0.0)
+            if not idx.size:
+                break
+            bound[idx] *= factor
+            g[idx] = residual_at(bound[idx], idx)
+        idx = np.flatnonzero(sign * g < 0.0)
+        if idx.size:
+            raise SolverError(f"no sign change {side} rho={bound[idx[0]]} for {cell(idx[0])}")
+
+    iterations = np.zeros(dim.size, dtype=np.int64)
+    mid = 0.5 * (lo + hi)
+    g_mid = residual_at(mid, every)
+    idx = every
+    for _ in range(max_iter):
+        if not idx.size:
+            break
+        iterations[idx] += 1
+        up = g_mid[idx] >= 0.0
+        lo[idx] = np.where(up, mid[idx], lo[idx])
+        hi[idx] = np.where(up, hi[idx], mid[idx])
+        mid[idx] = 0.5 * (lo[idx] + hi[idx])
+        g_mid[idx] = residual_at(mid[idx], idx)
+        done = (hi[idx] - lo[idx] <= rho_tol * mid[idx]) & (np.abs(g_mid[idx]) < residual_tol)
+        idx = idx[~done]
+    stalled = np.flatnonzero(~(np.abs(g_mid) < residual_tol))
+    if stalled.size:
+        k = stalled[0]
+        raise SolverError(
+            f"bisection stalled at rho={mid[k]} with residual {g_mid[k]} for {cell(k)}")
+    return mid, g_mid, iterations, evals
 
 
 def solve_radius(dim: int, mu: float, big_n: float, *, rho_tol: float = 1e-12,
                  residual_tol: float = 1e-10, max_iter: int = 200) -> RadiusSolution:
-    """Solve the stationarity condition for rho by bisection.
-
-    The integral is monotone decreasing in rho (from 2 at rho -> 0 toward 0),
-    so the residual changes sign exactly once.  The bracket starts at
-    [sqrt(d)/4, 4 sqrt(d)] and expands geometrically if needed.
-    """
+    """Solve the stationarity condition for rho by bisection."""
     if dim < 3:
         raise ValueError(f"radius theory requires dim >= 3, got {dim}")
     if mu < 1.0:
         raise ValueError(f"solver assumes mu >= 1, got {mu}")
     if not big_n > 0:
         raise ValueError(f"big_n must be positive, got {big_n}")
-
-    target = 1.0 / mu
-    nodes = 0
-
-    def residual_at(rho):
-        nonlocal nodes
-        val, n = _integral(rho, dim, big_n)
-        nodes += n
-        return val - target
-
-    root_d = math.sqrt(dim)
-    lo, hi = root_d / 4.0, 4.0 * root_d
-    g_lo = residual_at(lo)
-    g_hi = residual_at(hi)
-    expansions = 0
-    while g_lo < 0.0:  # residual decreasing in rho: need g(lo) >= 0
-        lo *= 0.5
-        g_lo = residual_at(lo)
-        expansions += 1
-        if expansions > 60:
-            raise SolverError(f"no sign change below rho={lo} for (d={dim}, mu={mu}, N={big_n})")
-    expansions = 0
-    while g_hi > 0.0:
-        hi *= 2.0
-        g_hi = residual_at(hi)
-        expansions += 1
-        if expansions > 60:
-            raise SolverError(f"no sign change above rho={hi} for (d={dim}, mu={mu}, N={big_n})")
-
-    iterations = 0
-    mid = 0.5 * (lo + hi)
-    g_mid = residual_at(mid)
-    while iterations < max_iter:
-        iterations += 1
-        if g_mid >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-        g_mid = residual_at(mid)
-        if hi - lo <= rho_tol * mid and abs(g_mid) < residual_tol:
-            break
-    if abs(g_mid) >= residual_tol:
-        raise SolverError(
-            f"bisection stalled at rho={mid} with residual {g_mid} for (d={dim}, mu={mu}, N={big_n})"
-        )
-    return RadiusSolution(rho=mid, residual=g_mid, iterations=iterations,
-                          quadrature_points=nodes)
+    rho, res, iters, evals = _bisect(np.array([float(dim)]), np.array([float(mu)]),
+                                     np.array([float(big_n)]), rho_tol=rho_tol,
+                                     residual_tol=residual_tol, max_iter=max_iter)
+    return RadiusSolution(rho=float(rho[0]), residual=float(res[0]),
+                          iterations=int(iters[0]), quadrature_points=int(evals[0]))
 
 
-def _sweep_cell(args) -> float:
-    dim, mu = args
-    sol = solve_radius(dim, mu, choose_big_n(dim, mu))
-    root_d = math.sqrt(dim)
-    return abs(sol.rho - root_d) / root_d * 100.0
+def _mu_grid(dim: int, mu_step: float) -> np.ndarray:
+    """mu = 1, 1 + step, ... up to and including the last value <= 2d + 1."""
+    count = math.floor(2.0 * dim / mu_step * (1.0 + 1e-12)) + 1
+    return np.minimum(1.0 + mu_step * np.arange(count), 2.0 * dim + 1.0)
 
 
-def default_workers() -> int:
-    """Worker count from ECCENTRIC_THREADS (0 or unset = single process)."""
-    raw = os.environ.get("ECCENTRIC_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"ECCENTRIC_THREADS must be an integer, got {raw!r}")
-    if n == 0:
-        return 1
-    return max(1, n)
-
-
-def sweep_radius(dims, mu_step: float = 0.25, workers: int | None = None) -> list[tuple[int, float]]:
+def sweep_radius(dims, mu_step: float = 0.25) -> list[tuple[int, float]]:
     """Max percent deviation of rho from sqrt(d) over mu in [1, 2d+1], per dimension.
 
-    Returns one (d, max_percent) row per entry of dims, in input order.
+    All (d, mu) cells are solved in one array-valued bisection.  Returns one
+    (d, max_percent) row per entry of dims, in input order.
     """
     if mu_step <= 0:
         raise ValueError(f"mu_step must be positive, got {mu_step}")
@@ -279,37 +247,33 @@ def sweep_radius(dims, mu_step: float = 0.25, workers: int | None = None) -> lis
     for d in dims:
         if d < 3:
             raise ValueError(f"radius theory requires dim >= 3, got {d}")
-    if workers is None:
-        workers = default_workers()
-
-    cells = []
-    counts = []
-    for d in dims:
-        mus = np.arange(1.0, 2.0 * d + 1.0 + mu_step / 2.0, mu_step)
-        counts.append(len(mus))
-        cells.extend((d, float(mu)) for mu in mus)
-
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pcts = list(pool.map(_sweep_cell, cells, chunksize=32))
-    else:
-        pcts = [_sweep_cell(c) for c in cells]
-
-    rows = []
-    start = 0
-    for d, n in zip(dims, counts):
-        rows.append((d, max(pcts[start:start + n])))
-        start += n
-    return rows
+    if not dims:
+        return []
+    grids = [_mu_grid(d, mu_step) for d in dims]
+    mu = np.concatenate(grids)
+    dim = np.concatenate([np.full(g.size, float(d)) for d, g in zip(dims, grids)])
+    big_n = np.array([choose_big_n(int(d), float(m)) for d, m in zip(dim, mu)])
+    rho, _, _, _ = _bisect(dim, mu, big_n)
+    pct = np.abs(rho - np.sqrt(dim)) / np.sqrt(dim) * 100.0
+    bounds = np.cumsum([0] + [g.size for g in grids])
+    return [(d, float(pct[s:e].max())) for d, s, e in zip(dims, bounds[:-1], bounds[1:])]
 
 
 def lemma_a_check(dim: int, a: float) -> float:
-    """Integral of u * f_{d,a}(u) over [1, 1 + 2/a]; identically 2 for 0 < a < 2."""
+    """Integral of u * f_{d,a}(u) over [1, 1 + 2/a]; identically 2 for 0 < a < 2.
+
+    Integrated numerically (scipy's adaptive Gauss-Kronrod), so the identity
+    is checked independently of the closed form used by the solver.
+    """
     if dim < 3:
         raise ValueError(f"requires dim >= 3, got {dim}")
     if not 0.0 < a < 2.0:
         raise ValueError(f"requires 0 < a < 2, got {a}")
-    value, _ = _adaptive_simpson(lambda u: u * _f_integrand(u, dim, a), 1.0, 1.0 + 2.0 / a)
+    # imported here: scipy.integrate adds ~0.2 s and ~13 MiB to every CLI start
+    from scipy.integrate import quad
+
+    value, _ = quad(lambda u: u * float(_f_integrand(u, dim, a)), 1.0, 1.0 + 2.0 / a,
+                    epsabs=1e-13, epsrel=1e-13)
     return value
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from eccentric.analysis import (
     align,
     cross_correlation,
     decode_eigen_components,
-    jacobi_eigh,
     knn_classify,
     sample_latents,
     similarity_metrics,
@@ -19,33 +19,20 @@ from eccentric.analysis import (
 from eccentric.kernel import PointBatch
 
 
-class TestJacobiEigh:
-    def test_diagonal_matrix(self):
-        evals, evecs = jacobi_eigh(np.diag([3.0, 1.0, 2.0]))
-        np.testing.assert_allclose(sorted(evals), [1.0, 2.0, 3.0], atol=1e-14)
-        np.testing.assert_allclose(np.abs(evecs), np.eye(3), atol=1e-14)
-
-    @pytest.mark.parametrize("n,seed", [(2, 0), (5, 1), (16, 2), (40, 3)])
-    def test_against_numpy_eigh(self, n, seed):
-        # oracle: LAPACK through numpy
-        rng = np.random.default_rng(seed)
-        m = rng.standard_normal((n, n))
-        m = m + m.T
-        evals, evecs = jacobi_eigh(m)
-        ref = np.linalg.eigvalsh(m)
-        np.testing.assert_allclose(np.sort(evals), ref, atol=1e-9)
-        # reconstruction and orthonormality
-        np.testing.assert_allclose(evecs @ np.diag(evals) @ evecs.T, m, atol=1e-8)
-        np.testing.assert_allclose(evecs.T @ evecs, np.eye(n), atol=1e-10)
-
-    def test_zero_matrix(self):
-        evals, evecs = jacobi_eigh(np.zeros((4, 4)))
-        assert np.all(evals == 0.0)
-        np.testing.assert_allclose(evecs, np.eye(4))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+class TestLibraryEigensolver:
+    def test_covariance_that_stalled_jacobi(self):
+        # this covariance made the former cyclic Jacobi solver miss its
+        # convergence test, run all 100 sweeps and overflow ~1e4 times
+        z = np.random.default_rng(2).standard_normal((200, 16))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = spectrum(PointBatch(z))
+            sample_latents("matched", PointBatch(z), 50, 16, 0)
+        cov = np.cov(z, rowvar=False)
+        lam, vec = rep.eigenvalues, rep.eigenvectors
+        assert np.linalg.norm(cov @ vec - vec * lam) <= 1e-10 * np.linalg.norm(cov)
+        np.testing.assert_allclose(vec.T @ vec, np.eye(16), atol=1e-12)
+        assert np.all(np.diff(lam) <= 0.0)
 
 
 class TestSpectrum:

@@ -98,6 +98,24 @@ class TestDeterminismAndVerify:
                    "--seed", "6", "--out-dir", str(tmp_path), "--verify"]
         assert run(changed) == 1
 
+    def test_failed_verify_leaves_run_untouched(self, tmp_path):
+        argv = ["simulate", "--dim", "3", "--mu", "1.0", "--auto-n",
+                "--count", "20", "--steps", "40", "--step-size", "0.1",
+                "--out-dir", str(tmp_path)]
+        run_ok(argv + ["--seed", "5"])
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        changed = argv + ["--seed", "6", "--verify"]
+        assert run(changed) == 1
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert run(changed) == 1
+
+    def test_out_outside_out_dir_rejected(self, tmp_path):
+        # an --out path would escape the scratch directory of --verify
+        assert run(["sweep-radius", "--dims", "4", "--mu-step", "1",
+                    "--out", str(tmp_path / "elsewhere.csv"),
+                    "--out-dir", str(tmp_path / "run")]) == 1
+        assert not (tmp_path / "elsewhere.csv").exists()
+
     def test_verify_without_manifest(self, tmp_path):
         assert run(["solve-radius", "--dim", "8", "--mu", "1.0", "--auto-n",
                     "--out-dir", str(tmp_path), "--verify"]) == 1

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eccentric.kernel import ParamSet, choose_big_n
 from eccentric.radius import (
@@ -17,7 +19,37 @@ from eccentric.radius import (
     stationarity_integral,
     sweep_radius,
 )
-from eccentric.radius import _f_integrand
+from eccentric.radius import _f_integrand, _mu_grid
+
+
+def _integral_mp(rho, dim, big_n):
+    """Stationarity integral at 40 digits: Euler's integral with its full
+    Gamma/Beta prefactor, its 2F1 evaluated through Pfaff's transform so the
+    argument z/(z-1) lies in (0, 1).
+
+    mpmath's hyp2f1 is unreliable at 40 digits on the untransformed argument
+    (d=1000, mu=1.5, rho=sqrt(d)) and, past x = 0.8, on the transformed one
+    too (d=1000, x=0.81 returns 3e33 for a value of 1.68).  From d = 64 on
+    the series is summed term by term instead; its terms fall at least as
+    fast as n^(-(d+1)/2)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        a = mp.mpf(big_n) / (2 * mp.mpf(rho) ** 2)
+        p = mp.mpf(dim - 1) / 2
+        q = mp.mpf(dim - 3) / 2
+        z = -2 / a
+        x = z / (z - 1)
+        if dim < 64:
+            hyp = mp.hyp2f1(1, q + 1, dim, x)
+        else:
+            hyp = term = mp.mpf(1)
+            n = 0
+            while term > mp.mpf(10) ** -45:
+                term *= (q + 1 + n) / (dim + n) * x
+                hyp += term
+                n += 1
+        pref = 2 / mp.sqrt(mp.pi) * mp.gamma(mp.mpf(dim) / 2) / mp.gamma(p)
+        return float(pref * mp.mpf(2) ** (dim - 1) * mp.beta(p + 1, q + 1) * hyp / (1 - z))
 
 
 class TestGammaRatio:
@@ -52,6 +84,45 @@ class TestStationarityIntegral:
         got = stationarity_integral(rho, RadiusProblem(dim=dim, mu=1.0, big_n=big_n))
         assert err < 1e-12
         assert got == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [131, 1000, 1001])
+    @pytest.mark.parametrize("a", [1e-4, 0.469, 50.0])
+    def test_large_dim_against_scipy_quad(self, dim, a):
+        # scipy's own hyp2f1 returns nan or inf for odd d >= 131 near x = 1
+        from scipy.integrate import quad
+        p, q = 0.5 * (dim - 1), 0.5 * (dim - 3)
+        mode = 1.0 + 2.0 * p / (p + q) / a
+        expected, _ = quad(lambda u: _f_integrand(u, dim, a), 1.0, 1.0 + 2.0 / a,
+                           points=[mode], epsabs=0.0, epsrel=1e-13, limit=200)
+        got = stationarity_integral(1.0, RadiusProblem(dim=dim, mu=1.0, big_n=2.0 * a))
+        assert got == pytest.approx(expected, rel=1e-11)
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 12, 38, 117, 300, 1000])
+    def test_against_mpmath_closed_form(self, dim):
+        for mu in (1.0, 1.5, dim + 1.0, 2.0 * dim + 1.0):
+            big_n = choose_big_n(dim, mu)
+            p = RadiusProblem(dim=dim, mu=mu, big_n=big_n)
+            for scale in (0.3, 1.0, 3.0):
+                rho = scale * math.sqrt(dim)
+                expected = _integral_mp(rho, dim, big_n)
+                assert stationarity_integral(rho, p) == pytest.approx(expected, rel=1e-11)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(3, 1000), rho=st.floats(0.05, 50.0),
+           big_n=st.floats(0.05, 5000.0), scale=st.floats(0.1, 10.0))
+    def test_depends_on_n_and_rho_only_through_a(self, dim, rho, big_n, scale):
+        v1 = stationarity_integral(rho, RadiusProblem(dim=dim, mu=1.0, big_n=big_n))
+        v2 = stationarity_integral(scale * rho, RadiusProblem(dim=dim, mu=1.0,
+                                                              big_n=scale * scale * big_n))
+        assert v2 == pytest.approx(v1, rel=1e-11)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(3, 1000), rho=st.floats(0.1, 10.0),
+           stretch=st.floats(1.001, 10.0))
+    def test_strictly_decreasing_in_rho(self, dim, rho, stretch):
+        # rho is measured in units of sqrt(N): a = 1/(2 rho^2) spans [5e-5, 50] and more
+        p = RadiusProblem(dim=dim, mu=1.0, big_n=1.0)
+        assert stationarity_integral(rho, p) > stationarity_integral(stretch * rho, p)
 
     def test_near_unity_at_calibrated_radius(self):
         # at rho = sqrt(d) with N = N(d, mu) the integral should be close to 1/mu
@@ -126,10 +197,31 @@ class TestSweepRadius:
         assert [d for d, _ in rows] == [3, 4]
         assert all(0.0 <= pct < 5.0 for _, pct in rows)
 
-    def test_deterministic_and_worker_independent(self):
-        r1 = sweep_radius([4], mu_step=1.0, workers=1)
-        r2 = sweep_radius([4], mu_step=1.0, workers=2)
-        assert r1 == r2
+    @pytest.mark.parametrize("dims,step", [([3, 4, 12], 1.0), ([4, 38], 5.0),
+                                           ([38, 117], 16.0)])
+    def test_rows_match_solve_radius(self, dims, step):
+        rows = sweep_radius(dims, mu_step=step)
+        assert [d for d, _ in rows] == dims
+        for d, pct in rows:
+            mus = np.arange(1.0, 2.0 * d + 1.0 + 1e-9, step)
+            expected = max(abs(solve_radius(d, mu, choose_big_n(d, mu)).rho - math.sqrt(d))
+                           / math.sqrt(d) * 100.0 for mu in mus)
+            assert pct == pytest.approx(expected, rel=1e-10)
+
+    def test_mu_grid_stays_in_calibrated_range(self):
+        np.testing.assert_array_equal(_mu_grid(38, 16.0), [1.0, 17.0, 33.0, 49.0, 65.0])
+        np.testing.assert_array_equal(_mu_grid(117, 16.0)[-1], 225.0)
+        for d in (3, 12, 38, 117):
+            # criterion 1's step: every quarter from 1 to 2d + 1 inclusive
+            np.testing.assert_array_equal(_mu_grid(d, 0.25),
+                                          np.arange(1.0, 2.0 * d + 1.125, 0.25))
+            for step in (0.1, 0.3, 0.7, 3.0, 16.0, 1000.0):
+                grid = _mu_grid(d, step)
+                assert grid[0] == 1.0 and grid[-1] <= 2.0 * d + 1.0
+                assert grid[-1] + step > 2.0 * d + 1.0 - 1e-9
+
+    def test_empty_dims(self):
+        assert sweep_radius([], mu_step=1.0) == []
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
