@@ -11,7 +11,7 @@ from .kernel import (
     ParamSet,
     PointBatch,
     batch_loss,
-    batch_loss_gradient,
+    batch_loss_and_gradient,
     choose_big_n,
     pair_kernel,
 )
@@ -22,7 +22,7 @@ __all__ = [
     "PointBatch",
     "pair_kernel",
     "batch_loss",
-    "batch_loss_gradient",
+    "batch_loss_and_gradient",
     "choose_big_n",
     "solve_radius",
     "sweep_radius",

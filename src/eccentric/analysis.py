@@ -76,6 +76,13 @@ class Embedding:
         return self.coords.shape[1]
 
 
+def _check_same_shape(e1: Embedding, e2: Embedding):
+    if e1.coords.shape != e2.coords.shape:
+        raise ValueError(
+            f"embeddings must share shape, got {e1.coords.shape} and {e2.coords.shape}"
+        )
+
+
 def to_principal_embedding(batch: PointBatch) -> Embedding:
     """Center the batch and project onto descending covariance eigenvectors."""
     rep = spectrum(batch)
@@ -121,10 +128,7 @@ def align(e1: Embedding, e2: Embedding, max_sweeps_per_dim: int = 100) -> Alignm
     both embeddings together by combined column energy and flips any
     remaining negative diagonal matches.
     """
-    if e1.items != e2.items or e1.dim != e2.dim:
-        raise ValueError(
-            f"embeddings must share shape, got {e1.coords.shape} and {e2.coords.shape}"
-        )
+    _check_same_shape(e1, e2)
     d = e1.dim
     p = e1.coords.copy()
     q = e2.coords.copy()
@@ -197,10 +201,7 @@ def cross_correlation(e1: Embedding, e2: Embedding,
     Zero-variance columns produce 0 entries; pass return_flags=True to also
     get the boolean mask of entries degenerate in this way.
     """
-    if e1.items != e2.items or e1.dim != e2.dim:
-        raise ValueError(
-            f"embeddings must share shape, got {e1.coords.shape} and {e2.coords.shape}"
-        )
+    _check_same_shape(e1, e2)
     a = e1.coords - e1.coords.mean(axis=0)
     b = e2.coords - e2.coords.mean(axis=0)
     sa = np.sqrt(np.sum(a * a, axis=0))
@@ -230,10 +231,7 @@ def similarity_metrics(e1: Embedding, e2: Embedding) -> SimilarityMetrics:
     Rows where either side is the zero vector are excluded from the cosine
     and angle means and counted in excluded_rows.
     """
-    if e1.items != e2.items or e1.dim != e2.dim:
-        raise ValueError(
-            f"embeddings must share shape, got {e1.coords.shape} and {e2.coords.shape}"
-        )
+    _check_same_shape(e1, e2)
     a, b = e1.coords, e2.coords
     diff = a - b
     rms = math.sqrt(float(np.mean(np.sum(diff * diff, axis=1))))

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .datasets import Dataset
-from .kernel import ParamSet, PointBatch, batch_loss, batch_loss_gradient
+from .kernel import ParamSet, PointBatch, batch_loss, batch_loss_and_gradient
 
 __all__ = [
     "DenseNetSpec",
@@ -40,9 +41,7 @@ def _act(tag: str, pre: np.ndarray) -> np.ndarray:
         return np.maximum(pre, 0.0)
     if tag == "leaky-relu":
         return np.where(pre > 0.0, pre, LEAKY_SLOPE * pre)
-    if tag == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-pre))
-    raise ValueError(f"unknown activation {tag!r}")
+    return 1.0 / (1.0 + np.exp(-pre))  # sigmoid
 
 
 def _act_grad(tag: str, pre: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -52,9 +51,7 @@ def _act_grad(tag: str, pre: np.ndarray, out: np.ndarray) -> np.ndarray:
         return (pre > 0.0).astype(np.float64)
     if tag == "leaky-relu":
         return np.where(pre > 0.0, 1.0, LEAKY_SLOPE)
-    if tag == "sigmoid":
-        return out * (1.0 - out)
-    raise ValueError(f"unknown activation {tag!r}")
+    return out * (1.0 - out)  # sigmoid
 
 
 @dataclass(frozen=True)
@@ -89,32 +86,43 @@ class DenseNetSpec:
     def out_width(self) -> int:
         return self.layer_widths[-1]
 
+    @property
+    def param_count(self) -> int:
+        w = self.layer_widths
+        return sum(fi * fo + fo for fi, fo in zip(w[:-1], w[1:]))
+
 
 class DenseNet:
     """Fully connected network with explicit forward/backward passes.
 
     Weights W have shape (fan_in, fan_out); a layer computes x @ W + b
-    followed by its activation.
+    followed by its activation.  All parameters live in one float64 vector
+    ``vec`` in checkpoint order (W0 row-major, b0, W1, b1, ...);
+    ``weights`` and ``biases`` are per-layer views into it.
     """
 
-    def __init__(self, spec: DenseNetSpec, weights, biases):
+    def __init__(self, spec: DenseNetSpec, vec: np.ndarray):
+        if vec.dtype != np.float64 or vec.shape != (spec.param_count,):
+            raise ValueError(
+                f"need {spec.param_count} float64 parameters, got {vec.dtype} {vec.shape}")
         self.spec = spec
-        self.weights = weights
-        self.biases = biases
+        self.vec = vec
+        self.weights, self.biases = [], []
+        offset = 0
+        for fi, fo in zip(spec.layer_widths[:-1], spec.layer_widths[1:]):
+            self.weights.append(vec[offset:offset + fi * fo].reshape(fi, fo))
+            offset += fi * fo
+            self.biases.append(vec[offset:offset + fo])
+            offset += fo
 
     @classmethod
     def initialize(cls, spec: DenseNetSpec, rng: np.random.Generator) -> "DenseNet":
         """Uniform init in +-sqrt(6/(fan_in+fan_out)), zero biases."""
-        weights, biases = [], []
-        for fi, fo in zip(spec.layer_widths[:-1], spec.layer_widths[1:]):
-            bound = np.sqrt(6.0 / (fi + fo))
-            weights.append(rng.uniform(-bound, bound, size=(fi, fo)))
-            biases.append(np.zeros(fo))
-        return cls(spec, weights, biases)
-
-    def copy(self) -> "DenseNet":
-        return DenseNet(self.spec, [w.copy() for w in self.weights],
-                        [b.copy() for b in self.biases])
+        net = cls(spec, np.zeros(spec.param_count))
+        for w in net.weights:
+            bound = np.sqrt(6.0 / sum(w.shape))
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+        return net
 
     def forward(self, x: np.ndarray, with_cache: bool = False):
         x = np.asarray(x, dtype=np.float64)
@@ -136,25 +144,21 @@ class DenseNet:
             return out, cache
         return out
 
-    def backward(self, cache, grad_out: np.ndarray):
+    def backward(self, cache, grad_out: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """Propagate grad_out back through a cached forward pass.
 
-        Returns (grad_input, grads_w, grads_b) with gradients summed over
-        the batch axis.
+        Writes the parameter gradients, summed over the batch axis, into
+        ``grad`` (laid out like ``vec``) and returns the input gradient.
         """
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
+        grads = DenseNet(self.spec, grad)  # per-layer views of grad
         g = np.asarray(grad_out, dtype=np.float64)
         for i in range(len(self.weights) - 1, -1, -1):
             inp, pre, out = cache[i]
             g = g * _act_grad(self.spec.activations[i], pre, out)
-            grads_w[i] = inp.T @ g
-            grads_b[i] = g.sum(axis=0)
+            grads.weights[i][...] = inp.T @ g
+            grads.biases[i][...] = g.sum(axis=0)
             g = g @ self.weights[i].T
-        return g, grads_w, grads_b
-
-    def parameters(self):
-        return self.weights + self.biases
+        return g
 
 
 @dataclass(frozen=True)
@@ -212,10 +216,10 @@ def total_loss(x: np.ndarray, encoder: DenseNet, decoder: DenseNet,
 
 def total_loss_gradients(x: np.ndarray, encoder: DenseNet, decoder: DenseNet,
                          params: ParamSet):
-    """Loss values plus gradients of the total loss for every parameter.
+    """Loss values plus the gradient of the total loss in every parameter.
 
-    Returns (recon, reg, total, enc_grads, dec_grads) where each grads entry
-    is ([dW...], [db...]) in layer order.
+    Returns (recon, reg, total, grad) where grad is one vector: the encoder's
+    ``vec`` layout followed by the decoder's.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] < 2:
@@ -225,43 +229,40 @@ def total_loss_gradients(x: np.ndarray, encoder: DenseNet, decoder: DenseNet,
     x_hat, dec_cache = decoder.forward(z, with_cache=True)
     recon = float(np.mean(np.sum((x - x_hat) ** 2, axis=1)))
 
+    grad = np.empty(encoder.vec.size + decoder.vec.size)
     grad_xhat = 2.0 * (x_hat - x) / b
-    grad_z, dec_w, dec_b = decoder.backward(dec_cache, grad_xhat)
+    grad_z = decoder.backward(dec_cache, grad_xhat, grad[encoder.vec.size:])
     if params.lam > 0:
-        reg = batch_loss(PointBatch(z), params)
         # latent codes also feed the regularizer directly
-        grad_z = grad_z + params.lam * batch_loss_gradient(PointBatch(z), params)
+        reg, grad_reg = batch_loss_and_gradient(PointBatch(z), params)
+        grad_z = grad_z + params.lam * grad_reg
     else:
         # lam = 0 reduces to a plain reconstruction autoencoder
         reg = 0.0
-    _, enc_w, enc_b = encoder.backward(enc_cache, grad_z)
-    return recon, reg, recon + params.lam * reg, (enc_w, enc_b), (dec_w, dec_b)
+    encoder.backward(enc_cache, grad_z, grad[:encoder.vec.size])
+    return recon, reg, recon + params.lam * reg, grad
 
 
 class _Adam:
-    """Adam with decoupled weight decay over a flat parameter list."""
+    """Adam with decoupled weight decay over one flat parameter vector."""
 
-    def __init__(self, params, lr, beta1, beta2, eps, weight_decay):
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+    def __init__(self, config: TrainConfig, size: int):
+        self.config = config
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.t = 0
 
-    def step(self, params, grads):
+    def step(self, theta, grad):
+        c, m, v = self.config, self.m, self.v
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * ((m / b1c) / (np.sqrt(v / b2c) + self.eps)
-                            + self.weight_decay * p)
+        b1c = 1.0 - c.adam_beta1**self.t
+        b2c = 1.0 - c.adam_beta2**self.t
+        m *= c.adam_beta1
+        m += (1.0 - c.adam_beta1) * grad
+        v *= c.adam_beta2
+        v += (1.0 - c.adam_beta2) * grad * grad
+        theta -= c.learning_rate * ((m / b1c) / (np.sqrt(v / b2c) + c.adam_epsilon)
+                                    + c.weight_decay * theta)
 
 
 def train(config: TrainConfig, dataset: Dataset,
@@ -277,11 +278,13 @@ def train(config: TrainConfig, dataset: Dataset,
             f"dataset size {dataset.count} < batch_size {config.batch_size}"
         )
     rng = np.random.default_rng(config.seed)
-    encoder = DenseNet.initialize(config.encoder, rng)
-    decoder = DenseNet.initialize(config.decoder, rng)
-    opt = _Adam(encoder.parameters() + decoder.parameters(),
-                config.learning_rate, config.adam_beta1, config.adam_beta2,
-                config.adam_epsilon, config.weight_decay)
+    # both networks are views into theta, the one vector Adam updates
+    theta = np.concatenate([DenseNet.initialize(config.encoder, rng).vec,
+                            DenseNet.initialize(config.decoder, rng).vec])
+    split = config.encoder.param_count
+    encoder = DenseNet(config.encoder, theta[:split])
+    decoder = DenseNet(config.decoder, theta[split:])
+    opt = _Adam(config, theta.size)
 
     recon_trace, reg_trace = [], []
     data = dataset.data
@@ -294,14 +297,13 @@ def train(config: TrainConfig, dataset: Dataset,
             if idx.size < 2:
                 continue
             x = data[idx]
-            recon, reg, total, (ew, eb), (dw, db) = total_loss_gradients(
+            recon, reg, total, grad = total_loss_gradients(
                 x, encoder, decoder, config.params)
             if not np.isfinite(total):
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch}, batch {batches}"
                 )
-            opt.step(encoder.parameters() + decoder.parameters(),
-                     ew + eb + dw + db)
+            opt.step(theta, grad)
             recon_sum += recon
             reg_sum += reg
             batches += 1
@@ -326,41 +328,30 @@ def encode_dataset(encoder: DenseNet, dataset: Dataset) -> PointBatch | None:
 
 
 def save_checkpoint(net: DenseNet, path):
-    """Flat binary checkpoint: magic, u32 width count, widths, float64 params.
+    """Flat binary checkpoint: magic, u32 width count, u32 widths, then ``vec``
+    as little-endian float64.
 
-    Parameters are written in layer order, each weight matrix row-major and
-    followed by its bias vector.  Activations are not stored; supply the
-    spec when loading.
+    Activations are not stored; supply the spec when loading.
     """
     widths = net.spec.layer_widths
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(widths)))
-        fh.write(struct.pack(f"<{len(widths)}I", *widths))
-        for w, b in zip(net.weights, net.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    header = CHECKPOINT_MAGIC + struct.pack(f"<{len(widths) + 1}I", len(widths), *widths)
+    Path(path).write_bytes(header + net.vec.astype("<f8").tobytes())
 
 
 def load_checkpoint(path, spec: DenseNetSpec) -> DenseNet:
     """Load a checkpoint written by save_checkpoint; widths must match spec."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
+    buf = Path(path).read_bytes()
     if buf[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic {buf[:4]!r}")
-    (count,) = struct.unpack("<I", buf[4:8])
-    widths = struct.unpack(f"<{count}I", buf[8:8 + 4 * count])
+    count = struct.unpack_from("<I", buf, 4)[0] if len(buf) >= 8 else 0
+    header = 8 + 4 * count
+    if len(buf) < header:
+        raise ValueError(f"{path}: truncated checkpoint header ({len(buf)} bytes)")
+    widths = struct.unpack_from(f"<{count}I", buf, 8)
     if widths != spec.layer_widths:
         raise ValueError(f"{path}: widths {widths} do not match spec {spec.layer_widths}")
-    offset = 8 + 4 * count
-    weights, biases = [], []
-    for fi, fo in zip(widths[:-1], widths[1:]):
-        w = np.frombuffer(buf, dtype="<f8", count=fi * fo, offset=offset).reshape(fi, fo)
-        offset += 8 * fi * fo
-        b = np.frombuffer(buf, dtype="<f8", count=fo, offset=offset)
-        offset += 8 * fo
-        weights.append(w.copy())
-        biases.append(b.copy())
-    if offset != len(buf):
-        raise ValueError(f"{path}: trailing bytes after parameters ({len(buf) - offset})")
-    return DenseNet(spec, weights, biases)
+    size = header + 8 * spec.param_count
+    if len(buf) != size:
+        problem = "trailing bytes" if len(buf) > size else "truncated parameters"
+        raise ValueError(f"{path}: {problem}: {len(buf)} bytes, expected {size}")
+    return DenseNet(spec, np.frombuffer(buf, dtype="<f8", offset=header).astype(np.float64))

@@ -9,6 +9,7 @@ success, 1 on a validation error, 2 on a numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import shutil
 import sys
 import tempfile
@@ -341,6 +342,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eccentric",

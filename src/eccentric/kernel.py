@@ -23,7 +23,7 @@ __all__ = [
     "pair_kernel",
     "batch_loss",
     "batch_loss_gram",
-    "batch_loss_gradient",
+    "batch_loss_and_gradient",
 ]
 
 
@@ -126,8 +126,8 @@ def _check_batch(batch: PointBatch, params: ParamSet):
         raise ValueError(f"loss needs at least 2 points, got {batch.count}")
 
 
-def batch_loss(batch: PointBatch, params: ParamSet) -> float:
-    """Mean of pair_kernel over all ordered pairs i != j.
+def _loss(batch: PointBatch, params: ParamSet) -> tuple[float, np.ndarray]:
+    """batch_loss, plus the matrix |z_i - z_j|^2 / N of its one distance pass.
 
     Squared distances are computed directly (not via the Gram expansion,
     which can go negative from cancellation).  The diagonal contributes
@@ -137,9 +137,15 @@ def batch_loss(batch: PointBatch, params: ParamSet) -> float:
     z = batch.data
     b = batch.count
     sq = cdist(z, z, "sqeuclidean")
+    sq /= params.big_n
     quad = float(np.sum(z * z)) / b
-    rep = params.mu * params.big_n * float(np.sum(np.log1p(sq / params.big_n)))
-    return quad - rep / (b * (b - 1))
+    rep = params.mu * params.big_n * float(np.sum(np.log1p(sq)))
+    return quad - rep / (b * (b - 1)), sq
+
+
+def batch_loss(batch: PointBatch, params: ParamSet) -> float:
+    """Mean of pair_kernel over all ordered pairs i != j."""
+    return _loss(batch, params)[0]
 
 
 def batch_loss_gram(batch: PointBatch, params: ParamSet) -> float:
@@ -159,17 +165,18 @@ def batch_loss_gram(batch: PointBatch, params: ParamSet) -> float:
     return (float(np.sum(xx)) - rep) / b
 
 
-def batch_loss_gradient(batch: PointBatch, params: ParamSet) -> np.ndarray:
-    """Exact gradient of batch_loss with respect to every coordinate.
+def batch_loss_and_gradient(batch: PointBatch, params: ParamSet) -> tuple[float, np.ndarray]:
+    """batch_loss and its exact gradient in every coordinate, from one distance pass.
 
-    Row i is (2/b) z_i - (4 mu / (b(b-1))) * sum_{j != i} w_ij (z_i - z_j)
-    with w_ij = 1 / (1 + |z_i - z_j|^2 / N).  The j = i term is w_ii * 0,
-    so the unmasked contraction below is exact.
+    Row i of the gradient is
+    (2/b) z_i - (4 mu / (b(b-1))) * sum_{j != i} w_ij (z_i - z_j)
+    with w_ij = 1 / (1 + |z_i - z_j|^2 / N), computed in place in the
+    distance matrix.  The j = i term is w_ii * 0, so the unmasked
+    contraction below is exact.
     """
-    _check_batch(batch, params)
-    z = batch.data
-    b = batch.count
-    sq = cdist(z, z, "sqeuclidean")
-    w = 1.0 / (1.0 + sq / params.big_n)
+    loss, w = _loss(batch, params)
+    w += 1.0
+    np.reciprocal(w, out=w)
+    z, b = batch.data, batch.count
     rep = w.sum(axis=1)[:, None] * z - w @ z
-    return (2.0 / b) * z - (4.0 * params.mu / (b * (b - 1))) * rep
+    return loss, (2.0 / b) * z - (4.0 * params.mu / (b * (b - 1))) * rep

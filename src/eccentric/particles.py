@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import SpectrumReport, spectrum
-from .kernel import ParamSet, PointBatch, batch_loss, batch_loss_gradient
+from .kernel import ParamSet, PointBatch, batch_loss, batch_loss_and_gradient
 
 __all__ = ["SimConfig", "SimReport", "DivergenceError", "simulate", "radial_stats"]
 
@@ -80,11 +80,12 @@ def simulate(config: SimConfig, init: np.ndarray | None = None) -> SimReport:
 
     trace = []
     for step in range(config.steps):
-        if step % config.record_every == 0:
-            trace.append(batch_loss(PointBatch(z), params))
         # overflow here is reported as DivergenceError, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            z = z - config.step_size * batch_loss_gradient(PointBatch(z), params)
+            loss, grad = batch_loss_and_gradient(PointBatch(z), params)
+            z = z - config.step_size * grad
+        if step % config.record_every == 0:
+            trace.append(loss)
         if not np.all(np.isfinite(z)):
             raise DivergenceError(step)
 

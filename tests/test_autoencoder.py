@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from eccentric.autoencoder import (
     DenseNet,
@@ -45,7 +47,7 @@ class TestDenseNetForward:
         spec = DenseNetSpec((3, 2), ("identity",))
         w = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         b = np.array([0.5, -0.5])
-        net = DenseNet(spec, [w], [b])
+        net = DenseNet(spec, np.concatenate([w.ravel(), b]))
         x = np.array([[1.0, 0.0, -1.0], [2.0, 1.0, 0.0]])
         np.testing.assert_allclose(net.forward(x), x @ w + b, atol=1e-15)
 
@@ -81,16 +83,17 @@ class TestDenseNetForward:
 
 
 def fd_param_gradients(x, encoder, decoder, params, h=1e-6):
-    """Central finite differences of the total loss in every parameter."""
+    """Central finite differences of the total loss in every parameter.
+
+    Returns one vector laid out like total_loss_gradients' gradient.
+    """
     def value():
         return total_loss(x, encoder, decoder, params)[2]
 
     out = []
-    for p in encoder.parameters() + decoder.parameters():
+    for p in (encoder.vec, decoder.vec):
         g = np.zeros_like(p)
-        it = np.nditer(p, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
+        for idx in range(p.size):
             orig = p[idx]
             p[idx] = orig + h
             up = value()
@@ -99,7 +102,7 @@ def fd_param_gradients(x, encoder, decoder, params, h=1e-6):
             p[idx] = orig
             g[idx] = (up - down) / (2 * h)
         out.append(g)
-    return out
+    return np.concatenate(out)
 
 
 class TestGradients:
@@ -109,12 +112,9 @@ class TestGradients:
         encoder, decoder = tiny_nets(rng, act=act)
         params = latent_params(lam=0.5)
         x = rng.uniform(0.1, 0.9, (10, 4))
-        _, _, _, (ew, eb), (dw, db) = total_loss_gradients(x, encoder, decoder,
-                                                           params)
-        analytic = ew + eb + dw + db
+        _, _, _, analytic = total_loss_gradients(x, encoder, decoder, params)
         numeric = fd_param_gradients(x, encoder, decoder, params)
-        for a, n in zip(analytic, numeric):
-            np.testing.assert_allclose(a, n, atol=1e-7, rtol=1e-5)
+        np.testing.assert_allclose(analytic, numeric, atol=1e-7, rtol=1e-5)
 
     def test_relu_gradient_away_from_kink(self):
         # relu is tested with inputs pushed away from the nondifferentiable point
@@ -125,11 +125,9 @@ class TestGradients:
         pre = x @ encoder.weights[0] + encoder.biases[0]
         if np.abs(pre).min() < 1e-4:
             encoder.biases[0] += 1e-3
-        _, _, _, (ew, eb), (dw, db) = total_loss_gradients(x, encoder, decoder,
-                                                           params)
+        _, _, _, analytic = total_loss_gradients(x, encoder, decoder, params)
         numeric = fd_param_gradients(x, encoder, decoder, params)
-        for a, n in zip(ew + eb + dw + db, numeric):
-            np.testing.assert_allclose(a, n, atol=1e-7, rtol=1e-5)
+        np.testing.assert_allclose(analytic, numeric, atol=1e-7, rtol=1e-5)
 
     def test_loss_values_match_total_loss(self):
         rng = np.random.default_rng(7)
@@ -137,8 +135,7 @@ class TestGradients:
         params = latent_params(lam=0.3)
         x = rng.uniform(0.0, 1.0, (12, 4))
         recon_a, reg_a, total_a = total_loss(x, encoder, decoder, params)
-        recon_b, reg_b, total_b, _, _ = total_loss_gradients(x, encoder,
-                                                             decoder, params)
+        recon_b, reg_b, total_b, _ = total_loss_gradients(x, encoder, decoder, params)
         assert recon_a == pytest.approx(recon_b, rel=1e-14)
         assert reg_a == pytest.approx(reg_b, rel=1e-14)
         assert total_a == pytest.approx(total_b, rel=1e-14)
@@ -147,8 +144,8 @@ class TestGradients:
         rng = np.random.default_rng(8)
         encoder, decoder = tiny_nets(rng)
         x = rng.uniform(0.0, 1.0, (6, 4))
-        recon, reg, total, _, _ = total_loss_gradients(x, encoder, decoder,
-                                                       latent_params(lam=0.0))
+        recon, reg, total, _ = total_loss_gradients(x, encoder, decoder,
+                                                    latent_params(lam=0.0))
         assert reg == 0.0
         assert total == recon
 
@@ -185,8 +182,7 @@ class TestTrain:
         r1 = train(cfg, data)
         r2 = train(cfg, data)
         assert r1.recon_trace == r2.recon_trace
-        for a, b in zip(r1.encoder.parameters(), r2.encoder.parameters()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(r1.encoder.vec, r2.encoder.vec)
         assert np.array_equal(r1.embedding.data, r2.embedding.data)
 
     def test_reconstruction_improves(self):
@@ -254,8 +250,7 @@ class TestCheckpoint:
         path = tmp_path / "net.ckpt"
         save_checkpoint(net, path)
         loaded = load_checkpoint(path, spec)
-        for a, b in zip(net.parameters(), loaded.parameters()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(net.vec, loaded.vec)
         x = rng.standard_normal((4, 3))
         np.testing.assert_array_equal(net.forward(x), loaded.forward(x))
 
@@ -275,12 +270,21 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="widths"):
             load_checkpoint(path, other)
 
-    def test_trailing_bytes_rejected(self, tmp_path):
-        rng = np.random.default_rng(16)
-        spec = DenseNetSpec((2, 2), ("identity",))
-        net = DenseNet.initialize(spec, rng)
+    @settings(deadline=None, max_examples=100,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.integers(1, 4), min_size=2, max_size=4),
+           st.floats(0.0, 1.0, exclude_max=True), st.binary(min_size=1, max_size=64))
+    @example([2, 2], 0.0, b"\x00")
+    def test_trailing_bytes_rejected(self, tmp_path, widths, cut, suffix):
+        # any appended bytes, and any proper prefix (cut inside the header
+        # or the parameters), are rejected with a message naming the file
+        spec = DenseNetSpec(widths, ("identity",) * (len(widths) - 1))
         path = tmp_path / "net.ckpt"
-        save_checkpoint(net, path)
-        path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(ValueError, match="trailing"):
-            load_checkpoint(path, spec)
+        save_checkpoint(DenseNet.initialize(spec, np.random.default_rng(16)), path)
+        valid = path.read_bytes()
+        for corrupt, message in ((valid + suffix, "trailing"),
+                                 (valid[:int(cut * len(valid))], None)):
+            path.write_bytes(corrupt)
+            with pytest.raises(ValueError, match=message) as exc:
+                load_checkpoint(path, spec)
+            assert str(path) in str(exc.value)

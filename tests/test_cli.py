@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from eccentric.autoencoder import DenseNet, DenseNetSpec, save_checkpoint
 from eccentric.cli import load_config, run
 from eccentric.io import write_embedding_csv
 
@@ -64,6 +65,14 @@ class TestSolveRadius:
         cfg.write_text("dim=3\nbogus=1\n")
         assert run(["solve-radius", "--config", str(cfg),
                     "--out-dir", str(tmp_path)]) == 1
+
+    def test_back_to_back_runs_share_no_state(self, tmp_path):
+        # the argument parser is built once; --auto-n must not leak into the next call
+        base = ["solve-radius", "--dim", "12", "--mu", "2.0"]
+        run_ok(base + ["--auto-n", "--out-dir", str(tmp_path / "auto")])
+        run_ok(base + ["--big-n", "5", "--out-dir", str(tmp_path / "fixed")])
+        payload = json.loads((tmp_path / "fixed" / "radius.json").read_text())
+        assert payload["big_n"] == 5.0
 
 
 class TestSweepRadius:
@@ -232,6 +241,15 @@ class TestExitCodes:
 
     def test_no_command(self, capsys):
         assert run([]) == 1
+
+    def test_truncated_checkpoint(self, tmp_path, capsys):
+        spec = DenseNetSpec((2, 32, 32, 2), ("leaky-relu", "leaky-relu", "identity"))
+        path = tmp_path / "bad.bin"
+        save_checkpoint(DenseNet.initialize(spec, np.random.default_rng(0)), path)
+        path.write_bytes(path.read_bytes()[:6])  # cut inside the width count
+        assert run(["encode", "--checkpoint", str(path),
+                    "--out-dir", str(tmp_path / "enc")]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_numerical_failure_is_exit_2(self, tmp_path):
         # a divergent step size must be reported as a numerical failure

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eccentric.kernel import (
     ParamSet,
     PointBatch,
     batch_loss,
-    batch_loss_gradient,
+    batch_loss_and_gradient,
     batch_loss_gram,
     choose_big_n,
     pair_kernel,
@@ -146,13 +146,26 @@ class TestBatchLoss:
         assert batch_loss(PointBatch(z), p) == pytest.approx(
             np.sum(z * z) / len(z), rel=1e-14)
 
-    def test_rotation_invariance(self):
-        rng = np.random.default_rng(9)
-        p = random_params(5)
-        z = rng.standard_normal((12, 5))
-        q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-        assert batch_loss(PointBatch(z @ q), p) == pytest.approx(
-            batch_loss(PointBatch(z), p), rel=1e-12)
+    @settings(deadline=None, max_examples=50)
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 40), st.integers(2, 12))
+    def test_rotation_invariance(self, seed, count, dim):
+        # rotating the cloud by Q rotates the gradient, permuting its rows
+        # permutes the gradient rows, and neither changes the loss
+        rng = np.random.default_rng(seed)
+        p = random_params(dim, mu=float(rng.uniform(1.0, 3.0)))
+        z = rng.standard_normal((count, dim)) * rng.uniform(0.1, 3.0)
+        loss, grad = batch_loss_and_gradient(PointBatch(z), p)
+        assert loss == batch_loss(PointBatch(z), p)
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        perm = rng.permutation(count)
+        # the loss is a difference of two terms; where they nearly cancel, its
+        # relative rounding error is not a property of the kernel
+        assume(abs(loss) >= 1e-3 * np.sum(z * z) / count)
+        scale = np.abs(grad).max()
+        for moved, want in ((z @ q, grad @ q), (z[perm], grad[perm])):
+            loss_m, grad_m = batch_loss_and_gradient(PointBatch(moved), p)
+            assert loss_m == pytest.approx(loss, rel=1e-12)
+            assert np.abs(grad_m - want).max() <= 1e-12 * scale
 
     def test_diagonal_neutrality(self):
         # masking the diagonal of the distance matrix must change nothing
@@ -193,20 +206,20 @@ def finite_difference_gradient(z, p, h=1e-5):
 class TestBatchLossGradient:
     def test_origin_is_zero(self):
         p = ParamSet(dim=3, mu=1.0, big_n=6.0)
-        assert np.all(batch_loss_gradient(PointBatch(np.zeros((4, 3))), p) == 0.0)
+        assert np.all(batch_loss_and_gradient(PointBatch(np.zeros((4, 3))), p)[1] == 0.0)
 
     def test_antisymmetric_pair(self):
         rng = np.random.default_rng(2)
         p = random_params(5)
         z = rng.standard_normal(5)
-        g = batch_loss_gradient(PointBatch(np.stack([z, -z])), p)
+        _, g = batch_loss_and_gradient(PointBatch(np.stack([z, -z])), p)
         np.testing.assert_allclose(g[0], -g[1], rtol=1e-14)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(21)
         p = random_params(8, mu=1.25)
         z = rng.standard_normal((20, 8))
-        analytic = batch_loss_gradient(PointBatch(z), p)
+        _, analytic = batch_loss_and_gradient(PointBatch(z), p)
         numeric = finite_difference_gradient(z, p)
         rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-12)
         assert rel.max() < 1e-6
@@ -215,6 +228,6 @@ class TestBatchLossGradient:
         rng = np.random.default_rng(31)
         p = random_params(6)
         z = rng.standard_normal((50, 6))
-        g1 = batch_loss_gradient(PointBatch(z), p)
-        g2 = batch_loss_gradient(PointBatch(z), p)
-        assert np.array_equal(g1, g2)
+        l1, g1 = batch_loss_and_gradient(PointBatch(z), p)
+        l2, g2 = batch_loss_and_gradient(PointBatch(z), p)
+        assert l1 == l2 and np.array_equal(g1, g2)
