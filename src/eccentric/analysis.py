@@ -12,6 +12,9 @@ from scipy.spatial.distance import cdist
 
 from .kernel import PointBatch
 
+# bytes of distances held per block of test rows in knn_classify
+_KNN_BLOCK_BYTES = 1 << 22
+
 __all__ = [
     "SpectrumReport",
     "Embedding",
@@ -308,33 +311,48 @@ def knn_classify(train_coords: np.ndarray, train_labels: np.ndarray,
                  truth: np.ndarray | None = None):
     """Brute-force Euclidean k-nearest-neighbor majority vote.
 
-    Vote ties are broken by the smallest summed neighbor distance, then by
-    the lowest label.  Returns (predictions, error_rate) where error_rate is
-    None unless truth labels are given.
+    Neighbors are taken in (distance, training index) order.  The label with
+    the most votes wins; a vote tie goes to the smallest summed neighbor
+    distance, accumulated nearest-first, then to the lowest label.  Distances
+    are held for one block of test rows at a time.  Returns (predictions,
+    error_rate) where error_rate is None unless truth labels are given.
     """
     train_coords = np.asarray(train_coords, dtype=np.float64)
     test_coords = np.asarray(test_coords, dtype=np.float64)
     train_labels = np.asarray(train_labels)
-    if train_coords.shape[0] == 0:
+    n = train_coords.shape[0]
+    if n == 0:
         raise ValueError("empty training set")
-    if train_labels.shape[0] != train_coords.shape[0]:
+    if train_labels.shape[0] != n:
         raise ValueError("training labels must match training coordinates")
-    if not 1 <= k <= train_coords.shape[0]:
-        raise ValueError(f"k must be in [1, {train_coords.shape[0]}], got {k}")
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    if not (np.isfinite(train_coords).all() and np.isfinite(test_coords).all()):
+        raise ValueError("knn coordinates must be finite")
 
-    dist = cdist(test_coords, train_coords)
     preds = np.empty(test_coords.shape[0], dtype=train_labels.dtype)
-    for i in range(test_coords.shape[0]):
-        nearest = np.argsort(dist[i], kind="stable")[:k]
-        labels = train_labels[nearest]
-        dists = dist[i][nearest]
-        best = None
-        for lab in np.unique(labels):
-            mask = labels == lab
-            entry = (-int(np.sum(mask)), float(np.sum(dists[mask])), lab)
-            if best is None or entry < best:
-                best = entry
-        preds[i] = best[2]
+    height = max(1, _KNN_BLOCK_BYTES // (8 * n))
+    for lo in range(0, test_coords.shape[0], height):
+        dist = cdist(test_coords[lo:lo + height], train_coords)
+        # the k smallest in stable-argsort order: everything below the k-th
+        # distance, then the lowest-index entries equal to it
+        kth = np.partition(dist, k - 1, axis=1)[:, [k - 1]]
+        below = dist < kth
+        tied = dist == kth
+        need = k - below.sum(axis=1, keepdims=True)
+        tied &= np.cumsum(tied, axis=1) <= need
+        cols = np.nonzero(below | tied)[1].reshape(-1, k)
+        near = np.take_along_axis(dist, cols, axis=1)
+        order = np.argsort(near, axis=1, kind="stable")
+        near = np.take_along_axis(near, order, axis=1)
+        labels = train_labels[np.take_along_axis(cols, order, axis=1)]
+        # same[r, j, i]: neighbor j shares neighbor i's label; summing over
+        # j adds each label's distances nearest-first
+        same = labels[:, :, None] == labels[:, None, :]
+        votes = same.sum(axis=1)
+        summed = np.where(same, near[:, :, None], 0.0).sum(axis=1)
+        best = np.lexsort((labels, summed, -votes), axis=1)[:, 0]
+        preds[lo:lo + height] = labels[np.arange(labels.shape[0]), best]
     error = None
     if truth is not None:
         truth = np.asarray(truth)

@@ -51,32 +51,37 @@ def write_json(path, obj):
 
 
 def write_embedding_csv(path, coords: np.ndarray, labels=None):
-    """One row per item: coordinates, then an optional trailing label column."""
+    """One row per item: coordinates, then an optional trailing label column.
+
+    One format string per row writes the bytes write_csv would write."""
     coords = np.asarray(coords)
     header = [f"c{i}" for i in range(coords.shape[1])]
+    fmt = ["%.17g"] * coords.shape[1]
+    rows = coords.tolist()
     if labels is not None:
         header.append("label")
-        rows = [list(c) + [int(l)] for c, l in zip(coords, labels)]
-    else:
-        rows = [list(c) for c in coords]
-    write_csv(path, header, rows)
+        fmt.append("%d")
+        rows = [c + [l] for c, l in zip(rows, np.asarray(labels).tolist())]
+    fmt = ",".join(fmt)
+    lines = [",".join(header)] + [fmt % tuple(row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
 def read_embedding_csv(path):
     """Read a coordinates CSV; returns (coords, labels-or-None)."""
-    lines = Path(path).read_text().strip().split("\n")
-    header = lines[0].split(",")
-    has_labels = header and header[-1] == "label"
-    coords, labels = [], []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if has_labels:
-            coords.append([float(v) for v in parts[:-1]])
-            labels.append(int(parts[-1]))
-        else:
-            coords.append([float(v) for v in parts])
-    coords = np.asarray(coords, dtype=np.float64)
-    return coords, (np.asarray(labels) if has_labels else None)
+    header, _, body = Path(path).read_text().partition("\n")
+    if not body.strip():
+        raise ValueError(f"{path}: no data rows")
+    header = header.split(",")
+    try:
+        if header[-1] != "label":
+            return np.loadtxt(body.splitlines(), delimiter=",", ndmin=2), None
+        # a structured row keeps the label column integer: '3.5' there is an error
+        row = np.dtype([("c", "f8", (len(header) - 1,)), ("label", "i8")])
+        data = np.loadtxt(body.splitlines(), dtype=row, delimiter=",", ndmin=1)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return np.ascontiguousarray(data["c"]), np.ascontiguousarray(data["label"])
 
 
 def sha256_file(path) -> str:

@@ -1,10 +1,12 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from eccentric import analysis
 from eccentric.analysis import (
     Embedding,
     align,
@@ -325,13 +327,29 @@ class TestKnnClassify:
         np.testing.assert_array_equal(preds, [0, 1])
         assert err == 0.0
 
-    def test_matches_loop_oracle(self):
+    @pytest.mark.parametrize("kind, k", [
+        ("normal", 5),
+        *[("int", k) for k in (1, 5, 8, 13, 80)],
+        *[("tenth", k) for k in (1, 5, 8, 13, 80)],
+        ("blocks", 5),
+    ], ids=lambda v: f"k{v}" if isinstance(v, int) else v)
+    def test_matches_loop_oracle(self, kind, k):
         # oracle: per-point loop with explicit vote counting
-        rng = np.random.default_rng(26)
-        train = rng.standard_normal((80, 3))
-        labels = rng.integers(0, 4, 80)
-        test = rng.standard_normal((40, 3))
-        k = 5
+        if kind == "normal":
+            rng = np.random.default_rng(26)
+            train = rng.standard_normal((80, 3))
+            labels = rng.integers(0, 4, 80)
+            test = rng.standard_normal((40, 3))
+        else:
+            # grid points: exact duplicate training rows and many equal distances
+            rng = np.random.default_rng(27)
+            n, m = (65536, 30) if kind == "blocks" else (80, 40)
+            step = 0.1 if kind == "tenth" else 1.0
+            train = rng.integers(-2, 3, (n, 2)) * step
+            labels = rng.integers(0, 4, n)
+            test = rng.integers(-4, 5, (m, 2)) * (step / 2)
+            if kind == "blocks":
+                assert m > 2 * (analysis._KNN_BLOCK_BYTES // (8 * n))  # >= 3 blocks
         preds, _ = knn_classify(train, labels, test, k=k)
         for i, x in enumerate(test):
             d = np.linalg.norm(train - x, axis=1)
@@ -343,6 +361,29 @@ class TestKnnClassify:
                 cand[lab] = (cnt + 1, tot + float(d[j]))
             best = min(cand.items(), key=lambda kv: (-kv[1][0], kv[1][1], kv[0]))
             assert preds[i] == best[0]
+
+    def test_peak_memory_is_one_block(self):
+        # the full 2000 x 5000 distance matrix alone would take 76 MiB
+        rng = np.random.default_rng(28)
+        train = rng.standard_normal((5000, 64))
+        labels = rng.integers(0, 10, 5000)
+        test = rng.standard_normal((2000, 64))
+        tracemalloc.start()
+        try:
+            knn_classify(train, labels, test, k=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    def test_rejects_non_finite(self):
+        train = np.zeros((3, 2))
+        labels = np.zeros(3, dtype=int)
+        with pytest.raises(ValueError, match="finite"):
+            knn_classify(train, labels, np.array([[0.0, np.nan]]), k=1)
+        train[1, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            knn_classify(train, labels, np.zeros((1, 2)), k=1)
 
     def test_vote_tie_uses_distance(self):
         # one neighbor each: nearer label wins

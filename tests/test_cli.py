@@ -251,6 +251,16 @@ class TestExitCodes:
                     "--out-dir", str(tmp_path / "enc")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_header_only_embedding(self, tmp_path, capsys):
+        train = tmp_path / "train.csv"
+        write_embedding_csv(train, np.eye(3), np.arange(3))
+        test = tmp_path / "header_only.csv"
+        test.write_text("c0,c1,c2,label\n")
+        assert run(["knn", "--train", str(train), "--test", str(test),
+                    "--out-dir", str(tmp_path / "knn")]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "header_only.csv" in err
+
     def test_numerical_failure_is_exit_2(self, tmp_path):
         # a divergent step size must be reported as a numerical failure
         assert run(["simulate", "--dim", "3", "--mu", "1.0", "--auto-n",

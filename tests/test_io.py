@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eccentric.io import (
     MANIFEST_NAME,
@@ -78,6 +81,53 @@ class TestEmbeddingCsv:
         np.testing.assert_array_equal(back, coords)
         np.testing.assert_array_equal(labels, labs)
         assert path.read_text().split("\n")[0] == "c0,c1,label"
+
+
+    def test_header_only_is_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        for text in ("c0,c1,label\n", "c0,c1\n", "c0,c1\n\n\n", ""):
+            path.write_text(text)
+            with pytest.raises(ValueError, match=r"empty\.csv: no data rows"):
+                read_embedding_csv(path)
+
+    def test_fractional_label_is_rejected(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("c0,c1,label\n0.5,1,2\n1.5,2,3.5\n")
+        with pytest.raises(ValueError, match="e.csv"):
+            read_embedding_csv(path)
+
+    @settings(deadline=None, max_examples=200,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                      elements=st.floats(allow_nan=True, allow_infinity=True)
+                      | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308,
+                                         np.inf, -np.inf, np.nan, 1.7976931348623157e308,
+                                         -1.7976931348623157e308])),
+           st.booleans(), st.data())
+    def test_round_trip_is_bit_exact(self, tmp_path, coords, with_labels, data):
+        labels = None
+        if with_labels:
+            labels = data.draw(hnp.arrays(np.int64, coords.shape[0]))
+        path = tmp_path / "e.csv"
+        write_embedding_csv(path, coords, labels)
+        back, back_labels = read_embedding_csv(path)
+        assert back.shape == coords.shape
+        np.testing.assert_array_equal(np.isnan(back), np.isnan(coords))
+        finite = ~np.isnan(coords)
+        np.testing.assert_array_equal(back[finite], coords[finite])
+        np.testing.assert_array_equal(np.signbit(back[finite]), np.signbit(coords[finite]))
+        if with_labels:
+            np.testing.assert_array_equal(back_labels, labels)
+        else:
+            assert back_labels is None
+        # the row formatter writes what write_csv writes through format_value
+        header = [f"c{i}" for i in range(coords.shape[1])]
+        rows = [list(c) for c in coords]
+        if with_labels:
+            header.append("label")
+            rows = [r + [int(l)] for r, l in zip(rows, labels)]
+        write_csv(tmp_path / "generic.csv", header, rows)
+        assert path.read_bytes() == (tmp_path / "generic.csv").read_bytes()
 
 
 class TestManifest:
