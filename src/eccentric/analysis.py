@@ -331,7 +331,8 @@ def knn_classify(train_coords: np.ndarray, train_labels: np.ndarray,
         raise ValueError("knn coordinates must be finite")
 
     preds = np.empty(test_coords.shape[0], dtype=train_labels.dtype)
-    height = max(1, _KNN_BLOCK_BYTES // (8 * n))
+    # a test row holds its n distances and, in the vote, about 16 arrays of k
+    height = max(1, _KNN_BLOCK_BYTES // (8 * (n + 16 * k)))
     for lo in range(0, test_coords.shape[0], height):
         dist = cdist(test_coords[lo:lo + height], train_coords)
         # the k smallest in stable-argsort order: everything below the k-th
@@ -343,16 +344,24 @@ def knn_classify(train_coords: np.ndarray, train_labels: np.ndarray,
         tied &= np.cumsum(tied, axis=1) <= need
         cols = np.nonzero(below | tied)[1].reshape(-1, k)
         near = np.take_along_axis(dist, cols, axis=1)
-        order = np.argsort(near, axis=1, kind="stable")
+        labels = train_labels[cols]
+        # group each row by label, nearest-first within a label; cols ascend,
+        # so equal distances keep training-index order
+        order = np.lexsort((near, labels), axis=1)
         near = np.take_along_axis(near, order, axis=1)
-        labels = train_labels[np.take_along_axis(cols, order, axis=1)]
-        # same[r, j, i]: neighbor j shares neighbor i's label; summing over
-        # j adds each label's distances nearest-first
-        same = labels[:, :, None] == labels[:, None, :]
-        votes = same.sum(axis=1)
-        summed = np.where(same, near[:, :, None], 0.0).sum(axis=1)
-        best = np.lexsort((labels, summed, -votes), axis=1)[:, 0]
-        preds[lo:lo + height] = labels[np.arange(labels.shape[0]), best]
+        labels = np.take_along_axis(labels, order, axis=1)
+        group = np.zeros(labels.shape, dtype=np.intp)
+        np.cumsum(labels[:, 1:] != labels[:, :-1], axis=1, out=group[:, 1:])
+        slot = (group + k * np.arange(labels.shape[0])[:, None]).ravel()
+        # bincount adds its weights in input order: each label's distances
+        # accumulate nearest-first; unused slots get no votes
+        votes = np.bincount(slot, minlength=labels.size).reshape(-1, k)
+        summed = np.bincount(slot, near.ravel(), minlength=labels.size).reshape(-1, k)
+        label_of = np.zeros(labels.size, dtype=labels.dtype)
+        label_of[slot] = labels.ravel()
+        label_of = label_of.reshape(-1, k)
+        best = np.lexsort((label_of, summed, -votes), axis=1)[:, 0]
+        preds[lo:lo + height] = label_of[np.arange(labels.shape[0]), best]
     error = None
     if truth is not None:
         truth = np.asarray(truth)

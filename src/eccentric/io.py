@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -68,18 +69,28 @@ def write_embedding_csv(path, coords: np.ndarray, labels=None):
 
 
 def read_embedding_csv(path):
-    """Read a coordinates CSV; returns (coords, labels-or-None)."""
-    header, _, body = Path(path).read_text().partition("\n")
-    if not body.strip():
+    """Read a coordinates CSV; returns (coords, labels-or-None).
+
+    Every line after the header is a data row: a blank line, a comment or a
+    fractional label is an error naming the path."""
+    header, _, body = Path(path).read_text().strip().partition("\n")
+    if not body:
         raise ValueError(f"{path}: no data rows")
+    rows = body.split("\n")
+    if not all(map(str.strip, rows)):
+        raise ValueError(f"{path}: blank line among the data rows")
     header = header.split(",")
     try:
-        if header[-1] != "label":
-            return np.loadtxt(body.splitlines(), delimiter=",", ndmin=2), None
-        # a structured row keeps the label column integer: '3.5' there is an error
-        row = np.dtype([("c", "f8", (len(header) - 1,)), ("label", "i8")])
-        data = np.loadtxt(body.splitlines(), dtype=row, delimiter=",", ndmin=1)
-    except ValueError as exc:
+        # older numpy truncates an unparsable int field through float with
+        # only a DeprecationWarning; make that an error as well
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            if header[-1] != "label":
+                return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2), None
+            # a structured row keeps the label column integer: '3.5' there is an error
+            row = np.dtype([("c", "f8", (len(header) - 1,)), ("label", "i8")])
+            data = np.loadtxt(rows, dtype=row, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning) as exc:
         raise ValueError(f"{path}: {exc}") from None
     return np.ascontiguousarray(data["c"]), np.ascontiguousarray(data["label"])
 

@@ -332,6 +332,7 @@ class TestKnnClassify:
         *[("int", k) for k in (1, 5, 8, 13, 80)],
         *[("tenth", k) for k in (1, 5, 8, 13, 80)],
         ("blocks", 5),
+        ("blocks", 2000),
     ], ids=lambda v: f"k{v}" if isinstance(v, int) else v)
     def test_matches_loop_oracle(self, kind, k):
         # oracle: per-point loop with explicit vote counting
@@ -349,7 +350,8 @@ class TestKnnClassify:
             labels = rng.integers(0, 4, n)
             test = rng.integers(-4, 5, (m, 2)) * (step / 2)
             if kind == "blocks":
-                assert m > 2 * (analysis._KNN_BLOCK_BYTES // (8 * n))  # >= 3 blocks
+                height = analysis._KNN_BLOCK_BYTES // (8 * (n + 16 * k))
+                assert m > 2 * height  # >= 3 blocks
         preds, _ = knn_classify(train, labels, test, k=k)
         for i, x in enumerate(test):
             d = np.linalg.norm(train - x, axis=1)
@@ -362,15 +364,21 @@ class TestKnnClassify:
             best = min(cand.items(), key=lambda kv: (-kv[1][0], kv[1][1], kv[0]))
             assert preds[i] == best[0]
 
-    def test_peak_memory_is_one_block(self):
+    @pytest.mark.parametrize("n_train, n_test, dim, k", [
+        (5000, 2000, 64, 5),
+        # k = n: the vote must stay linear in k per row (a k x k mask per
+        # row would take 30 MiB for each of a block's 262 rows)
+        (2000, 600, 8, 2000),
+    ], ids=["analyze-k5", "k-equals-n"])
+    def test_peak_memory_is_one_block(self, n_train, n_test, dim, k):
         # the full 2000 x 5000 distance matrix alone would take 76 MiB
         rng = np.random.default_rng(28)
-        train = rng.standard_normal((5000, 64))
-        labels = rng.integers(0, 10, 5000)
-        test = rng.standard_normal((2000, 64))
+        train = rng.standard_normal((n_train, dim))
+        labels = rng.integers(0, 10, n_train)
+        test = rng.standard_normal((n_test, dim))
         tracemalloc.start()
         try:
-            knn_classify(train, labels, test, k=5)
+            knn_classify(train, labels, test, k=k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +261,19 @@ class TestExitCodes:
                     "--out-dir", str(tmp_path / "knn")]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and "header_only.csv" in err
+
+    def test_fractional_label_embedding(self, tmp_path, capsys):
+        train = tmp_path / "fractional.csv"
+        train.write_text("c0,label\n0.0,1\n1.0,3.5\n")
+        test = tmp_path / "test.csv"
+        write_embedding_csv(test, np.zeros((1, 1)), np.arange(1))
+        # with warnings ignored, as when the CLI runs outside the test suite
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run(["knn", "--train", str(train), "--test", str(test), "--k", "1",
+                        "--out-dir", str(tmp_path / "knn")]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "fractional.csv" in err
 
     def test_numerical_failure_is_exit_2(self, tmp_path):
         # a divergent step size must be reported as a numerical failure

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -90,11 +91,37 @@ class TestEmbeddingCsv:
             with pytest.raises(ValueError, match=r"empty\.csv: no data rows"):
                 read_embedding_csv(path)
 
-    def test_fractional_label_is_rejected(self, tmp_path):
+    @pytest.mark.parametrize("warning_filter", ["error", "ignore"])
+    @pytest.mark.parametrize("label", ["3.5", "3.0"])
+    def test_fractional_label_is_rejected(self, tmp_path, label, warning_filter):
+        # also with warnings ignored, as outside the test suite's filters
         path = tmp_path / "e.csv"
-        path.write_text("c0,c1,label\n0.5,1,2\n1.5,2,3.5\n")
+        path.write_text(f"c0,c1,label\n0.5,1,2\n1.5,2,{label}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter(warning_filter)
+            with pytest.raises(ValueError, match="e.csv"):
+                read_embedding_csv(path)
+
+    @pytest.mark.parametrize("text", [
+        "c0,c1\n1,2\n\n3,4\n",
+        "c0,c1\n1,2\n  \n3,4\n",
+        "c0,c1,label\n1,2,0\n\n3,4,1\n",
+        "c0,c1\n1,2\n#3,4\n",
+        "c0,c1\n1,2 # note\n",
+        "c0,c1,label\n1,2,0 # note\n",
+    ])
+    def test_blank_and_comment_lines_are_rejected(self, tmp_path, text):
+        path = tmp_path / "e.csv"
+        path.write_text(text)
         with pytest.raises(ValueError, match="e.csv"):
             read_embedding_csv(path)
+
+    def test_surrounding_blank_lines_are_ignored(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("\nc0,c1,label\n1,2,0\n3,4,1\n\n\n")
+        coords, labels = read_embedding_csv(path)
+        np.testing.assert_array_equal(coords, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(labels, [0, 1])
 
     @settings(deadline=None, max_examples=200,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
