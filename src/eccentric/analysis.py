@@ -211,7 +211,8 @@ def cross_correlation(e1: Embedding, e2: Embedding,
     sb = np.sqrt(np.sum(b * b, axis=0))
     flags = (sa[:, None] == 0.0) | (sb[None, :] == 0.0)
     denom = np.where(flags, 1.0, sa[:, None] * sb[None, :])
-    corr = (a.T @ b) / denom
+    # numpy's own loop, not BLAS: the bits must not depend on the BLAS thread count
+    corr = np.einsum("ij,ik->jk", a, b) / denom
     corr[flags] = 0.0
     if return_flags:
         return corr, flags

@@ -118,8 +118,6 @@ def _load_cli_dataset(cfg) -> datasets.Dataset:
 
 def _cmd_solve_radius(cfg, out):
     big_n = _resolve_big_n(cfg)
-    if cfg["dim"] < 3:
-        raise ValueError("stationary-radius theory requires dim >= 3")
     sol = radius.solve_radius(cfg["dim"], cfg["mu"], big_n)
     payload = {
         "dim": cfg["dim"], "mu": cfg["mu"], "big_n": big_n,

@@ -71,8 +71,9 @@ def write_embedding_csv(path, coords: np.ndarray, labels=None):
 def read_embedding_csv(path):
     """Read a coordinates CSV; returns (coords, labels-or-None).
 
-    Every line after the header is a data row: a blank line, a comment or a
-    fractional label is an error naming the path."""
+    Every line after the header is a data row: a blank line, a comment, a
+    fractional label or a row width other than the header's is an error
+    naming the path."""
     header, _, body = Path(path).read_text().strip().partition("\n")
     if not body:
         raise ValueError(f"{path}: no data rows")
@@ -86,7 +87,11 @@ def read_embedding_csv(path):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             if header[-1] != "label":
-                return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2), None
+                coords = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+                if coords.shape[1] != len(header):
+                    raise ValueError(f"{coords.shape[1]} columns in the data rows, "
+                                     f"{len(header)} in the header")
+                return coords, None
             # a structured row keeps the label column integer: '3.5' there is an error
             row = np.dtype([("c", "f8", (len(header) - 1,)), ("label", "i8")])
             data = np.loadtxt(rows, dtype=row, delimiter=",", comments=None, ndmin=1)

@@ -17,11 +17,13 @@ collapses the Gamma and Beta prefactor to exactly 2:
 
     I(a) = 2a/(a+2) * 2F1(1, (d-1)/2; d; 2/(a+2)).
 
-This module evaluates that closed form (scipy's hyp2f1 below d = 64, the
-summed series above), solves for rho by one array-valued bisection (a
-single cell or a whole (d, mu) sweep), and provides the two identities used
-to justify the N(d, mu) selection rule as numerical oracles; those
-integrate f_{d,a} numerically.
+I depends on (N, rho) only through a and rises with a.  The 2F1 factor has
+positive coefficients and equals exactly 2 at x = 1 (Gauss's sum, DLMF
+15.4.20), so 2a/(a+2) <= I(a) < 4a/(a+2): the root of I(a) = 1/mu lies in
+[2/(4mu-1), 2/(2mu-1)] for every d >= 3 and mu >= 1.  One array-valued
+bisection from that bracket solves for a (a single cell or a whole (d, mu)
+sweep), and rho = sqrt(N/(2a)).  The two identities used to justify the
+N(d, mu) selection rule are numerical oracles that integrate f_{d,a}.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """Root bracketing or bisection failed for the given parameters."""
+    """Bisection stalled for the given parameters."""
 
 
 def gamma_ratio(dim: int) -> float:
@@ -85,10 +87,6 @@ class RadiusProblem:
         if not self.big_n > 0:
             raise ValueError(f"big_n must be positive, got {self.big_n}")
 
-    def a_of(self, rho: float) -> float:
-        """Substitution a = N / (2 rho^2)."""
-        return self.big_n / (2.0 * rho * rho)
-
 
 @dataclass(frozen=True)
 class RadiusSolution:
@@ -113,6 +111,12 @@ class ForceProfile:
 
 SERIES_MIN_DIM = 64
 SERIES_TERMS = 128
+# a relative width of A_RTOL in a is 1e-12 in rho = sqrt(N/(2a))
+A_RTOL = 2e-12
+RESIDUAL_TOL = 1e-10
+MAX_ITER = 200
+LEMMA_B_GRID = 4001
+LEMMA_B_XATOL = 1e-10
 
 
 def _hyp2f1_pfaff(dim: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -136,9 +140,8 @@ def _hyp2f1_pfaff(dim: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _integral(rho: np.ndarray, dim: np.ndarray, big_n: np.ndarray) -> np.ndarray:
-    """Closed-form stationarity integral, elementwise over 1-D arrays."""
-    a = big_n / (2.0 * rho * rho)
+def _integral(a: np.ndarray, dim: np.ndarray) -> np.ndarray:
+    """Closed-form stationarity integral I(a), elementwise over 1-D arrays."""
     return 2.0 * a / (a + 2.0) * _hyp2f1_pfaff(dim, 2.0 / (a + 2.0))
 
 
@@ -149,84 +152,57 @@ def stationarity_integral(rho: float, problem: RadiusProblem) -> float:
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    return float(_integral(np.array([float(rho)]), np.array([float(problem.dim)]),
-                           np.array([float(problem.big_n)]))[0])
+    a = problem.big_n / (2.0 * rho * rho)
+    return float(_integral(np.array([a]), np.array([float(problem.dim)]))[0])
 
 
-def _bisect(dim, mu, big_n, rho_tol=1e-12, residual_tol=1e-10, max_iter=200):
-    """Solve I(rho) = 1/mu for every cell of the 1-D arrays (dim, mu, big_n).
+def _bisect(dim, mu):
+    """Solve I(a) = 1/mu for every cell of the 1-D arrays (dim, mu).
 
-    The integral is monotone decreasing in rho (from 2 at rho -> 0 toward 0),
-    so each residual changes sign exactly once.  Each bracket starts at
-    [sqrt(d)/4, 4 sqrt(d)] and expands geometrically if needed; a cell stops
-    once its bracket is rho_tol-relative narrow and its residual is under
-    residual_tol.  Returns (rho, residual, iterations, evaluations) arrays.
+    Starts from the closed-form bracket; a cell stops once its bracket is
+    A_RTOL-relative narrow and its residual under RESIDUAL_TOL.  Returns
+    (a, residual, iterations); each cell makes iterations + 1 evaluations.
     """
     target = 1.0 / mu
-    evals = np.zeros(dim.size, dtype=np.int64)
-
-    def residual_at(rho, idx):
-        evals[idx] += 1
-        return _integral(rho, dim[idx], big_n[idx]) - target[idx]
-
-    def cell(k):
-        return f"(d={int(dim[k])}, mu={mu[k]}, N={big_n[k]})"
-
-    every = np.arange(dim.size)
-    root_d = np.sqrt(dim)
-    lo, hi = root_d / 4.0, 4.0 * root_d
-    g_lo = residual_at(lo, every)
-    g_hi = residual_at(hi, every)
-    # residual decreasing in rho: need sign * g >= 0 with sign +1 at lo, -1 at hi
-    for side, bound, g, sign, factor in (("below", lo, g_lo, 1.0, 0.5),
-                                         ("above", hi, g_hi, -1.0, 2.0)):
-        for _ in range(60):
-            idx = np.flatnonzero(sign * g < 0.0)
-            if not idx.size:
-                break
-            bound[idx] *= factor
-            g[idx] = residual_at(bound[idx], idx)
-        idx = np.flatnonzero(sign * g < 0.0)
-        if idx.size:
-            raise SolverError(f"no sign change {side} rho={bound[idx[0]]} for {cell(idx[0])}")
-
-    iterations = np.zeros(dim.size, dtype=np.int64)
+    lo, hi = 2.0 / (4.0 * mu - 1.0), 2.0 / (2.0 * mu - 1.0)
     mid = 0.5 * (lo + hi)
-    g_mid = residual_at(mid, every)
-    idx = every
-    for _ in range(max_iter):
-        if not idx.size:
-            break
+    g_mid = _integral(mid, dim) - target
+    iterations = np.zeros(dim.size, dtype=np.int64)
+    idx = np.arange(dim.size)
+    for _ in range(MAX_ITER):
         iterations[idx] += 1
-        up = g_mid[idx] >= 0.0
+        # residual rises with a: a negative residual moves the lower end up
+        up = g_mid[idx] < 0.0
         lo[idx] = np.where(up, mid[idx], lo[idx])
         hi[idx] = np.where(up, hi[idx], mid[idx])
         mid[idx] = 0.5 * (lo[idx] + hi[idx])
-        g_mid[idx] = residual_at(mid[idx], idx)
-        done = (hi[idx] - lo[idx] <= rho_tol * mid[idx]) & (np.abs(g_mid[idx]) < residual_tol)
+        g_mid[idx] = _integral(mid[idx], dim[idx]) - target[idx]
+        done = (hi[idx] - lo[idx] <= A_RTOL * mid[idx]) & (np.abs(g_mid[idx]) < RESIDUAL_TOL)
         idx = idx[~done]
-    stalled = np.flatnonzero(~(np.abs(g_mid) < residual_tol))
-    if stalled.size:
-        k = stalled[0]
-        raise SolverError(
-            f"bisection stalled at rho={mid[k]} with residual {g_mid[k]} for {cell(k)}")
-    return mid, g_mid, iterations, evals
+        if not idx.size:
+            return mid, g_mid, iterations
+    k = idx[0]
+    raise SolverError(f"bisection stalled at a={mid[k]} with residual {g_mid[k]} "
+                      f"for (d={int(dim[k])}, mu={mu[k]})")
 
 
-def solve_radius(dim: int, mu: float, big_n: float, *, rho_tol: float = 1e-12,
-                 residual_tol: float = 1e-10, max_iter: int = 200) -> RadiusSolution:
-    """Solve the stationarity condition for rho by bisection."""
+def solve_radius(dim: int, mu: float, big_n: float) -> RadiusSolution:
+    """Solve the stationarity condition for rho.
+
+    Bisects for a = N/(2 rho^2) in [2/(4mu-1), 2/(2mu-1)], a bracket that holds
+    because 2a/(a+2) <= I(a) < 4a/(a+2) (Gauss's sum, DLMF 15.4.20), and
+    returns rho = sqrt(N)/sqrt(2a): N only rescales the answer, and no positive
+    float N overflows or underflows on the way.
+    """
     if dim < 3:
         raise ValueError(f"radius theory requires dim >= 3, got {dim}")
     if mu < 1.0:
         raise ValueError(f"solver assumes mu >= 1, got {mu}")
     if not big_n > 0:
         raise ValueError(f"big_n must be positive, got {big_n}")
-    rho, res, iters, evals = _bisect(np.array([float(dim)]), np.array([float(mu)]),
-                                     np.array([float(big_n)]), rho_tol=rho_tol,
-                                     residual_tol=residual_tol, max_iter=max_iter)
-    return RadiusSolution(rho=float(rho[0]), residual=float(res[0]),
-                          iterations=int(iters[0]), quadrature_points=int(evals[0]))
+    a, res, iters = _bisect(np.array([float(dim)]), np.array([float(mu)]))
+    return RadiusSolution(rho=math.sqrt(big_n) / math.sqrt(2.0 * a[0]), residual=float(res[0]),
+                          iterations=int(iters[0]), quadrature_points=int(iters[0]) + 1)
 
 
 def _mu_grid(dim: int, mu_step: float) -> np.ndarray:
@@ -253,7 +229,8 @@ def sweep_radius(dims, mu_step: float = 0.25) -> list[tuple[int, float]]:
     mu = np.concatenate(grids)
     dim = np.concatenate([np.full(g.size, float(d)) for d, g in zip(dims, grids)])
     big_n = np.array([choose_big_n(int(d), float(m)) for d, m in zip(dim, mu)])
-    rho, _, _, _ = _bisect(dim, mu, big_n)
+    a, _, _ = _bisect(dim, mu)
+    rho = np.sqrt(big_n) / np.sqrt(2.0 * a)
     pct = np.abs(rho - np.sqrt(dim)) / np.sqrt(dim) * 100.0
     bounds = np.cumsum([0] + [g.size for g in grids])
     return [(d, float(pct[s:e].max())) for d, s, e in zip(dims, bounds[:-1], bounds[1:])]
@@ -296,35 +273,19 @@ def lemma_b_argmax(dim: int, a: float) -> float:
     return (-qb + math.sqrt(disc)) / (2.0 * qa)
 
 
-def lemma_b_argmax_numeric(dim: int, a: float, grid: int = 4001,
-                           tol: float = 1e-10) -> float:
-    """Grid scan plus golden-section refinement of the maximum of f_{d,a}."""
+def lemma_b_argmax_numeric(dim: int, a: float) -> float:
+    """Grid scan plus bounded Brent refinement of the maximum of f_{d,a}."""
     if dim < 4:
         raise ValueError(f"requires dim >= 4, got {dim}")
-    hi = 1.0 + 2.0 / a
-    u = np.linspace(1.0, hi, grid)
-    vals = _f_integrand(u, dim, a)
-    k = int(np.argmax(vals))
-    lo_u = u[max(k - 1, 0)]
-    hi_u = u[min(k + 1, grid - 1)]
+    # imported here: scipy.optimize adds ~10 MiB to every CLI start
+    from scipy.optimize import minimize_scalar
 
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi_u - inv_phi * (hi_u - lo_u)
-    x2 = lo_u + inv_phi * (hi_u - lo_u)
-    f1 = float(_f_integrand(np.array([x1]), dim, a)[0])
-    f2 = float(_f_integrand(np.array([x2]), dim, a)[0])
-    while hi_u - lo_u > tol:
-        if f1 < f2:
-            lo_u = x1
-            x1, f1 = x2, f2
-            x2 = lo_u + inv_phi * (hi_u - lo_u)
-            f2 = float(_f_integrand(np.array([x2]), dim, a)[0])
-        else:
-            hi_u = x2
-            x2, f2 = x1, f1
-            x1 = hi_u - inv_phi * (hi_u - lo_u)
-            f1 = float(_f_integrand(np.array([x1]), dim, a)[0])
-    return 0.5 * (lo_u + hi_u)
+    u = np.linspace(1.0, 1.0 + 2.0 / a, LEMMA_B_GRID)
+    k = int(np.argmax(_f_integrand(u, dim, a)))
+    bounds = (u[max(k - 1, 0)], u[min(k + 1, LEMMA_B_GRID - 1)])
+    res = minimize_scalar(lambda x: -float(_f_integrand(x, dim, a)), bounds=bounds,
+                          method="bounded", options={"xatol": LEMMA_B_XATOL})
+    return float(res.x)
 
 
 def force_profile(params: ParamSet, r_max: float, steps: int) -> ForceProfile:

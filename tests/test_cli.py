@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from eccentric import radius
 from eccentric.autoencoder import DenseNet, DenseNetSpec, save_checkpoint
 from eccentric.cli import load_config, run
 from eccentric.io import write_embedding_csv
@@ -74,6 +75,23 @@ class TestSolveRadius:
         run_ok(base + ["--big-n", "5", "--out-dir", str(tmp_path / "fixed")])
         payload = json.loads((tmp_path / "fixed" / "radius.json").read_text())
         assert payload["big_n"] == 5.0
+
+
+    @pytest.mark.parametrize("big_n", ["1e-40", "1e40"])
+    def test_extreme_big_n(self, tmp_path, big_n):
+        # N only rescales rho = sqrt(N/(2a)); the solve itself is in a
+        run_ok(["solve-radius", "--dim", "4", "--mu", "2", "--big-n", big_n,
+                "--out-dir", str(tmp_path)])
+        payload = json.loads((tmp_path / "radius.json").read_text())
+        assert payload["rho"] == pytest.approx(1.16666322 * math.sqrt(float(big_n)), rel=1e-8)
+        assert abs(payload["residual"]) < 1e-10
+
+    def test_stalled_bisection_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        # a fault in the integral leaves the residual unresolved: reported, not returned
+        monkeypatch.setattr(radius, "_integral", lambda a, dim: np.full_like(a, np.nan))
+        assert run(["solve-radius", "--dim", "4", "--mu", "2", "--big-n", "5",
+                    "--out-dir", str(tmp_path)]) == 2
+        assert "bisection stalled" in capsys.readouterr().err
 
 
 class TestSweepRadius:
@@ -261,6 +279,13 @@ class TestExitCodes:
                     "--out-dir", str(tmp_path / "knn")]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and "header_only.csv" in err
+
+    def test_embedding_wider_than_header(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text("c0,c1\n1,2,3\n4,5,7\n2,2,2\n")
+        assert run(["spectrum", "--input", str(path), "--out-dir", str(tmp_path / "s")]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "wide.csv" in err
 
     def test_fractional_label_embedding(self, tmp_path, capsys):
         train = tmp_path / "fractional.csv"

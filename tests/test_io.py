@@ -116,6 +116,15 @@ class TestEmbeddingCsv:
         with pytest.raises(ValueError, match="e.csv"):
             read_embedding_csv(path)
 
+    @pytest.mark.parametrize("text,widths", [("c0,c1\n1,2,3\n4,5,6\n", "3 columns .* 2 in"),
+                                             ("c0,c1,c2\n1,2\n", "2 columns .* 3 in")],
+                             ids=["wider", "narrower"])
+    def test_width_must_match_header(self, tmp_path, text, widths):
+        path = tmp_path / "e.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"e.csv: {widths} the header"):
+            read_embedding_csv(path)
+
     def test_surrounding_blank_lines_are_ignored(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("\nc0,c1,label\n1,2,0\n3,4,1\n\n\n")

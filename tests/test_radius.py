@@ -171,11 +171,30 @@ class TestSolveRadius:
         sol = solve_radius(64, 1.0, choose_big_n(64, 1.0))
         assert sol.rho == pytest.approx(8.0, rel=2e-4)
 
-    def test_scaling_with_big_n(self):
+    @pytest.mark.parametrize("big_n", [8.0, 1e-40, 1e-20, 1e20, 1e40])
+    def test_scaling_with_big_n(self, big_n):
         # the condition depends on N and rho only through a = N/(2 rho^2)
         s1 = solve_radius(8, 1.5, 4.0)
-        s2 = solve_radius(8, 1.5, 8.0)
-        assert s2.rho == pytest.approx(s1.rho * math.sqrt(2.0), rel=1e-9)
+        s2 = solve_radius(8, 1.5, big_n)
+        assert s2.rho == pytest.approx(s1.rho * math.sqrt(big_n / 4.0), rel=1e-9)
+        p = RadiusProblem(dim=8, mu=1.5, big_n=big_n)
+        assert abs(stationarity_integral(s2.rho, p) - 1.0 / 1.5) < 1e-10
+
+    @pytest.mark.parametrize("big_n", [5e-324, 1e308])
+    def test_any_positive_float_n(self, big_n):
+        # at mu = 1e6, a ~ 7e-7: N/(2a) would overflow at 1e308 and lose digits at 5e-324
+        s1 = solve_radius(4, 1e6, 1.0)
+        assert solve_radius(4, 1e6, big_n).rho == pytest.approx(s1.rho * math.sqrt(big_n),
+                                                                rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dim=st.integers(3, 2000), mu=st.floats(1.0, 1e6))
+    def test_root_inside_closed_form_bracket(self, dim, mu):
+        # 2a/(a+2) <= I(a) < 4a/(a+2) by Gauss's sum, so I = 1/mu has its root in between
+        def integral(a):
+            return stationarity_integral(1.0, RadiusProblem(dim=dim, mu=mu, big_n=2.0 * a))
+
+        assert integral(2.0 / (4.0 * mu - 1.0)) < 1.0 / mu < integral(2.0 / (2.0 * mu - 1.0))
 
     def test_deterministic(self):
         s1 = solve_radius(12, 2.0, choose_big_n(12, 2.0))
