@@ -341,8 +341,10 @@ def knn_classify(train_coords: np.ndarray, train_labels: np.ndarray,
         kth = np.partition(dist, k - 1, axis=1)[:, [k - 1]]
         below = dist < kth
         tied = dist == kth
-        need = k - below.sum(axis=1, keepdims=True)
-        tied &= np.cumsum(tied, axis=1) <= need
+        need = k - np.count_nonzero(below, axis=1)
+        # a row with more ties than places left keeps its lowest-index ties
+        over = np.flatnonzero(np.count_nonzero(tied, axis=1) > need)
+        tied[over] &= np.cumsum(tied[over], axis=1) <= need[over, None]
         cols = np.nonzero(below | tied)[1].reshape(-1, k)
         near = np.take_along_axis(dist, cols, axis=1)
         labels = train_labels[cols]

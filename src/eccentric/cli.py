@@ -1,9 +1,10 @@
 """Command-line entry point exposing every capability as a subcommand.
 
-Every run resolves its configuration (flags override an optional flat
-key=value config file), executes deterministically from --seed, writes its
-outputs plus a manifest with content hashes into --out-dir, and exits 0 on
-success, 1 on a validation error, 2 on a numerical failure.
+Every run takes its configuration from flags; an optional flat key=value
+config file is read as flags placed before the command line, so the flags
+win.  It executes deterministically from --seed, writes its outputs plus a
+manifest with content hashes into --out-dir, and exits 0 on success, 1 on a
+validation error, 2 on a numerical failure.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import tempfile
 from pathlib import Path
 
 from . import analysis, autoencoder, datasets, io, particles, radius
-from .kernel import ParamSet, PointBatch, choose_big_n
+from .kernel import ParamSet, PointBatch
 
 __all__ = ["main", "run", "load_config"]
 
@@ -39,44 +40,27 @@ def load_config(path) -> dict[str, str]:
     return values
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes"):
-        return True
-    if low in ("0", "false", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults, config-file values and CLI flags (flags win)."""
-    resolved = dict(defaults)
-    if args.config:
-        file_values = load_config(args.config)
-        for key, text in file_values.items():
-            if key not in defaults:
-                raise ValueError(f"unknown config key {key!r} for this subcommand")
-            ref = defaults[key]
-            if isinstance(ref, bool):
-                resolved[key] = _parse_bool(text)
-            elif isinstance(ref, int):
-                resolved[key] = int(text)
-            elif isinstance(ref, float):
-                resolved[key] = float(text)
-            else:
-                resolved[key] = text
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None and value is not False:
-            resolved[key] = value
-    return resolved
+def _config_argv(path, defaults: dict) -> list[str]:
+    """A config file's lines as --key=value tokens for the subcommand's parser."""
+    argv = []
+    for key, value in load_config(path).items():
+        if key not in defaults:
+            raise ValueError(f"{path}: unknown config key {key!r} for this subcommand")
+        flag = "--" + key.replace("_", "-")
+        if not isinstance(defaults[key], bool):
+            argv.append(f"{flag}={value}")  # one token: a value may start with '-'
+        elif value.lower() in ("1", "true", "yes"):
+            argv.append(flag)
+        elif value.lower() not in ("0", "false", "no"):
+            raise ValueError(f"{path}: {key} expects true/1/yes or false/0/no, got {value!r}")
+    return argv
 
 
 def _resolve_big_n(cfg) -> float:
     if cfg["auto_n"]:
         if cfg["big_n"] > 0:
             raise ValueError("pass either --big-n or --auto-n, not both")
-        return choose_big_n(cfg["dim"], cfg["mu"])
+        return ParamSet.auto(cfg["dim"], cfg["mu"]).big_n
     if not cfg["big_n"] > 0:
         raise ValueError("either --big-n > 0 or --auto-n is required")
     return cfg["big_n"]
@@ -84,8 +68,9 @@ def _resolve_big_n(cfg) -> float:
 
 def _out_file(out: Path, name: str) -> Path:
     """--out names a file inside --out-dir: the manifest and --verify key outputs by name."""
-    if Path(name).name != name:
-        raise ValueError(f"--out must be a bare file name, got {name!r}")
+    if Path(name).name != name or name in ("", ".", "..", io.MANIFEST_NAME):
+        raise ValueError(
+            f"--out must be a bare file name other than {io.MANIFEST_NAME}, got {name!r}")
     return out / name
 
 
@@ -93,14 +78,12 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(v) for v in str(text).split(",") if v != ""]
 
 
-def _net_specs(cfg, input_width: int):
-    hidden = _parse_int_list(cfg["hidden"])
-    d = cfg["latent_dim"]
-    enc = autoencoder.DenseNetSpec(
-        (input_width, *hidden, d), tuple(["leaky-relu"] * len(hidden)) + ("identity",))
-    dec = autoencoder.DenseNetSpec(
-        (d, *hidden, input_width), tuple(["leaky-relu"] * len(hidden)) + ("sigmoid",))
-    return enc, dec
+def _net_specs(hidden: str, latent: int, width: int):
+    """Encoder width -> hidden -> latent and decoder latent -> hidden -> width."""
+    sizes = _parse_int_list(hidden)
+    acts = ("leaky-relu",) * len(sizes)
+    return (autoencoder.DenseNetSpec((width, *sizes, latent), acts + ("identity",)),
+            autoencoder.DenseNetSpec((latent, *sizes, width), acts + ("sigmoid",)))
 
 
 def _load_cli_dataset(cfg) -> datasets.Dataset:
@@ -182,7 +165,7 @@ def _cmd_simulate(cfg, out):
 def _cmd_train(cfg, out):
     ds = _load_cli_dataset(cfg)
     big_n = _resolve_big_n(cfg | {"dim": cfg["latent_dim"]})
-    enc_spec, dec_spec = _net_specs(cfg, ds.width)
+    enc_spec, dec_spec = _net_specs(cfg["hidden"], cfg["latent_dim"], ds.width)
     params = ParamSet(dim=cfg["latent_dim"], mu=cfg["mu"], big_n=big_n, lam=cfg["lam"])
     tc = autoencoder.TrainConfig(
         encoder=enc_spec, decoder=dec_spec, params=params,
@@ -203,7 +186,7 @@ def _cmd_train(cfg, out):
 
 def _cmd_encode(cfg, out):
     ds = _load_cli_dataset(cfg)
-    enc_spec, _ = _net_specs(cfg, ds.width)
+    enc_spec, _ = _net_specs(cfg["hidden"], cfg["latent_dim"], ds.width)
     net = autoencoder.load_checkpoint(cfg["checkpoint"], enc_spec)
     batch = autoencoder.encode_dataset(net, ds)
     path = out / "embedding.csv"
@@ -292,10 +275,7 @@ def _cmd_knn(cfg, out):
 def _cmd_decode_components(cfg, out):
     coords, _ = io.read_embedding_csv(cfg["input"])
     rep = analysis.spectrum(PointBatch(coords))
-    hidden = _parse_int_list(cfg["hidden"])
-    dec_spec = autoencoder.DenseNetSpec(
-        (rep.eigenvalues.shape[0], *hidden, cfg["output_width"]),
-        tuple(["leaky-relu"] * len(hidden)) + ("sigmoid",))
+    _, dec_spec = _net_specs(cfg["hidden"], rep.eigenvalues.shape[0], cfg["output_width"])
     net = autoencoder.load_checkpoint(cfg["checkpoint"], dec_spec)
     pairs = analysis.decode_eigen_components(net, rep, cfg["scale"])
     rows = []
@@ -348,36 +328,35 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", metavar="COMMAND")
     for name, (_, defaults) in _COMMANDS.items():
         sub = subs.add_parser(name)
-        sub.add_argument("--config", default=None, help="flat key=value config file")
-        sub.add_argument("--out-dir", default=None, help="output directory (default .)")
+        sub.add_argument("--config", help="flat key=value config file (flags override it)")
+        sub.add_argument("--out-dir", default=".", help="output directory (default .)")
         sub.add_argument("--verify", action="store_true",
                          help="re-run and compare output hashes with the stored manifest")
         for key, default in defaults.items():
             flag = "--" + key.replace("_", "-")
             if isinstance(default, bool):
-                sub.add_argument(flag, action="store_true", default=None)
-            elif isinstance(default, int):
-                sub.add_argument(flag, type=int, default=None)
-            elif isinstance(default, float):
-                sub.add_argument(flag, type=float, default=None)
+                sub.add_argument(flag, action="store_true")
             else:
-                sub.add_argument(flag, type=str, default=None)
+                sub.add_argument(flag, type=type(default), default=default)
     return parser
 
 
 def run(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    if not args.command:
-        parser.print_usage(sys.stderr)
-        return 1
-    handler, defaults = _COMMANDS[args.command]
-    try:
-        cfg = _resolve(args, defaults)
-        out_dir = Path(args.out_dir or ".")
+        if not args.command:
+            parser.print_usage(sys.stderr)
+            return 1
+        handler, defaults = _COMMANDS[args.command]
+        if args.config:
+            # the file's tokens go right after the command name; a later flag wins
+            cut = argv.index(args.command) + 1
+            args = parser.parse_args(
+                argv[:cut] + _config_argv(args.config, defaults) + argv[cut:])
+        cfg = {key: getattr(args, key) for key in defaults}
+        out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.verify:
             if not (out_dir / io.MANIFEST_NAME).exists():
@@ -396,6 +375,8 @@ def run(argv=None) -> int:
         outputs = handler(cfg, out_dir)
         io.write_manifest(out_dir, args.command, cfg, outputs)
         return 0
+    except SystemExit as exc:  # argparse: a bad flag or file value, or --help
+        return 1 if exc.code not in (0, None) else 0
     except (ValueError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -22,8 +22,9 @@ positive coefficients and equals exactly 2 at x = 1 (Gauss's sum, DLMF
 15.4.20), so 2a/(a+2) <= I(a) < 4a/(a+2): the root of I(a) = 1/mu lies in
 [2/(4mu-1), 2/(2mu-1)] for every d >= 3 and mu >= 1.  One array-valued
 bisection from that bracket solves for a (a single cell or a whole (d, mu)
-sweep), and rho = sqrt(N/(2a)).  The two identities used to justify the
-N(d, mu) selection rule are numerical oracles that integrate f_{d,a}.
+sweep), and rho = sqrt(N)/sqrt(2a); the quotient N/(2a) itself can overflow
+or underflow.  The two identities used to justify the N(d, mu) selection
+rule are numerical oracles that integrate f_{d,a}.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ class ForceProfile:
 
 SERIES_MIN_DIM = 64
 SERIES_TERMS = 128
-# a relative width of A_RTOL in a is 1e-12 in rho = sqrt(N/(2a))
+# a relative width of A_RTOL in a is 1e-12 in rho = sqrt(N)/sqrt(2a)
 A_RTOL = 2e-12
 RESIDUAL_TOL = 1e-10
 MAX_ITER = 200

@@ -1,11 +1,15 @@
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eccentric import radius
+from eccentric import cli, radius
 from eccentric.autoencoder import DenseNet, DenseNetSpec, save_checkpoint
 from eccentric.cli import load_config, run
 from eccentric.io import write_embedding_csv
@@ -68,6 +72,12 @@ class TestSolveRadius:
         assert run(["solve-radius", "--config", str(cfg),
                     "--out-dir", str(tmp_path)]) == 1
 
+    def test_auto_n_outside_calibrated_mu_range(self, tmp_path, capsys):
+        # the N rule is calibrated for 1 <= mu <= 2d+1 = 9 at d=4
+        assert run(["solve-radius", "--dim", "4", "--mu", "20", "--auto-n",
+                    "--out-dir", str(tmp_path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_back_to_back_runs_share_no_state(self, tmp_path):
         # the argument parser is built once; --auto-n must not leak into the next call
         base = ["solve-radius", "--dim", "12", "--mu", "2.0"]
@@ -92,6 +102,99 @@ class TestSolveRadius:
         assert run(["solve-radius", "--dim", "4", "--mu", "2", "--big-n", "5",
                     "--out-dir", str(tmp_path)]) == 2
         assert "bisection stalled" in capsys.readouterr().err
+
+
+# keys whose values are floats; an int default on one of them would make an int flag
+FLOAT_KEYS = {"mu", "big_n", "mu_step", "r_max", "a", "step_size", "init_scale", "lam",
+              "learning_rate", "weight_decay", "scale"}
+TRUE_SPELLINGS = ["true", "1", "yes", "TRUE", "Yes"]
+FALSE_SPELLINGS = ["false", "0", "no", "False", "NO"]
+
+
+def _manifest_config(out_dir: Path) -> dict:
+    return json.loads((out_dir / "manifest.json").read_text())["config"]
+
+
+def _force_profile_values(draw, auto_n: bool) -> dict:
+    return {
+        "dim": draw(st.integers(2, 6)),
+        "mu": draw(st.floats(1.0, 4.0)),
+        "big_n": 0.0 if auto_n else draw(st.floats(0.5, 50.0)),
+        "r_max": draw(st.floats(0.5, 10.0)),
+        "steps": draw(st.integers(2, 40)),
+        "out": draw(st.from_regex(r"-?[a-z][a-z0-9_]{0,6}\.csv", fullmatch=True)),
+    }
+
+
+class TestConfigAsFlags:
+    """A config file is parsed as --key=value flags placed before the command line."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_file_and_flags_give_the_same_config(self, data):
+        draw = data.draw
+        auto_n = draw(st.booleans())
+        values = _force_profile_values(draw, auto_n)
+        values["auto_n"] = auto_n
+        lines = []
+        for key, value in values.items():
+            spelled = draw(st.sampled_from([key, key.replace("_", "-")]))
+            if key == "auto_n":
+                text = draw(st.sampled_from(TRUE_SPELLINGS if value else FALSE_SPELLINGS))
+            else:
+                text = str(value)  # str of a float round-trips
+            if draw(st.booleans()):  # an earlier duplicate: the last one wins
+                lines.append(f"{spelled}={draw(st.sampled_from(['7', '-1.5', 'x.csv']))}")
+            lines += draw(st.sampled_from([[], ["", "# a comment"], ["   # indented"]]))
+            lines.append(f"{spelled}{' ' * draw(st.integers(0, 2))}= {text}")
+        # flags override a drawn subset of the file's values
+        fresh = _force_profile_values(draw, auto_n)
+        keys = draw(st.lists(st.sampled_from(sorted(fresh.keys() - {"big_n"})), unique=True))
+        overrides = {key: fresh[key] for key in keys}
+        expected = values | overrides
+
+        def flags(cfg):
+            return ["--" + k.replace("_", "-") + ("" if v is True else f"={v}")
+                    for k, v in cfg.items() if v is not False]
+
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "c.cfg").write_text("\n".join(lines) + "\n")
+            run_ok(["force-profile", "--config", str(tmp / "c.cfg"), *flags(overrides),
+                    "--out-dir", str(tmp / "file")])
+            run_ok(["force-profile", *flags(expected), "--out-dir", str(tmp / "flags")])
+            from_file = _manifest_config(tmp / "file")
+            assert from_file == _manifest_config(tmp / "flags")
+            assert from_file["out"] == expected["out"]
+            assert (tmp / "file" / expected["out"]).exists()
+
+    @pytest.mark.parametrize("line, named", [("dim=abc", "--dim"), ("auto-n=maybe", "auto_n")])
+    def test_bad_file_value_names_the_key(self, tmp_path, capsys, line, named):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"mu=1.0\n{line}\n")
+        assert run(["solve-radius", "--config", str(cfg), "--big-n", "4",
+                    "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert named in err and line.partition("=")[2] in err
+
+    @pytest.mark.parametrize("line", ["dim=4", "out_dir=x", "config=c.cfg", "verify=true"])
+    def test_only_table_keys_are_config_keys(self, tmp_path, capsys, line):
+        # dim would otherwise prefix-match --dims; the others are real flags
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"dims=4\nmu-step=1\n{line}\n")
+        assert run(["sweep-radius", "--config", str(cfg),
+                    "--out-dir", str(tmp_path / "out")]) == 1
+        assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_parser_defaults_are_the_table(self, command):
+        _, defaults = cli._COMMANDS[command]
+        args = vars(cli._build_parser().parse_args([command]))
+        assert args.keys() == defaults.keys() | {"command", "config", "out_dir", "verify"}
+        got = {key: args[key] for key in defaults}
+        assert got == defaults
+        assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in defaults.items()}
+        assert {k for k, v in got.items() if type(v) is float} == FLOAT_KEYS & defaults.keys()
 
 
 class TestSweepRadius:
@@ -143,6 +246,14 @@ class TestDeterminismAndVerify:
                     "--out", str(tmp_path / "elsewhere.csv"),
                     "--out-dir", str(tmp_path / "run")]) == 1
         assert not (tmp_path / "elsewhere.csv").exists()
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "manifest.json"])
+    def test_out_must_name_a_file_beside_the_manifest(self, tmp_path, capsys, name):
+        out = tmp_path / "run"
+        assert run(["sweep-radius", "--dims", "4", "--mu-step", "1", "--out", name,
+                    "--out-dir", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_verify_without_manifest(self, tmp_path):
         assert run(["solve-radius", "--dim", "8", "--mu", "1.0", "--auto-n",
