@@ -123,7 +123,7 @@ def _cmd_sweep_radius(cfg, out):
 
 def _cmd_force_profile(cfg, out):
     big_n = _resolve_big_n(cfg)
-    params = ParamSet(dim=max(cfg["dim"], 2), mu=cfg["mu"], big_n=big_n)
+    params = ParamSet(dim=cfg["dim"], mu=cfg["mu"], big_n=big_n)
     prof = radius.force_profile(params, cfg["r_max"], cfg["steps"])
     path = _out_file(out, cfg["out"])
     io.write_csv(path, ["distance", "magnitude"],
@@ -225,8 +225,6 @@ def _cmd_align(cfg, out):
         "permutation_q": [int(v) for v in res.permutation_q],
         "signs_p": [int(v) for v in res.signs_p],
         "signs_q": [int(v) for v in res.signs_q],
-        "iterations": res.iterations,
-        "converged": res.converged,
     })
     paths.append(summary)
     return paths

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eccentric import analysis
 from eccentric.analysis import (
@@ -95,6 +97,21 @@ class TestPrincipalEmbedding:
         np.testing.assert_allclose(pdist(emb.coords), pdist(zc), atol=1e-10)
 
 
+class TestEmbedding:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        coords = np.ones((4, 3))
+        coords[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Embedding(coords)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0)], ids=["no-rows", "no-columns"])
+    def test_rejects_empty(self, shape):
+        # a label-only CSV reads as (rows, 0); no column could be aligned
+        with pytest.raises(ValueError, match="empty embedding"):
+            Embedding(np.zeros(shape))
+
+
 def descending_embedding(rng, n, d):
     """Random embedding with distinct, descending column energies."""
     cols = rng.standard_normal((n, d))
@@ -107,12 +124,41 @@ def apply_signed_perm(emb, perm, signs):
     return Embedding(emb.coords[:, perm] * np.asarray(signs, dtype=np.float64))
 
 
+def noisy_copy_pair(rng, d):
+    e1 = descending_embedding(rng, 40, d)
+    return e1, Embedding(e1.coords + 0.1 * rng.standard_normal((40, d)))
+
+
+def independent_pair(rng, d):
+    return Embedding(rng.standard_normal((30, d))), Embedding(rng.standard_normal((30, d)))
+
+
+@st.composite
+def alignment_pairs(draw):
+    """Random, rotated or near-permutation pairs of embeddings, d in [2, 40]."""
+    d = draw(st.integers(2, 40))
+    n = draw(st.integers(d + 1, 3 * d + 10))
+    kind = draw(st.sampled_from(["random", "rotated", "near-permutation"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, d))
+    noise = draw(st.floats(0.0, 1.5))
+    if kind == "random":
+        b = rng.standard_normal((n, d))
+    elif kind == "rotated":
+        rot, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        b = a @ rot + noise * rng.standard_normal((n, d))
+    else:
+        b = (a[:, rng.permutation(d)] * rng.choice([-1.0, 1.0], size=d)
+             + noise * rng.standard_normal((n, d)))
+    return Embedding(a), Embedding(b)
+
+
 class TestAlign:
     def test_identity_on_equal_embeddings(self):
         rng = np.random.default_rng(9)
         e = descending_embedding(rng, 30, 4)
         res = align(e, e)
-        assert res.converged
+        np.testing.assert_array_equal(res.aligned_q.coords, res.aligned_p.coords)
         np.testing.assert_array_equal(res.permutation_p, np.arange(4))
         np.testing.assert_array_equal(res.permutation_q, np.arange(4))
         assert np.all(res.signs_p == 1) and np.all(res.signs_q == 1)
@@ -141,12 +187,18 @@ class TestAlign:
                                    atol=1e-10)
         assert np.all(np.diag(res.corr_after) > 0.0)
 
-    @pytest.mark.parametrize("d,seed", [(2, 11), (3, 12), (4, 13)])
-    def test_diagonal_mass_matches_brute_force(self, d, seed):
+    @pytest.mark.parametrize("d,seed,make_pair", [
+        pytest.param(2, 11, noisy_copy_pair, id="2-11"),
+        pytest.param(3, 12, noisy_copy_pair, id="3-12"),
+        pytest.param(4, 13, noisy_copy_pair, id="4-13"),
+        # independent draws, where a greedy column sweep misses the optimum
+        pytest.param(4, 1, independent_pair, id="independent-4-1"),
+        pytest.param(5, 4, independent_pair, id="independent-5-4"),
+        pytest.param(6, 1, independent_pair, id="independent-6-1"),
+    ])
+    def test_diagonal_mass_matches_brute_force(self, d, seed, make_pair):
         # oracle: exhaustive search over all d! column assignments
-        rng = np.random.default_rng(seed)
-        e1 = descending_embedding(rng, 40, d)
-        e2 = Embedding(e1.coords + 0.1 * rng.standard_normal((40, d)))
+        e1, e2 = make_pair(np.random.default_rng(seed), d)
         corr = np.abs(cross_correlation(e1, e2))
         best = max(sum(corr[i, pi] for i, pi in enumerate(p))
                    for p in itertools.permutations(range(d)))
@@ -185,6 +237,28 @@ class TestAlign:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             align(Embedding(np.zeros((5, 2))), Embedding(np.zeros((5, 3))))
+
+    @settings(deadline=None, max_examples=150)
+    @given(alignment_pairs())
+    def test_exact_signed_permutation_property(self, pair):
+        from scipy.optimize import linear_sum_assignment
+
+        e1, e2 = pair
+        res = align(e1, e2)
+        # oracle: scipy's dense assignment solver on |corr|
+        mag = np.abs(res.corr_before)
+        rows, cols = linear_sum_assignment(mag, maximize=True)
+        assert np.sum(np.diag(np.abs(res.corr_after))) == pytest.approx(
+            mag[rows, cols].sum(), rel=1e-12)
+        for perm, signs in [(res.permutation_p, res.signs_p), (res.permutation_q, res.signs_q)]:
+            assert sorted(perm) == list(range(e1.dim)) and set(signs) <= {-1, 1}
+        np.testing.assert_array_equal(
+            res.aligned_p.coords, e1.coords[:, res.permutation_p] * res.signs_p)
+        np.testing.assert_array_equal(
+            res.aligned_q.coords, e2.coords[:, res.permutation_q] * res.signs_q)
+        assert np.all(np.diag(res.corr_after) >= 0.0)
+        np.testing.assert_allclose(
+            res.corr_after, cross_correlation(res.aligned_p, res.aligned_q), rtol=0, atol=1e-12)
 
 
 class TestCrossCorrelation:

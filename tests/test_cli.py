@@ -269,6 +269,13 @@ class TestForceProfileCommand:
         peak = data[np.argmax(data[:, 1])]
         assert peak[0] == pytest.approx(4.0, abs=0.02)
 
+    @pytest.mark.parametrize("dim", ["-5", "1"])
+    def test_dim_below_two_is_validation_error(self, tmp_path, capsys, dim):
+        assert run(["force-profile", "--dim", dim, "--mu", "1.0", "--big-n", "16.0",
+                    "--r-max", "8.0", "--steps", "5", "--out-dir", str(tmp_path)]) == 1
+        assert "dim must be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
 
 class TestLemmaCheckCommand:
     def test_payload(self, tmp_path):
@@ -313,7 +320,9 @@ class TestAnalysisPipeline:
                 "--e2", str(enc_dir / "embedding.csv"),
                 "--out-dir", str(align_dir)])
         summary = json.loads((align_dir / "align.json").read_text())
-        assert summary["converged"] is True
+        # an embedding aligned with itself: identity permutations, no flips
+        assert summary == {"permutation_p": [0, 1], "permutation_q": [0, 1],
+                           "signs_p": [1, 1], "signs_q": [1, 1]}
 
         metrics_dir = tmp_path / "metrics"
         run_ok(["metrics", "--e1", str(enc_dir / "embedding.csv"),
@@ -410,6 +419,17 @@ class TestExitCodes:
                         "--out-dir", str(tmp_path / "knn")]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and "fractional.csv" in err
+
+    @pytest.mark.parametrize("command", ["align", "metrics"])
+    def test_non_finite_embedding(self, tmp_path, capsys, command):
+        good = tmp_path / "good.csv"
+        write_embedding_csv(good, np.eye(3))
+        bad = tmp_path / "bad.csv"
+        bad.write_text("c0,c1,c2\n1,0,0\nnan,1,0\n0,0,1\n")
+        assert run([command, "--e1", str(good), "--e2", str(bad),
+                    "--out-dir", str(tmp_path / "out")]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
     def test_numerical_failure_is_exit_2(self, tmp_path):
         # a divergent step size must be reported as a numerical failure

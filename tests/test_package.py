@@ -19,10 +19,12 @@ def test_every_export_resolves(name):
 
 
 def test_cli_start_loads_no_optimize_or_integrate():
-    # each adds ~10 MiB and a measurable start-up time to every CLI call;
-    # only lemma-check needs them, and it imports them itself
-    code = ("import sys, eccentric.cli; "
-            "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])")
+    # each adds MiBs and a measurable start-up time to every CLI call; only
+    # lemma-check needs optimize and integrate, only align needs csgraph, and
+    # each imports its own
+    code = ("import sys, eccentric.cli; print([m for m in "
+            "('scipy.optimize', 'scipy.integrate', 'scipy.sparse.csgraph') "
+            "if m in sys.modules])")
     src = str(Path(importlib.import_module("eccentric").__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
                          text=True, env={**os.environ, "PYTHONPATH": src}).stdout
