@@ -17,7 +17,6 @@ _KNN_BLOCK_BYTES = 1 << 22
 
 __all__ = [
     "SpectrumReport",
-    "Embedding",
     "AlignmentResult",
     "SimilarityMetrics",
     "spectrum",
@@ -58,42 +57,17 @@ def spectrum(batch: PointBatch) -> SpectrumReport:
     )
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """n items with d coordinates in descending-variance (principal) order."""
-
-    coords: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        arr = np.asarray(self.coords, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"expected a 2-D (items, dim) array, got shape {arr.shape}")
-        if arr.size == 0:
-            raise ValueError(f"empty embedding, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("embedding contains non-finite entries")
-        object.__setattr__(self, "coords", arr)
-
-    @property
-    def items(self) -> int:
-        return self.coords.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[1]
-
-
-def _check_same_shape(e1: Embedding, e2: Embedding):
-    if e1.coords.shape != e2.coords.shape:
+def _check_same_shape(e1: PointBatch, e2: PointBatch):
+    if e1.data.shape != e2.data.shape:
         raise ValueError(
-            f"embeddings must share shape, got {e1.coords.shape} and {e2.coords.shape}"
+            f"embeddings must share shape, got {e1.data.shape} and {e2.data.shape}"
         )
 
 
-def to_principal_embedding(batch: PointBatch) -> Embedding:
+def to_principal_embedding(batch: PointBatch) -> PointBatch:
     """Center the batch and project onto descending covariance eigenvectors."""
     rep = spectrum(batch)
-    return Embedding((batch.data - rep.mean) @ rep.eigenvectors)
+    return PointBatch((batch.data - rep.mean) @ rep.eigenvectors)
 
 
 @dataclass(frozen=True)
@@ -115,11 +89,11 @@ class AlignmentResult:
     iterations: int
     corr_before: np.ndarray = field(repr=False)
     corr_after: np.ndarray = field(repr=False)
-    aligned_p: Embedding = field(default=None, repr=False)
-    aligned_q: Embedding = field(default=None, repr=False)
+    aligned_p: PointBatch = field(default=None, repr=False)
+    aligned_q: PointBatch = field(default=None, repr=False)
 
 
-def align(e1: Embedding, e2: Embedding) -> AlignmentResult:
+def align(e1: PointBatch, e2: PointBatch) -> AlignmentResult:
     """Signed permutation of e2's columns that best matches e1's columns.
 
     The pairing maximizes the diagonal mass sum_i |corr[i, pi(i)]| of the
@@ -132,13 +106,12 @@ def align(e1: Embedding, e2: Embedding) -> AlignmentResult:
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-    _check_same_shape(e1, e2)
     corr_before = cross_correlation(e1, e2)
     mag = np.abs(corr_before)
     # every weight >= 1: a zero would be dropped as a structural zero
     rows, match = min_weight_full_bipartite_matching(csr_array(mag.max() + 1.0 - mag))
     signs = np.where(corr_before[rows, match] < 0.0, -1, 1)
-    energy = np.sum(e1.coords ** 2, axis=0) + np.sum(e2.coords[:, match] ** 2, axis=0)
+    energy = np.sum(e1.data ** 2, axis=0) + np.sum(e2.data[:, match] ** 2, axis=0)
     perm_p = np.argsort(-energy, kind="stable")
     perm_q = match[perm_p]
     signs_q = signs[perm_p]
@@ -150,21 +123,19 @@ def align(e1: Embedding, e2: Embedding) -> AlignmentResult:
         iterations=1,
         corr_before=corr_before,
         corr_after=corr_before[perm_p][:, perm_q] * signs_q,
-        aligned_p=Embedding(e1.coords[:, perm_p]),
-        aligned_q=Embedding(e2.coords[:, perm_q] * signs_q),
+        aligned_p=PointBatch(e1.data[:, perm_p]),
+        aligned_q=PointBatch(e2.data[:, perm_q] * signs_q),
     )
 
 
-def cross_correlation(e1: Embedding, e2: Embedding,
-                      return_flags: bool = False):
+def cross_correlation(e1: PointBatch, e2: PointBatch) -> np.ndarray:
     """Pearson correlation of every column of e1 against every column of e2.
 
-    Zero-variance columns produce 0 entries; pass return_flags=True to also
-    get the boolean mask of entries degenerate in this way.
+    Entries with a zero-variance column on either side are 0.
     """
     _check_same_shape(e1, e2)
-    a = e1.coords - e1.coords.mean(axis=0)
-    b = e2.coords - e2.coords.mean(axis=0)
+    a = e1.data - e1.data.mean(axis=0)
+    b = e2.data - e2.data.mean(axis=0)
     sa = np.sqrt(np.sum(a * a, axis=0))
     sb = np.sqrt(np.sum(b * b, axis=0))
     flags = (sa[:, None] == 0.0) | (sb[None, :] == 0.0)
@@ -172,8 +143,6 @@ def cross_correlation(e1: Embedding, e2: Embedding,
     # numpy's own loop, not BLAS: the bits must not depend on the BLAS thread count
     corr = np.einsum("ij,ik->jk", a, b) / denom
     corr[flags] = 0.0
-    if return_flags:
-        return corr, flags
     return corr
 
 
@@ -187,14 +156,14 @@ class SimilarityMetrics:
     excluded_rows: int = 0
 
 
-def similarity_metrics(e1: Embedding, e2: Embedding) -> SimilarityMetrics:
+def similarity_metrics(e1: PointBatch, e2: PointBatch) -> SimilarityMetrics:
     """RMS row distance, mean row cosine and mean angle (degrees) between embeddings.
 
     Rows where either side is the zero vector are excluded from the cosine
     and angle means and counted in excluded_rows.
     """
     _check_same_shape(e1, e2)
-    a, b = e1.coords, e2.coords
+    a, b = e1.data, e2.data
     diff = a - b
     rms = math.sqrt(float(np.mean(np.sum(diff * diff, axis=1))))
     na = np.linalg.norm(a, axis=1)
@@ -218,9 +187,9 @@ def sample_latents(mode: str, reference: PointBatch | None, n: int, dim: int,
                    seed: int) -> PointBatch:
     """Draw latent vectors: standard normal, or matched to a reference batch.
 
-    Matched mode fits mean and covariance (divisor n-1) of the reference and
-    draws mean + L g with L the symmetric PSD eigen-factor of the covariance
-    (negative eigenvalues clamped to 0).
+    Matched mode draws mean + g F from the reference's spectrum, with
+    F = V diag(sqrt(max(lambda, 0))) V^T the symmetric PSD square root of its
+    covariance (divisor n-1).
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -233,36 +202,30 @@ def sample_latents(mode: str, reference: PointBatch | None, n: int, dim: int,
         raise ValueError("matched mode requires a reference batch")
     if reference.dim != dim:
         raise ValueError(f"reference dim {reference.dim} != requested dim {dim}")
+    rep = spectrum(reference)
     if reference.count < dim + 1:
         warnings.warn(
             f"reference has {reference.count} items < dim+1 = {dim + 1}; "
             "covariance estimate is rank-deficient, proceeding with clamped factor"
         )
-    mean = reference.data.mean(axis=0)
-    centered = reference.data - mean
-    cov = centered.T @ centered / max(reference.count - 1, 1)
-    evals, evecs = np.linalg.eigh(cov)
-    factor = evecs @ np.diag(np.sqrt(np.maximum(evals, 0.0))) @ evecs.T
+    v = rep.eigenvectors
+    factor = (v * np.sqrt(np.maximum(rep.eigenvalues, 0.0))) @ v.T
     g = rng.standard_normal((n, dim))
-    return PointBatch(mean + g @ factor)
+    return PointBatch(rep.mean + g @ factor)
 
 
-def decode_eigen_components(decoder, rep: SpectrumReport, scale: float):
-    """Decode mean +- scale*sqrt(eigenvalue)*eigenvector per component.
+def decode_eigen_components(decode, rep: SpectrumReport, scale: float) -> np.ndarray:
+    """Decode mean +- scale*sqrt(eigenvalue)*eigenvector for every component.
 
-    decoder maps a (k, d) array of latent rows to a (k, out) array (a
-    DenseNet forward pass or any compatible callable).  Returns a list of
-    (plus, minus) output pairs ordered by descending eigenvalue.
+    decode maps a (k, d) array of latent rows to a (k, out) array, such as
+    a DenseNet's forward; all 2d rows go through one call.  Returns a
+    (d, 2, out) array whose entry k is the (plus, minus) pair of component k,
+    by descending eigenvalue.
     """
-    decode = decoder.forward if hasattr(decoder, "forward") else decoder
     d = rep.eigenvalues.shape[0]
-    pairs = []
-    for k in range(d):
-        step = scale * math.sqrt(max(float(rep.eigenvalues[k]), 0.0)) * rep.eigenvectors[:, k]
-        plus = np.asarray(decode((rep.mean + step)[None, :]))[0]
-        minus = np.asarray(decode((rep.mean - step)[None, :]))[0]
-        pairs.append((plus, minus))
-    return pairs
+    steps = (rep.eigenvectors * (scale * np.sqrt(np.maximum(rep.eigenvalues, 0.0)))).T
+    rows = np.stack([rep.mean + steps, rep.mean - steps], axis=1).reshape(2 * d, d)
+    return np.asarray(decode(rows)).reshape(d, 2, -1)
 
 
 def knn_classify(train_coords: np.ndarray, train_labels: np.ndarray,

@@ -320,10 +320,8 @@ def train(config: TrainConfig, dataset: Dataset,
     )
 
 
-def encode_dataset(encoder: DenseNet, dataset: Dataset) -> PointBatch | None:
+def encode_dataset(encoder: DenseNet, dataset: Dataset) -> PointBatch:
     """Map every item through the encoder, preserving order."""
-    if dataset.count == 0:
-        return None
     return PointBatch(encoder.forward(dataset.data))
 
 

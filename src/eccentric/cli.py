@@ -209,10 +209,10 @@ def _cmd_spectrum(cfg, out):
 def _cmd_align(cfg, out):
     c1, _ = io.read_embedding_csv(cfg["e1"])
     c2, _ = io.read_embedding_csv(cfg["e2"])
-    res = analysis.align(analysis.Embedding(c1), analysis.Embedding(c2))
+    res = analysis.align(PointBatch(c1), PointBatch(c2))
     paths = []
-    for name, coords in [("aligned_e1.csv", res.aligned_p.coords),
-                         ("aligned_e2.csv", res.aligned_q.coords)]:
+    for name, coords in [("aligned_e1.csv", res.aligned_p.data),
+                         ("aligned_e2.csv", res.aligned_q.data)]:
         io.write_embedding_csv(out / name, coords)
         paths.append(out / name)
     for name, mat in [("corr_before.csv", res.corr_before),
@@ -233,7 +233,7 @@ def _cmd_align(cfg, out):
 def _cmd_metrics(cfg, out):
     c1, _ = io.read_embedding_csv(cfg["e1"])
     c2, _ = io.read_embedding_csv(cfg["e2"])
-    m = analysis.similarity_metrics(analysis.Embedding(c1), analysis.Embedding(c2))
+    m = analysis.similarity_metrics(PointBatch(c1), PointBatch(c2))
     path = out / "metrics.json"
     io.write_json(path, {
         "rms_distance": m.rms_distance, "mean_cosine": m.mean_cosine,
@@ -275,14 +275,12 @@ def _cmd_decode_components(cfg, out):
     rep = analysis.spectrum(PointBatch(coords))
     _, dec_spec = _net_specs(cfg["hidden"], rep.eigenvalues.shape[0], cfg["output_width"])
     net = autoencoder.load_checkpoint(cfg["checkpoint"], dec_spec)
-    pairs = analysis.decode_eigen_components(net, rep, cfg["scale"])
-    rows = []
-    for k, (plus, minus) in enumerate(pairs):
-        rows.append([k, 1, *plus])
-        rows.append([k, -1, *minus])
+    comps = analysis.decode_eigen_components(net.forward, rep, cfg["scale"])
+    rows = [[k, sign, *row] for k, pair in enumerate(comps)
+            for sign, row in zip((1, -1), pair)]
     path = out / "components.csv"
-    width = len(rows[0]) - 2
-    io.write_csv(path, ["component", "sign"] + [f"o{i}" for i in range(width)], rows)
+    io.write_csv(path, ["component", "sign"] + [f"o{i}" for i in range(comps.shape[2])],
+                 rows)
     return [path]
 
 

@@ -38,6 +38,8 @@ class Dataset:
         arr = np.asarray(self.data, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-D (items, width) array, got shape {arr.shape}")
+        if arr.shape[0] < 1:
+            raise ValueError(f"empty dataset, got shape {arr.shape}")
         object.__setattr__(self, "data", arr)
         if self.labels is not None:
             lab = np.asarray(self.labels)
@@ -78,6 +80,8 @@ def gaussian_mixture(n: int = 300, k: int = 3, dim: int = 2, seed: int = 0,
 def noisy_ring(n: int = 400, rings: int = 2, seed: int = 0,
                noise: float = 0.02) -> Dataset:
     """Concentric circles with radial Gaussian noise; labels = ring index."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if rings < 1:
         raise ValueError(f"rings must be >= 1, got {rings}")
     rng = np.random.default_rng(seed)
@@ -91,6 +95,8 @@ def noisy_ring(n: int = 400, rings: int = 2, seed: int = 0,
 
 def swiss_roll_slice(n: int = 400, seed: int = 0, noise: float = 0.02) -> Dataset:
     """A 2-D spiral arc (one slice of a swiss roll), unlabeled."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     t = rng.uniform(1.5 * np.pi, 4.5 * np.pi, n)
     points = np.stack([t * np.cos(t), t * np.sin(t)], axis=1) / (4.5 * np.pi)

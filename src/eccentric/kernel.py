@@ -11,6 +11,7 @@ pairwise repulsion whose force peaks at distance sqrt(N).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,12 +52,12 @@ class ParamSet:
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
-        if self.mu < 0:
-            raise ValueError(f"mu must be nonnegative, got {self.mu}")
-        if not self.big_n > 0:
-            raise ValueError(f"big_n must be positive, got {self.big_n}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        if not 0 <= self.mu < math.inf:
+            raise ValueError(f"mu must be finite and nonnegative, got {self.mu}")
+        if not 0 < self.big_n < math.inf:
+            raise ValueError(f"big_n must be finite and positive, got {self.big_n}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
 
     @classmethod
     def auto(cls, dim: int, mu: float, lam: float = 0.0) -> "ParamSet":

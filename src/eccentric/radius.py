@@ -85,8 +85,8 @@ class RadiusProblem:
     def __post_init__(self):
         if self.dim < 3:
             raise ValueError(f"radius theory requires dim >= 3, got {self.dim}")
-        if not self.big_n > 0:
-            raise ValueError(f"big_n must be positive, got {self.big_n}")
+        if not 0 < self.big_n < math.inf:
+            raise ValueError(f"big_n must be finite and positive, got {self.big_n}")
 
 
 @dataclass(frozen=True)
@@ -197,10 +197,10 @@ def solve_radius(dim: int, mu: float, big_n: float) -> RadiusSolution:
     """
     if dim < 3:
         raise ValueError(f"radius theory requires dim >= 3, got {dim}")
-    if mu < 1.0:
-        raise ValueError(f"solver assumes mu >= 1, got {mu}")
-    if not big_n > 0:
-        raise ValueError(f"big_n must be positive, got {big_n}")
+    if not 1.0 <= mu < math.inf:
+        raise ValueError(f"solver assumes finite mu >= 1, got {mu}")
+    if not 0 < big_n < math.inf:
+        raise ValueError(f"big_n must be finite and positive, got {big_n}")
     a, res, iters = _bisect(np.array([float(dim)]), np.array([float(mu)]))
     return RadiusSolution(rho=math.sqrt(big_n) / math.sqrt(2.0 * a[0]), residual=float(res[0]),
                           iterations=int(iters[0]), quadrature_points=int(iters[0]) + 1)
@@ -218,8 +218,8 @@ def sweep_radius(dims, mu_step: float = 0.25) -> list[tuple[int, float]]:
     All (d, mu) cells are solved in one array-valued bisection.  Returns one
     (d, max_percent) row per entry of dims, in input order.
     """
-    if mu_step <= 0:
-        raise ValueError(f"mu_step must be positive, got {mu_step}")
+    if not 0 < mu_step < math.inf:
+        raise ValueError(f"mu_step must be finite and positive, got {mu_step}")
     dims = list(dims)
     for d in dims:
         if d < 3:
@@ -291,8 +291,8 @@ def lemma_b_argmax_numeric(dim: int, a: float) -> float:
 
 def force_profile(params: ParamSet, r_max: float, steps: int) -> ForceProfile:
     """Sample the pairwise repulsion magnitude on a uniform grid including r = 0."""
-    if not r_max > 0:
-        raise ValueError(f"r_max must be positive, got {r_max}")
+    if not 0 < r_max < math.inf:
+        raise ValueError(f"r_max must be finite and positive, got {r_max}")
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     r = np.linspace(0.0, r_max, steps)

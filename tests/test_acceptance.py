@@ -10,11 +10,7 @@ import math
 
 import numpy as np
 
-from eccentric.analysis import (
-    Embedding,
-    align,
-    cross_correlation,
-)
+from eccentric.analysis import align, cross_correlation
 from eccentric.autoencoder import (
     DenseNet,
     DenseNetSpec,
@@ -218,7 +214,7 @@ def _descending_embedding(rng, n, d):
     cols = rng.standard_normal((n, d))
     cols -= cols.mean(axis=0)
     cols /= np.linalg.norm(cols, axis=0)
-    return Embedding(cols * (d - np.arange(d, dtype=np.float64)))
+    return PointBatch(cols * (d - np.arange(d, dtype=np.float64)))
 
 
 def test_criterion_09_alignment_recovery():
@@ -230,7 +226,7 @@ def test_criterion_09_alignment_recovery():
             e1 = _descending_embedding(rng, 30, d)
             perm = rng.permutation(d)
             signs = rng.choice([-1.0, 1.0], size=d)
-            e2 = Embedding(e1.coords[:, perm] * signs)
+            e2 = PointBatch(e1.data[:, perm] * signs)
             corr = np.abs(cross_correlation(e1, e2))
             # oracle: best diagonal mass over all 2^d d! signed permutations
             # (signs cannot change |corr|, so d! assignments suffice)
@@ -238,7 +234,7 @@ def test_criterion_09_alignment_recovery():
                        for p in itertools.permutations(range(d)))
             res = align(e1, e2)
             achieved = float(np.sum(np.abs(np.diag(res.corr_after))))
-            recovered = np.allclose(res.aligned_p.coords, res.aligned_q.coords,
+            recovered = np.allclose(res.aligned_p.data, res.aligned_q.data,
                                     atol=1e-10)
             exact_ok &= recovered and achieved >= best - 1e-9
 
@@ -246,7 +242,7 @@ def test_criterion_09_alignment_recovery():
     e1 = _descending_embedding(rng, 200, d)
     perm = rng.permutation(d)
     signs = rng.choice([-1.0, 1.0], size=d)
-    e2 = Embedding(e1.coords[:, perm] * signs
+    e2 = PointBatch(e1.data[:, perm] * signs
                    + 0.05 * rng.standard_normal((200, d)))
     res = align(e1, e2)
     diag_after = np.diag(res.corr_after)

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from eccentric import analysis
 from eccentric.analysis import (
-    Embedding,
     align,
     cross_correlation,
     decode_eigen_components,
@@ -24,6 +23,7 @@ from eccentric.analysis import (
     spectrum,
     to_principal_embedding,
 )
+from eccentric.autoencoder import DenseNet, DenseNetSpec
 from eccentric.kernel import PointBatch
 
 
@@ -82,8 +82,8 @@ class TestPrincipalEmbedding:
         rng = np.random.default_rng(7)
         z = rng.standard_normal((80, 4)) @ np.diag([3.0, 1.0, 0.5, 0.2])
         emb = to_principal_embedding(PointBatch(z))
-        np.testing.assert_allclose(emb.coords.mean(axis=0), 0.0, atol=1e-12)
-        cov = np.cov(emb.coords, rowvar=False)
+        np.testing.assert_allclose(emb.data.mean(axis=0), 0.0, atol=1e-12)
+        cov = np.cov(emb.data, rowvar=False)
         np.testing.assert_allclose(cov, np.diag(np.diag(cov)), atol=1e-10)
         assert np.all(np.diff(np.diag(cov)) <= 1e-10)
 
@@ -94,22 +94,7 @@ class TestPrincipalEmbedding:
         emb = to_principal_embedding(PointBatch(z))
         zc = z - z.mean(axis=0)
         from scipy.spatial.distance import pdist
-        np.testing.assert_allclose(pdist(emb.coords), pdist(zc), atol=1e-10)
-
-
-class TestEmbedding:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite(self, bad):
-        coords = np.ones((4, 3))
-        coords[2, 1] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            Embedding(coords)
-
-    @pytest.mark.parametrize("shape", [(0, 3), (4, 0)], ids=["no-rows", "no-columns"])
-    def test_rejects_empty(self, shape):
-        # a label-only CSV reads as (rows, 0); no column could be aligned
-        with pytest.raises(ValueError, match="empty embedding"):
-            Embedding(np.zeros(shape))
+        np.testing.assert_allclose(pdist(emb.data), pdist(zc), atol=1e-10)
 
 
 def descending_embedding(rng, n, d):
@@ -117,20 +102,20 @@ def descending_embedding(rng, n, d):
     cols = rng.standard_normal((n, d))
     cols -= cols.mean(axis=0)
     cols /= np.linalg.norm(cols, axis=0)
-    return Embedding(cols * (d - np.arange(d, dtype=np.float64)))
+    return PointBatch(cols * (d - np.arange(d, dtype=np.float64)))
 
 
 def apply_signed_perm(emb, perm, signs):
-    return Embedding(emb.coords[:, perm] * np.asarray(signs, dtype=np.float64))
+    return PointBatch(emb.data[:, perm] * np.asarray(signs, dtype=np.float64))
 
 
 def noisy_copy_pair(rng, d):
     e1 = descending_embedding(rng, 40, d)
-    return e1, Embedding(e1.coords + 0.1 * rng.standard_normal((40, d)))
+    return e1, PointBatch(e1.data + 0.1 * rng.standard_normal((40, d)))
 
 
 def independent_pair(rng, d):
-    return Embedding(rng.standard_normal((30, d))), Embedding(rng.standard_normal((30, d)))
+    return PointBatch(rng.standard_normal((30, d))), PointBatch(rng.standard_normal((30, d)))
 
 
 @st.composite
@@ -150,7 +135,7 @@ def alignment_pairs(draw):
     else:
         b = (a[:, rng.permutation(d)] * rng.choice([-1.0, 1.0], size=d)
              + noise * rng.standard_normal((n, d)))
-    return Embedding(a), Embedding(b)
+    return PointBatch(a), PointBatch(b)
 
 
 class TestAlign:
@@ -158,7 +143,7 @@ class TestAlign:
         rng = np.random.default_rng(9)
         e = descending_embedding(rng, 30, 4)
         res = align(e, e)
-        np.testing.assert_array_equal(res.aligned_q.coords, res.aligned_p.coords)
+        np.testing.assert_array_equal(res.aligned_q.data, res.aligned_p.data)
         np.testing.assert_array_equal(res.permutation_p, np.arange(4))
         np.testing.assert_array_equal(res.permutation_q, np.arange(4))
         assert np.all(res.signs_p == 1) and np.all(res.signs_q == 1)
@@ -167,10 +152,10 @@ class TestAlign:
     def test_all_negated_columns_flip_q(self):
         rng = np.random.default_rng(10)
         e = descending_embedding(rng, 30, 4)
-        neg = Embedding(-e.coords)
+        neg = PointBatch(-e.data)
         res = align(e, neg)
         assert np.all(res.signs_q == -1)
-        np.testing.assert_allclose(res.aligned_q.coords, res.aligned_p.coords,
+        np.testing.assert_allclose(res.aligned_q.data, res.aligned_p.data,
                                    atol=1e-12)
 
     @pytest.mark.parametrize("d,seed", [(2, 0), (3, 1), (4, 2), (5, 3)])
@@ -181,7 +166,7 @@ class TestAlign:
         signs = rng.choice([-1.0, 1.0], size=d)
         e2 = apply_signed_perm(e1, perm, signs)
         res = align(e1, e2)
-        np.testing.assert_allclose(res.aligned_q.coords, res.aligned_p.coords,
+        np.testing.assert_allclose(res.aligned_q.data, res.aligned_p.data,
                                    atol=1e-10)
         np.testing.assert_allclose(np.abs(np.diag(res.corr_after)), 1.0,
                                    atol=1e-10)
@@ -212,22 +197,22 @@ class TestAlign:
         e1 = descending_embedding(rng, 20, 4)
         e2 = apply_signed_perm(e1, [2, 0, 3, 1], [1, -1, 1, -1])
         res = align(e1, e2)
-        expect_p = e1.coords[:, res.permutation_p] * res.signs_p
-        expect_q = e2.coords[:, res.permutation_q] * res.signs_q
-        np.testing.assert_array_equal(res.aligned_p.coords, expect_p)
-        np.testing.assert_array_equal(res.aligned_q.coords, expect_q)
+        expect_p = e1.data[:, res.permutation_p] * res.signs_p
+        expect_q = e2.data[:, res.permutation_q] * res.signs_q
+        np.testing.assert_array_equal(res.aligned_p.data, expect_p)
+        np.testing.assert_array_equal(res.aligned_q.data, expect_q)
 
     def test_diagonal_nonnegative_after_alignment(self):
         rng = np.random.default_rng(15)
-        e1 = Embedding(rng.standard_normal((30, 5)))
-        e2 = Embedding(rng.standard_normal((30, 5)))
+        e1 = PointBatch(rng.standard_normal((30, 5)))
+        e2 = PointBatch(rng.standard_normal((30, 5)))
         res = align(e1, e2)
         assert np.all(np.diag(res.corr_after) >= -1e-12)
 
     def test_objective_not_worse_than_start(self):
         rng = np.random.default_rng(16)
-        e1 = Embedding(rng.standard_normal((50, 6)))
-        e2 = Embedding(e1.coords @ np.diag([1, -1, 1, 1, -1, 1])
+        e1 = PointBatch(rng.standard_normal((50, 6)))
+        e2 = PointBatch(e1.data @ np.diag([1, -1, 1, 1, -1, 1])
                        + 0.05 * rng.standard_normal((50, 6)))
         res = align(e1, e2)
         before = float(np.sum(np.abs(np.diag(res.corr_before))))
@@ -236,7 +221,7 @@ class TestAlign:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            align(Embedding(np.zeros((5, 2))), Embedding(np.zeros((5, 3))))
+            align(PointBatch(np.zeros((5, 2))), PointBatch(np.zeros((5, 3))))
 
     @settings(deadline=None, max_examples=150)
     @given(alignment_pairs())
@@ -253,9 +238,9 @@ class TestAlign:
         for perm, signs in [(res.permutation_p, res.signs_p), (res.permutation_q, res.signs_q)]:
             assert sorted(perm) == list(range(e1.dim)) and set(signs) <= {-1, 1}
         np.testing.assert_array_equal(
-            res.aligned_p.coords, e1.coords[:, res.permutation_p] * res.signs_p)
+            res.aligned_p.data, e1.data[:, res.permutation_p] * res.signs_p)
         np.testing.assert_array_equal(
-            res.aligned_q.coords, e2.coords[:, res.permutation_q] * res.signs_q)
+            res.aligned_q.data, e2.data[:, res.permutation_q] * res.signs_q)
         assert np.all(np.diag(res.corr_after) >= 0.0)
         np.testing.assert_allclose(
             res.corr_after, cross_correlation(res.aligned_p, res.aligned_q), rtol=0, atol=1e-12)
@@ -264,7 +249,7 @@ class TestAlign:
 class TestCrossCorrelation:
     def test_self_correlation_diagonal(self):
         rng = np.random.default_rng(17)
-        e = Embedding(rng.standard_normal((40, 3)))
+        e = PointBatch(rng.standard_normal((40, 3)))
         corr = cross_correlation(e, e)
         np.testing.assert_allclose(np.diag(corr), 1.0, atol=1e-12)
         np.testing.assert_allclose(corr, corr.T, atol=1e-12)
@@ -273,22 +258,23 @@ class TestCrossCorrelation:
         rng = np.random.default_rng(18)
         a = rng.standard_normal((30, 3))
         b = rng.standard_normal((30, 3))
-        corr = cross_correlation(Embedding(a), Embedding(b))
+        corr = cross_correlation(PointBatch(a), PointBatch(b))
         full = np.corrcoef(a, b, rowvar=False)
         np.testing.assert_allclose(corr, full[:3, 3:], atol=1e-12)
 
     def test_negation_flips_sign(self):
         rng = np.random.default_rng(19)
-        e = Embedding(rng.standard_normal((25, 2)))
-        corr = cross_correlation(e, Embedding(-e.coords))
+        e = PointBatch(rng.standard_normal((25, 2)))
+        corr = cross_correlation(e, PointBatch(-e.data))
         np.testing.assert_allclose(np.diag(corr), -1.0, atol=1e-12)
 
     def test_bits_do_not_depend_on_blas_threads(self):
         # align's corr_before/corr_after hashes must not depend on the host's BLAS setup
-        code = ("import sys; import numpy as np; from eccentric.analysis import Embedding, "
-                "cross_correlation; rng = np.random.default_rng(3); "
+        code = ("import sys; import numpy as np; from eccentric.analysis import "
+                "cross_correlation; from eccentric.kernel import PointBatch; "
+                "rng = np.random.default_rng(3); "
                 "a = rng.standard_normal((2000, 64)); b = a + rng.standard_normal((2000, 64)); "
-                "sys.stdout.write(cross_correlation(Embedding(a), Embedding(b)).tobytes().hex())")
+                "sys.stdout.write(cross_correlation(PointBatch(a), PointBatch(b)).tobytes().hex())")
         src = str(Path(analysis.__file__).parents[1])
         out = [subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
                               text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
@@ -299,9 +285,7 @@ class TestCrossCorrelation:
     def test_zero_variance_flags(self):
         a = np.array([[1.0, 0.5], [2.0, 0.5], [3.0, 0.5]])
         b = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 0.0]])
-        corr, flags = cross_correlation(Embedding(a), Embedding(b),
-                                        return_flags=True)
-        assert flags[1].all() and not flags[0].any()
+        corr = cross_correlation(PointBatch(a), PointBatch(b))
         assert np.all(corr[1] == 0.0)
         assert corr[0, 0] == pytest.approx(1.0, abs=1e-12)
 
@@ -309,7 +293,7 @@ class TestCrossCorrelation:
 class TestSimilarityMetrics:
     def test_identical_embeddings(self):
         rng = np.random.default_rng(20)
-        e = Embedding(rng.standard_normal((20, 4)))
+        e = PointBatch(rng.standard_normal((20, 4)))
         m = similarity_metrics(e, e)
         assert m.rms_distance == pytest.approx(0.0, abs=1e-15)
         assert m.mean_cosine == pytest.approx(1.0, abs=1e-12)
@@ -320,7 +304,7 @@ class TestSimilarityMetrics:
         # every row pair orthogonal at unit norm: distance sqrt(2), angle 90
         a = np.tile([1.0, 0.0], (6, 1))
         b = np.tile([0.0, 1.0], (6, 1))
-        m = similarity_metrics(Embedding(a), Embedding(b))
+        m = similarity_metrics(PointBatch(a), PointBatch(b))
         assert m.rms_distance == pytest.approx(math.sqrt(2), rel=1e-14)
         assert m.mean_cosine == pytest.approx(0.0, abs=1e-14)
         assert m.mean_angle_deg == pytest.approx(90.0, rel=1e-12)
@@ -329,7 +313,7 @@ class TestSimilarityMetrics:
         rng = np.random.default_rng(21)
         a = rng.standard_normal((15, 3))
         b = rng.standard_normal((15, 3))
-        m = similarity_metrics(Embedding(a), Embedding(b))
+        m = similarity_metrics(PointBatch(a), PointBatch(b))
         sq = [float(np.sum((x - y) ** 2)) for x, y in zip(a, b)]
         cosines = [float(x @ y / (np.linalg.norm(x) * np.linalg.norm(y)))
                    for x, y in zip(a, b)]
@@ -341,12 +325,12 @@ class TestSimilarityMetrics:
     def test_zero_rows_excluded(self):
         a = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]])
         b = np.array([[1.0, 0.0], [5.0, 5.0], [0.0, 2.0]])
-        m = similarity_metrics(Embedding(a), Embedding(b))
+        m = similarity_metrics(PointBatch(a), PointBatch(b))
         assert m.excluded_rows == 1
         assert m.mean_cosine == pytest.approx(1.0, abs=1e-12)
 
     def test_all_zero_raises(self):
-        z = Embedding(np.zeros((3, 2)))
+        z = PointBatch(np.zeros((3, 2)))
         with pytest.raises(ValueError):
             similarity_metrics(z, z)
 
@@ -381,6 +365,23 @@ class TestSampleLatents:
         with pytest.warns(UserWarning, match="rank-deficient"):
             sample_latents("matched", ref, 5, 3, seed=0)
 
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(2, 40), st.integers(1, 16), st.floats(-3.0, 3.0),
+           st.integers(0, 2**32 - 1))
+    def test_matches_covariance_factor_oracle(self, n, d, log_scale, seed):
+        # oracle: the former sampler, with its own covariance and eigh
+        rng = np.random.default_rng(seed)
+        ref = 10.0 ** log_scale * rng.standard_normal((n, d)) + rng.standard_normal(d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # n < d + 1 is rank-deficient
+            got = sample_latents("matched", PointBatch(ref), 7, d, seed=seed).data
+        mean = ref.mean(axis=0)
+        centered = ref - mean
+        evals, evecs = np.linalg.eigh(centered.T @ centered / (n - 1))
+        factor = evecs @ np.diag(np.sqrt(np.maximum(evals, 0.0))) @ evecs.T
+        want = mean + np.random.default_rng(seed).standard_normal((7, d)) @ factor
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             sample_latents("uniform", None, 5, 2, seed=0)
@@ -407,6 +408,26 @@ class TestDecodeEigenComponents:
         for plus, minus in decode_eigen_components(lambda z: z, rep, scale=0.0):
             np.testing.assert_allclose(plus, rep.mean, atol=1e-15)
             np.testing.assert_allclose(minus, rep.mean, atol=1e-15)
+
+    def test_one_call_matches_per_component_loop(self):
+        # oracle: the former loop, one forward call per decoded row
+        rng = np.random.default_rng(26)
+        net = DenseNet.initialize(DenseNetSpec((4, 8, 5), ("leaky-relu", "sigmoid")), rng)
+        rep = spectrum(PointBatch(rng.standard_normal((60, 4)) @ rng.standard_normal((4, 4))))
+        calls = []
+
+        def decode(z):
+            calls.append(z.shape)
+            return net.forward(z)
+
+        got = decode_eigen_components(decode, rep, scale=1.5)
+        assert calls == [(8, 4)] and got.shape == (4, 2, 5)
+        for k in range(4):
+            step = 1.5 * math.sqrt(max(float(rep.eigenvalues[k]), 0.0)) * rep.eigenvectors[:, k]
+            plus = net.forward((rep.mean + step)[None, :])[0]
+            minus = net.forward((rep.mean - step)[None, :])[0]
+            np.testing.assert_allclose(got[k, 0], plus, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got[k, 1], minus, rtol=0, atol=1e-12)
 
 
 class TestKnnClassify:

@@ -236,9 +236,9 @@ class TestEncodeDataset:
         np.testing.assert_array_equal(out_perm.data, out.data[perm])
 
     def test_empty_dataset(self):
-        rng = np.random.default_rng(13)
-        encoder, _ = tiny_nets(rng)
-        assert encode_dataset(encoder, Dataset(np.zeros((0, 4)))) is None
+        # a dataset has at least one row, so encode_dataset always has a batch to return
+        with pytest.raises(ValueError, match="empty dataset"):
+            Dataset(np.zeros((0, 4)))
 
 
 class TestCheckpoint:

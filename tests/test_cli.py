@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 import tempfile
 import warnings
 from pathlib import Path
@@ -372,6 +373,17 @@ class TestAnalysisPipeline:
         assert run(["sample", "--mode", "matched", "--n", "5", "--dim", "2",
                     "--seed", "0", "--out-dir", str(tmp_path)]) == 1
 
+    def test_one_row_matched_reference(self, tmp_path, capsys):
+        ref = tmp_path / "ref.csv"
+        write_embedding_csv(ref, np.ones((1, 3)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["sample", "--mode", "matched", "--reference", str(ref),
+                        "--n", "5", "--dim", "3", "--out-dir", str(tmp_path / "s")]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "at least 2 points" in err
+        assert caught == [] and "rank-deficient" not in err
+
 
 class TestExitCodes:
     def test_missing_input_file(self, tmp_path):
@@ -430,6 +442,49 @@ class TestExitCodes:
                     "--out-dir", str(tmp_path / "out")]) == 1
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_empty_idx_pair(self, tmp_path, capsys):
+        images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
+        images.write_bytes(struct.pack(">iiii", 0x803, 0, 2, 2))
+        labels.write_bytes(struct.pack(">ii", 0x801, 0))
+        spec = DenseNetSpec((4, 32, 32, 2), ("leaky-relu", "leaky-relu", "identity"))
+        ckpt = tmp_path / "enc.bin"
+        save_checkpoint(DenseNet.initialize(spec, np.random.default_rng(0)), ckpt)
+        assert run(["encode", "--dataset", "idx", "--images", str(images),
+                    "--labels", str(labels), "--checkpoint", str(ckpt),
+                    "--out-dir", str(tmp_path / "enc")]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dataset", ["noisy-ring", "swiss-roll"])
+    def test_empty_generated_dataset(self, tmp_path, capsys, dataset):
+        assert run(["encode", "--dataset", dataset, "--data-n", "0",
+                    "--out-dir", str(tmp_path / "enc")]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "n must be >= 1, got 0" in err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["solve-radius", "--dim", "4", "--mu", "1", "--big-n", "inf"], "big_n"),
+        (["solve-radius", "--dim", "4", "--mu", "nan", "--big-n", "1"], "mu"),
+        (["force-profile", "--mu", "nan", "--big-n", "4", "--r-max", "8", "--steps", "5"],
+         "mu"),
+        (["force-profile", "--mu", "1", "--big-n", "4", "--r-max", "inf", "--steps", "5"],
+         "r_max"),
+        (["simulate", "--dim", "3", "--mu", "nan", "--big-n", "4", "--count", "4",
+          "--steps", "2", "--step-size", "0.1"], "mu"),
+        (["simulate", "--dim", "3", "--mu", "1", "--big-n", "inf", "--count", "4",
+          "--steps", "2", "--step-size", "0.1"], "big_n"),
+        (["train", "--data-n", "20", "--batch-size", "10", "--auto-n", "--lam", "nan"],
+         "lam"),
+        (["sweep-radius", "--dims", "3", "--mu-step", "nan"], "mu_step"),
+        (["sweep-radius", "--dims", "3", "--mu-step", "inf"], "mu_step"),
+    ], ids=["solve-radius-big-n-inf", "solve-radius-mu-nan", "force-profile-mu-nan",
+            "force-profile-r-max-inf", "simulate-mu-nan", "simulate-big-n-inf",
+            "train-lam-nan", "sweep-radius-mu-step-nan", "sweep-radius-mu-step-inf"])
+    def test_non_finite_parameter(self, tmp_path, capsys, argv, named):
+        assert run(argv + ["--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {named} must be finite" in err or f"finite {named}" in err
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_numerical_failure_is_exit_2(self, tmp_path):
         # a divergent step size must be reported as a numerical failure

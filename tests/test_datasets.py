@@ -37,6 +37,12 @@ class TestDataset:
         d = Dataset(np.zeros((4, 2)))
         assert d.count == 4 and d.width == 2
 
+    @pytest.mark.parametrize("generator", [noisy_ring, swiss_roll_slice])
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_generators_reject_no_points(self, generator, n):
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+            generator(n=n)
+
 
 class TestGenerators:
     @pytest.mark.parametrize("name", sorted(GENERATORS))

@@ -73,6 +73,19 @@ class TestPointBatch:
         with pytest.raises(ValueError):
             PointBatch(np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        data = np.ones((4, 3))
+        data[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            PointBatch(data)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0)], ids=["no-rows", "no-columns"])
+    def test_rejects_empty(self, shape):
+        # a label-only embedding CSV reads as (rows, 0)
+        with pytest.raises(ValueError, match="empty batch"):
+            PointBatch(np.zeros(shape))
+
 
 class TestPairKernel:
     def test_origin_is_zero(self):
