@@ -222,6 +222,8 @@ def decode_eigen_components(decode, rep: SpectrumReport, scale: float) -> np.nda
     (d, 2, out) array whose entry k is the (plus, minus) pair of component k,
     by descending eigenvalue.
     """
+    if not math.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale}")
     d = rep.eigenvalues.shape[0]
     steps = (rep.eigenvectors * (scale * np.sqrt(np.maximum(rep.eigenvalues, 0.0)))).T
     rows = np.stack([rep.mean + steps, rep.mean - steps], axis=1).reshape(2 * d, d)

@@ -190,6 +190,9 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 2 (pair loss needs pairs), got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
+        for name in ("learning_rate", "weight_decay"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

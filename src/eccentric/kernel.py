@@ -23,7 +23,7 @@ __all__ = [
     "choose_big_n",
     "pair_kernel",
     "batch_loss",
-    "batch_loss_gram",
+    "batch_gradient",
     "batch_loss_and_gradient",
 ]
 
@@ -120,50 +120,46 @@ def pair_kernel(z_i: np.ndarray, z_j: np.ndarray, params: ParamSet) -> float:
     return quad - params.mu * params.big_n * np.log1p(sq / params.big_n)
 
 
-def _check_batch(batch: PointBatch, params: ParamSet):
+_PAIR_BLOCK_ROWS = 128  # rows of the b x b distance matrix held at once
+
+
+def _pair_pass(batch: PointBatch, params: ParamSet, want_loss: bool, want_grad: bool):
+    """(loss or None, gradient or None) from one distance pass in row blocks.
+
+    Each block holds |z_i - z_j|^2 / N for its rows i (computed directly: the
+    Gram expansion can go negative from cancellation), then becomes the
+    weights w_ij in place.  The diagonal adds log(1+0) = 0 and w_ii * 0.
+    """
     if batch.dim != params.dim:
         raise ValueError(f"batch dim {batch.dim} != params dim {params.dim}")
     if batch.count < 2:
         raise ValueError(f"loss needs at least 2 points, got {batch.count}")
-
-
-def _loss(batch: PointBatch, params: ParamSet) -> tuple[float, np.ndarray]:
-    """batch_loss, plus the matrix |z_i - z_j|^2 / N of its one distance pass.
-
-    Squared distances are computed directly (not via the Gram expansion,
-    which can go negative from cancellation).  The diagonal contributes
-    log(1+0) = 0, so the full distance matrix is summed without masking.
-    """
-    _check_batch(batch, params)
-    z = batch.data
-    b = batch.count
-    sq = cdist(z, z, "sqeuclidean")
-    sq /= params.big_n
-    quad = float(np.sum(z * z)) / b
-    rep = params.mu * params.big_n * float(np.sum(np.log1p(sq)))
-    return quad - rep / (b * (b - 1)), sq
+    z, b = batch.data, batch.count
+    log_sum, rep = 0.0, np.empty_like(z)
+    for lo in range(0, b, _PAIR_BLOCK_ROWS):
+        rows = z[lo:lo + _PAIR_BLOCK_ROWS]
+        w = cdist(rows, z, "sqeuclidean")
+        w /= params.big_n
+        if want_loss:
+            log_sum += float(np.sum(np.log1p(w)))
+        if want_grad:
+            w += 1.0
+            np.reciprocal(w, out=w)
+            rep[lo:lo + _PAIR_BLOCK_ROWS] = w.sum(axis=1)[:, None] * rows - w @ z
+    pairs = b * (b - 1)
+    loss = float(np.sum(z * z)) / b - params.mu * params.big_n * log_sum / pairs
+    grad = (2.0 / b) * z - (4.0 * params.mu / pairs) * rep if want_grad else None
+    return (loss if want_loss else None), grad
 
 
 def batch_loss(batch: PointBatch, params: ParamSet) -> float:
     """Mean of pair_kernel over all ordered pairs i != j."""
-    return _loss(batch, params)[0]
+    return _pair_pass(batch, params, want_loss=True, want_grad=False)[0]
 
 
-def batch_loss_gram(batch: PointBatch, params: ParamSet) -> float:
-    """Same loss via the dot-product (Gram) expansion of pairwise distances.
-
-    Kept as an independent cross-check path; cancellation can push the
-    expanded squared distances slightly negative, so they are clamped at 0.
-    """
-    _check_batch(batch, params)
-    z = batch.data
-    b = batch.count
-    big_n = params.big_n
-    xx = np.sum(z * z, axis=1)
-    sq = xx[:, None] + xx[None, :] - 2.0 * (z @ z.T)
-    np.maximum(sq, 0.0, out=sq)
-    rep = params.mu * big_n * float(np.sum(np.log1p(sq / big_n))) / (b - 1)
-    return (float(np.sum(xx)) - rep) / b
+def batch_gradient(batch: PointBatch, params: ParamSet) -> np.ndarray:
+    """The gradient of batch_loss_and_gradient, without evaluating the loss."""
+    return _pair_pass(batch, params, want_loss=False, want_grad=True)[1]
 
 
 def batch_loss_and_gradient(batch: PointBatch, params: ParamSet) -> tuple[float, np.ndarray]:
@@ -171,13 +167,7 @@ def batch_loss_and_gradient(batch: PointBatch, params: ParamSet) -> tuple[float,
 
     Row i of the gradient is
     (2/b) z_i - (4 mu / (b(b-1))) * sum_{j != i} w_ij (z_i - z_j)
-    with w_ij = 1 / (1 + |z_i - z_j|^2 / N), computed in place in the
-    distance matrix.  The j = i term is w_ii * 0, so the unmasked
-    contraction below is exact.
+    with w_ij = 1 / (1 + |z_i - z_j|^2 / N).  The loss is bit-identical to
+    batch_loss and the gradient to batch_gradient.
     """
-    loss, w = _loss(batch, params)
-    w += 1.0
-    np.reciprocal(w, out=w)
-    z, b = batch.data, batch.count
-    rep = w.sum(axis=1)[:, None] * z - w @ z
-    return loss, (2.0 / b) * z - (4.0 * params.mu / (b * (b - 1))) * rep
+    return _pair_pass(batch, params, want_loss=True, want_grad=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import SpectrumReport, spectrum
-from .kernel import ParamSet, PointBatch, batch_loss, batch_loss_and_gradient
+from .kernel import ParamSet, PointBatch, batch_gradient, batch_loss, batch_loss_and_gradient
 
 __all__ = ["SimConfig", "SimReport", "DivergenceError", "simulate", "radial_stats"]
 
@@ -40,8 +40,10 @@ class SimConfig:
             raise ValueError(f"count must be >= 2, got {self.count}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.step_size < 0:
-            raise ValueError(f"step_size must be nonnegative, got {self.step_size}")
+        if not 0 <= self.step_size < np.inf:
+            raise ValueError(f"step_size must be finite and nonnegative, got {self.step_size}")
+        if not np.isfinite(self.init_scale):
+            raise ValueError(f"init_scale must be finite, got {self.init_scale}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
@@ -82,10 +84,12 @@ def simulate(config: SimConfig, init: np.ndarray | None = None) -> SimReport:
     for step in range(config.steps):
         # overflow here is reported as DivergenceError, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            loss, grad = batch_loss_and_gradient(PointBatch(z), params)
+            if step % config.record_every == 0:
+                loss, grad = batch_loss_and_gradient(PointBatch(z), params)
+                trace.append(loss)
+            else:
+                grad = batch_gradient(PointBatch(z), params)
             z = z - config.step_size * grad
-        if step % config.record_every == 0:
-            trace.append(loss)
         if not np.all(np.isfinite(z)):
             raise DivergenceError(step)
 

@@ -26,9 +26,9 @@ from eccentric.kernel import (
     PointBatch,
     batch_loss,
     batch_loss_and_gradient,
-    batch_loss_gram,
     choose_big_n,
 )
+from kernel_oracles import batch_loss_gram
 from eccentric.particles import SimConfig, simulate
 from eccentric.radius import (
     force_profile,

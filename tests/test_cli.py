@@ -353,6 +353,19 @@ class TestAnalysisPipeline:
         assert lines[0] == "component,sign,o0,o1"
         assert len(lines) == 1 + 2 * 2  # one +- pair per latent dimension
 
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_decode_components_non_finite_scale(self, tmp_path, capsys, scale):
+        train_dir = tmp_path / "train"
+        run_ok(["train", "--dataset", "noisy-ring", "--data-n", "20",
+                "--data-seed", "1", "--latent-dim", "2", "--mu", "1.0", "--auto-n",
+                "--batch-size", "10", "--hidden", "4", "--out-dir", str(train_dir)])
+        out = tmp_path / "dec"
+        assert run(["decode-components", "--input", str(train_dir / "embedding.csv"),
+                    "--checkpoint", str(train_dir / "decoder.bin"), "--hidden", "4",
+                    "--output-width", "2", "--scale", scale, "--out-dir", str(out)]) == 1
+        assert "error: scale must be finite" in capsys.readouterr().err
+        assert not (out / "components.csv").exists()
+
     def test_sample_modes(self, tmp_path):
         std_dir = tmp_path / "std"
         run_ok(["sample", "--mode", "standard", "--n", "50", "--dim", "3",
@@ -477,9 +490,23 @@ class TestExitCodes:
          "lam"),
         (["sweep-radius", "--dims", "3", "--mu-step", "nan"], "mu_step"),
         (["sweep-radius", "--dims", "3", "--mu-step", "inf"], "mu_step"),
+        (["simulate", "--dim", "3", "--mu", "1", "--auto-n", "--count", "4",
+          "--steps", "2", "--step-size", "nan"], "step_size"),
+        (["simulate", "--dim", "3", "--mu", "1", "--auto-n", "--count", "4",
+          "--steps", "2", "--step-size", "inf"], "step_size"),
+        (["simulate", "--dim", "3", "--mu", "1", "--auto-n", "--count", "4",
+          "--steps", "2", "--step-size", "0.1", "--init-scale", "nan"], "init_scale"),
+        (["simulate", "--dim", "3", "--mu", "1", "--auto-n", "--count", "4",
+          "--steps", "2", "--step-size", "0.1", "--init-scale", "inf"], "init_scale"),
+        (["train", "--data-n", "20", "--batch-size", "10", "--auto-n",
+          "--learning-rate", "nan"], "learning_rate"),
+        (["train", "--data-n", "20", "--batch-size", "10", "--auto-n",
+          "--weight-decay", "nan"], "weight_decay"),
     ], ids=["solve-radius-big-n-inf", "solve-radius-mu-nan", "force-profile-mu-nan",
             "force-profile-r-max-inf", "simulate-mu-nan", "simulate-big-n-inf",
-            "train-lam-nan", "sweep-radius-mu-step-nan", "sweep-radius-mu-step-inf"])
+            "train-lam-nan", "sweep-radius-mu-step-nan", "sweep-radius-mu-step-inf",
+            "simulate-step-size-nan", "simulate-step-size-inf", "simulate-init-scale-nan",
+            "simulate-init-scale-inf", "train-learning-rate-nan", "train-weight-decay-nan"])
     def test_non_finite_parameter(self, tmp_path, capsys, argv, named):
         assert run(argv + ["--out-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err

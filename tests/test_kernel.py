@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from eccentric import kernel
 from eccentric.kernel import (
     ParamSet,
     PointBatch,
+    batch_gradient,
     batch_loss,
     batch_loss_and_gradient,
-    batch_loss_gram,
     choose_big_n,
     pair_kernel,
 )
+from kernel_oracles import batch_loss_gram, unblocked_loss_and_gradient
 
 
 def random_params(dim, mu=1.0):
@@ -244,3 +246,38 @@ class TestBatchLossGradient:
         l1, g1 = batch_loss_and_gradient(PointBatch(z), p)
         l2, g2 = batch_loss_and_gradient(PointBatch(z), p)
         assert l1 == l2 and np.array_equal(g1, g2)
+
+
+BLOCK = kernel._PAIR_BLOCK_ROWS  # rows of the distance matrix per block
+
+
+class TestRowBlocks:
+    # the unblocked formula over the whole b x b matrix is the oracle
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.one_of(st.sampled_from([2, BLOCK - 1, BLOCK, BLOCK + 1]), st.integers(2, 300)),
+           st.integers(2, 8), st.integers(0, 2**31 - 1))
+    @example(count=BLOCK - 1, dim=5, seed=0)
+    @example(count=BLOCK + 1, dim=5, seed=0)
+    @example(count=2 * BLOCK + 1, dim=5, seed=0)
+    def test_matches_unblocked_formula(self, count, dim, seed):
+        rng = np.random.default_rng(seed)
+        p = random_params(dim, mu=float(rng.uniform(1.0, 3.0)))
+        z = rng.standard_normal((count, dim)) * rng.uniform(0.1, 3.0)
+        batch = PointBatch(z)
+        want_loss, want_grad = unblocked_loss_and_gradient(batch, p)
+        # as in test_rotation_invariance: where the two terms of the loss
+        # nearly cancel, its relative rounding error says nothing of the kernel
+        assume(abs(want_loss) >= 1e-3 * np.sum(z * z) / count)
+        loss, grad = batch_loss_and_gradient(batch, p)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
+        assert batch_loss(batch, p) == loss
+        assert np.array_equal(batch_gradient(batch, p), grad)
+
+    def test_gradient_without_loss_checks_batch(self):
+        p = ParamSet(dim=3, mu=1.0, big_n=6.0)
+        with pytest.raises(ValueError):
+            batch_gradient(PointBatch(np.zeros((1, 3))), p)
+        with pytest.raises(ValueError):
+            batch_gradient(PointBatch(np.zeros((4, 2))), p)

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from eccentric.kernel import ParamSet, PointBatch, choose_big_n
+from eccentric.kernel import (
+    ParamSet,
+    PointBatch,
+    batch_loss,
+    batch_loss_and_gradient,
+    choose_big_n,
+)
 from eccentric.particles import (
     DivergenceError,
     SimConfig,
@@ -32,6 +38,23 @@ class TestRadialStats:
         mean, std = radial_stats(PointBatch(z))
         assert mean == pytest.approx(3.0, rel=1e-12)
         assert std < 1e-12
+
+
+def descend_with_loss_every_step(cfg, init):
+    """Oracle descent: the fused loss and gradient on every step.
+
+    Returns the iterates at the record steps and the final one, or the step
+    at which a coordinate first became non-finite.
+    """
+    z, recorded = init, []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(cfg.steps):
+            if step % cfg.record_every == 0:
+                recorded.append(z)
+            z = z - cfg.step_size * batch_loss_and_gradient(PointBatch(z), cfg.params)[1]
+            if not np.all(np.isfinite(z)):
+                return step
+    return recorded + [z]
 
 
 class TestSimConfig:
@@ -121,6 +144,28 @@ class TestSimulate:
         with pytest.raises(DivergenceError) as exc:
             simulate(cfg, init=init)
         assert exc.value.step >= 0
+
+    def test_loss_trace_is_loss_of_recorded_iterates(self):
+        # the loss is computed only on record steps; it must be the loss of
+        # the iterate the plain every-step descent reaches there
+        p = params_for(6)
+        init = 0.5 * np.random.default_rng(4).standard_normal((150, 6))
+        cfg = SimConfig(params=p, count=150, steps=23, step_size=0.1, record_every=5)
+        report = simulate(cfg, init=init)
+        iterates = descend_with_loss_every_step(cfg, init)
+        assert len(report.loss_trace) == len(iterates) == 6
+        assert report.loss_trace == [batch_loss(PointBatch(z), p) for z in iterates]
+        assert np.array_equal(report.final_batch.data, iterates[-1])
+
+    def test_divergence_step_unchanged_off_record_steps(self):
+        p = ParamSet(dim=3, mu=1.0, big_n=6.0)
+        init = np.random.default_rng(0).standard_normal((4, 3))
+        cfg = SimConfig(params=p, count=4, steps=100, step_size=2e10, record_every=7)
+        expected = descend_with_loss_every_step(cfg, init)
+        assert expected == 30  # not a record step
+        with pytest.raises(DivergenceError) as exc:
+            simulate(cfg, init=init)
+        assert exc.value.step == expected
 
     def test_init_shape_checked(self):
         p = params_for(3)
