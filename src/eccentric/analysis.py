@@ -8,7 +8,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .kernel import PointBatch
 
@@ -241,6 +240,8 @@ def knn_classify(train_coords: np.ndarray, train_labels: np.ndarray,
     are held for one block of test rows at a time.  Returns (predictions,
     error_rate) where error_rate is None unless truth labels are given.
     """
+    from scipy.spatial.distance import cdist  # imported here, as in kernel._pair_pass
+
     train_coords = np.asarray(train_coords, dtype=np.float64)
     test_coords = np.asarray(test_coords, dtype=np.float64)
     train_labels = np.asarray(train_labels)

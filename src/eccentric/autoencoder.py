@@ -34,24 +34,19 @@ _ACTIVATIONS = ("identity", "relu", "leaky-relu", "sigmoid")
 CHECKPOINT_MAGIC = b"EAE1"
 
 
-def _act(tag: str, pre: np.ndarray) -> np.ndarray:
+def _act(tag: str, pre: np.ndarray):
+    """(output, derivative) of an activation; the derivative is None for identity."""
     if tag == "identity":
-        return pre
+        return pre, None
     if tag == "relu":
-        return np.maximum(pre, 0.0)
+        return np.maximum(pre, 0.0), (pre > 0.0).astype(np.float64)
     if tag == "leaky-relu":
-        return np.where(pre > 0.0, pre, LEAKY_SLOPE * pre)
-    return 1.0 / (1.0 + np.exp(-pre))  # sigmoid
-
-
-def _act_grad(tag: str, pre: np.ndarray, out: np.ndarray) -> np.ndarray:
-    if tag == "identity":
-        return np.ones_like(pre)
-    if tag == "relu":
-        return (pre > 0.0).astype(np.float64)
-    if tag == "leaky-relu":
-        return np.where(pre > 0.0, 1.0, LEAKY_SLOPE)
-    return out * (1.0 - out)  # sigmoid
+        slope = np.where(pre > 0.0, 1.0, LEAKY_SLOPE)
+        return pre * slope, slope
+    # sigmoid: exp(-pre) overflows to inf below pre = -709, where 1/(1+inf) = 0 is exact
+    with np.errstate(over="ignore"):
+        out = 1.0 / (1.0 + np.exp(-pre))
+    return out, out * (1.0 - out)
 
 
 @dataclass(frozen=True)
@@ -93,7 +88,7 @@ class DenseNetSpec:
 
 
 class DenseNet:
-    """Fully connected network with explicit forward/backward passes.
+    """Fully connected network; total_loss_gradients differentiates it.
 
     Weights W have shape (fan_in, fan_out); a layer computes x @ W + b
     followed by its activation.  All parameters live in one float64 vector
@@ -124,41 +119,23 @@ class DenseNet:
             w[...] = rng.uniform(-bound, bound, size=w.shape)
         return net
 
-    def forward(self, x: np.ndarray, with_cache: bool = False):
+    def forward(self, x: np.ndarray, cache: list | None = None) -> np.ndarray:
+        """Apply the network to a batch or one vector.  Given a ``cache`` list,
+        append (input, activation derivative) per layer for the backward loop.
+        """
         x = np.asarray(x, dtype=np.float64)
         squeeze = x.ndim == 1
         if squeeze:
             x = x[None, :]
         if x.shape[1] != self.spec.in_width:
             raise ValueError(f"input width {x.shape[1]} != spec width {self.spec.in_width}")
-        cache = []
         out = x
         for w, b, tag in zip(self.weights, self.biases, self.spec.activations):
-            pre = out @ w + b
-            new = _act(tag, pre)
-            cache.append((out, pre, new))
-            out = new
-        if squeeze:
-            out = out[0]
-        if with_cache:
-            return out, cache
-        return out
-
-    def backward(self, cache, grad_out: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """Propagate grad_out back through a cached forward pass.
-
-        Writes the parameter gradients, summed over the batch axis, into
-        ``grad`` (laid out like ``vec``) and returns the input gradient.
-        """
-        grads = DenseNet(self.spec, grad)  # per-layer views of grad
-        g = np.asarray(grad_out, dtype=np.float64)
-        for i in range(len(self.weights) - 1, -1, -1):
-            inp, pre, out = cache[i]
-            g = g * _act_grad(self.spec.activations[i], pre, out)
-            grads.weights[i][...] = inp.T @ g
-            grads.biases[i][...] = g.sum(axis=0)
-            g = g @ self.weights[i].T
-        return g
+            inp = out
+            out, slope = _act(tag, inp @ w + b)
+            if cache is not None:
+                cache.append((inp, slope))
+        return out[0] if squeeze else out
 
 
 @dataclass(frozen=True)
@@ -222,28 +199,36 @@ def total_loss_gradients(x: np.ndarray, encoder: DenseNet, decoder: DenseNet,
     """Loss values plus the gradient of the total loss in every parameter.
 
     Returns (recon, reg, total, grad) where grad is one vector: the encoder's
-    ``vec`` layout followed by the decoder's.
+    ``vec`` layout followed by the decoder's.  One backward loop runs over
+    the layers of both nets; the regularizer's gradient joins it at the
+    latent codes, the output of the encoder's last layer.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] < 2:
         raise ValueError(f"batch must have >= 2 items, got {x.shape[0]}")
-    b = x.shape[0]
-    z, enc_cache = encoder.forward(x, with_cache=True)
-    x_hat, dec_cache = decoder.forward(z, with_cache=True)
+    cache = []
+    z = encoder.forward(x, cache)
+    x_hat = decoder.forward(z, cache)
     recon = float(np.mean(np.sum((x - x_hat) ** 2, axis=1)))
-
-    grad = np.empty(encoder.vec.size + decoder.vec.size)
-    grad_xhat = 2.0 * (x_hat - x) / b
-    grad_z = decoder.backward(dec_cache, grad_xhat, grad[encoder.vec.size:])
     if params.lam > 0:
-        # latent codes also feed the regularizer directly
         reg, grad_reg = batch_loss_and_gradient(PointBatch(z), params)
-        grad_z = grad_z + params.lam * grad_reg
     else:
         # lam = 0 reduces to a plain reconstruction autoencoder
-        reg = 0.0
-    encoder.backward(enc_cache, grad_z, grad[:encoder.vec.size])
-    return recon, reg, recon + params.lam * reg, grad
+        reg, grad_reg = 0.0, None
+    weights = encoder.weights + decoder.weights
+    latent = len(encoder.weights) - 1
+    g = 2.0 * (x_hat - x) / x.shape[0]
+    parts = []  # per layer, last first: bias gradient, then weight gradient
+    for i in range(len(weights) - 1, -1, -1):
+        if i == latent and grad_reg is not None:
+            g = g + params.lam * grad_reg
+        inp, slope = cache[i]
+        if slope is not None:
+            g = g * slope
+        parts += [g.sum(axis=0), (inp.T @ g).ravel()]
+        if i > 0:  # the data's own gradient is never needed
+            g = g @ weights[i].T
+    return recon, reg, recon + params.lam * reg, np.concatenate(parts[::-1])
 
 
 class _Adam:

@@ -74,13 +74,17 @@ def _out_file(out: Path, name: str) -> Path:
     return out / name
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(v) for v in str(text).split(",") if v != ""]
+def _parse_int_list(text: str, flag: str) -> list[int]:
+    """Comma-separated integers; "" is the empty list, an empty entry is an error."""
+    try:
+        return [int(v) for v in text.split(",")] if text else []
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
 def _net_specs(hidden: str, latent: int, width: int):
     """Encoder width -> hidden -> latent and decoder latent -> hidden -> width."""
-    sizes = _parse_int_list(hidden)
+    sizes = _parse_int_list(hidden, "--hidden")
     acts = ("leaky-relu",) * len(sizes)
     return (autoencoder.DenseNetSpec((width, *sizes, latent), acts + ("identity",)),
             autoencoder.DenseNetSpec((latent, *sizes, width), acts + ("sigmoid",)))
@@ -114,7 +118,7 @@ def _cmd_solve_radius(cfg, out):
 
 
 def _cmd_sweep_radius(cfg, out):
-    dims = _parse_int_list(cfg["dims"])
+    dims = _parse_int_list(cfg["dims"], "--dims")
     rows = radius.sweep_radius(dims, mu_step=cfg["mu_step"])
     path = _out_file(out, cfg["out"])
     io.write_csv(path, ["d", "max_percent_diff"], rows)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 __all__ = [
     "ParamSet",
@@ -130,6 +129,9 @@ def _pair_pass(batch: PointBatch, params: ParamSet, want_loss: bool, want_grad: 
     Gram expansion can go negative from cancellation), then becomes the
     weights w_ij in place.  The diagonal adds log(1+0) = 0 and w_ii * 0.
     """
+    # imported here: scipy.spatial adds ~0.5 s to every CLI start
+    from scipy.spatial.distance import cdist
+
     if batch.dim != params.dim:
         raise ValueError(f"batch dim {batch.dim} != params dim {params.dim}")
     if batch.count < 2:

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from .kernel import ParamSet, choose_big_n
 
@@ -129,6 +128,9 @@ def _hyp2f1_pfaff(dim: np.ndarray, x: np.ndarray) -> np.ndarray:
     n << d and like n^(-(d+1)/2) even at x = 1, so SERIES_TERMS terms leave
     a tail below 3e-17.
     """
+    # imported here: scipy.special adds ~0.25 s to every CLI start
+    from scipy.special import hyp2f1
+
     out = np.empty_like(x)
     small = dim < SERIES_MIN_DIM
     out[small] = hyp2f1(1.0, 0.5 * (dim[small] - 1.0), dim[small], x[small])

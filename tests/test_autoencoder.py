@@ -22,9 +22,12 @@ def latent_params(dim=2, mu=1.0, lam=0.0):
     return ParamSet(dim=dim, mu=mu, big_n=choose_big_n(dim, mu), lam=lam)
 
 
-def tiny_nets(rng, in_width=4, latent=2, hidden=6, act="leaky-relu"):
-    enc_spec = DenseNetSpec((in_width, hidden, latent), (act, "identity"))
-    dec_spec = DenseNetSpec((latent, hidden, in_width), (act, "sigmoid"))
+def tiny_nets(rng, in_width=4, latent=2, enc_hidden=(6,), dec_hidden=(6,),
+              act="leaky-relu"):
+    enc_spec = DenseNetSpec((in_width, *enc_hidden, latent),
+                            (act,) * len(enc_hidden) + ("identity",))
+    dec_spec = DenseNetSpec((latent, *dec_hidden, in_width),
+                            (act,) * len(dec_hidden) + ("sigmoid",))
     return (DenseNet.initialize(enc_spec, rng),
             DenseNet.initialize(dec_spec, rng))
 
@@ -68,6 +71,12 @@ class TestDenseNetForward:
         assert out.shape == (2,)
         np.testing.assert_array_equal(out, net.forward(x[None, :])[0])
 
+    def test_sigmoid_saturates_without_overflow_warning(self):
+        # exp(1000) overflows to inf; the suite turns the RuntimeWarning into an error
+        net = DenseNet(DenseNetSpec((1, 1), ("sigmoid",)), np.array([1.0, 0.0]))
+        np.testing.assert_array_equal(net.forward(np.array([[-1000.0], [1000.0]])),
+                                      [[0.0], [1.0]])
+
     def test_width_mismatch(self):
         spec = DenseNetSpec((3, 2), ("identity",))
         net = DenseNet.initialize(spec, np.random.default_rng(2))
@@ -106,10 +115,18 @@ def fd_param_gradients(x, encoder, decoder, params, h=1e-6):
 
 
 class TestGradients:
-    @pytest.mark.parametrize("act", ["identity", "leaky-relu", "sigmoid"])
-    def test_whole_network_finite_differences(self, act):
+    @pytest.mark.parametrize("act, enc_hidden, dec_hidden", [
+        pytest.param("identity", (6,), (6,), id="identity"),
+        pytest.param("leaky-relu", (6,), (6,), id="leaky-relu"),
+        pytest.param("sigmoid", (6,), (6,), id="sigmoid"),
+        # unequal depths: the regularizer's gradient must enter at the latent codes
+        pytest.param("leaky-relu", (6, 5), (6,), id="deeper-encoder"),
+        pytest.param("leaky-relu", (6,), (5, 6), id="deeper-decoder"),
+    ])
+    def test_whole_network_finite_differences(self, act, enc_hidden, dec_hidden):
         rng = np.random.default_rng(5)
-        encoder, decoder = tiny_nets(rng, act=act)
+        encoder, decoder = tiny_nets(rng, enc_hidden=enc_hidden, dec_hidden=dec_hidden,
+                                     act=act)
         params = latent_params(lam=0.5)
         x = rng.uniform(0.1, 0.9, (10, 4))
         _, _, _, analytic = total_loss_gradients(x, encoder, decoder, params)

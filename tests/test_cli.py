@@ -513,6 +513,28 @@ class TestExitCodes:
         assert f"error: {named} must be finite" in err or f"finite {named}" in err
         assert not (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["train", "--data-n", "20", "--batch-size", "10", "--auto-n", "--hidden", "8,,8"],
+         "--hidden"),
+        (["train", "--data-n", "20", "--batch-size", "10", "--auto-n", "--hidden", "8,"],
+         "--hidden"),
+        (["train", "--data-n", "20", "--batch-size", "10", "--auto-n", "--hidden", "x"],
+         "--hidden"),
+        (["encode", "--data-n", "20", "--hidden", "8,2.5"], "--hidden"),
+        (["sweep-radius", "--dims", "3,x", "--mu-step", "1"], "--dims"),
+        (["sweep-radius", "--dims", "3,,4", "--mu-step", "1"], "--dims"),
+    ], ids=["train-hidden-empty-entry", "train-hidden-trailing-comma", "train-hidden-x",
+            "encode-hidden-fraction", "sweep-radius-dims-x", "sweep-radius-dims-empty-entry"])
+    def test_bad_int_list(self, tmp_path, capsys, argv, flag):
+        assert run(argv + ["--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {flag} must be comma-separated integers" in err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_empty_int_list_is_no_entries(self, tmp_path):
+        run_ok(["sweep-radius", "--dims", "", "--mu-step", "1", "--out-dir", str(tmp_path)])
+        assert (tmp_path / "sweep.csv").read_text().strip() == "d,max_percent_diff"
+
     def test_numerical_failure_is_exit_2(self, tmp_path):
         # a divergent step size must be reported as a numerical failure
         assert run(["simulate", "--dim", "3", "--mu", "1.0", "--auto-n",

@@ -29,3 +29,13 @@ def test_cli_start_loads_no_optimize_or_integrate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
                          text=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_start_loads_no_scipy():
+    # scipy.spatial alone took ~0.5 s of a ~0.6 s CLI start; each command
+    # imports the scipy module it uses when it first needs it
+    code = "import sys, eccentric.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    src = str(Path(importlib.import_module("eccentric").__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
