@@ -13,14 +13,12 @@ from .kernel import (
     batch_loss,
     batch_loss_and_gradient,
     choose_big_n,
-    pair_kernel,
 )
 from .radius import force_profile, solve_radius, sweep_radius
 
 __all__ = [
     "ParamSet",
     "PointBatch",
-    "pair_kernel",
     "batch_loss",
     "batch_loss_and_gradient",
     "choose_big_n",

@@ -1,5 +1,5 @@
-"""Latent-space analysis: covariance spectrum, principal embeddings, alignment,
-similarity metrics, latent samplers, component decoding and KNN evaluation."""
+"""Latent-space analysis: covariance spectrum, alignment, similarity metrics,
+latent samplers, component decoding and KNN evaluation."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ __all__ = [
     "AlignmentResult",
     "SimilarityMetrics",
     "spectrum",
-    "to_principal_embedding",
     "align",
     "cross_correlation",
     "similarity_metrics",
@@ -61,12 +60,6 @@ def _check_same_shape(e1: PointBatch, e2: PointBatch):
         raise ValueError(
             f"embeddings must share shape, got {e1.data.shape} and {e2.data.shape}"
         )
-
-
-def to_principal_embedding(batch: PointBatch) -> PointBatch:
-    """Center the batch and project onto descending covariance eigenvectors."""
-    rep = spectrum(batch)
-    return PointBatch((batch.data - rep.mean) @ rep.eigenvectors)
 
 
 @dataclass(frozen=True)
@@ -252,6 +245,9 @@ def knn_classify(train_coords: np.ndarray, train_labels: np.ndarray,
         raise ValueError("training labels must match training coordinates")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
+    if test_coords.shape[1] != train_coords.shape[1]:
+        raise ValueError(f"training points have {train_coords.shape[1]} columns but test "
+                         f"points have {test_coords.shape[1]}")
     if not (np.isfinite(train_coords).all() and np.isfinite(test_coords).all()):
         raise ValueError("knn coordinates must be finite")
 

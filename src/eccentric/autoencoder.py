@@ -14,14 +14,13 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import Dataset
-from .kernel import ParamSet, PointBatch, batch_loss, batch_loss_and_gradient
+from .kernel import ParamSet, PointBatch, batch_loss_and_gradient
 
 __all__ = [
     "DenseNetSpec",
     "DenseNet",
     "TrainConfig",
     "TrainReport",
-    "total_loss",
     "total_loss_gradients",
     "train",
     "encode_dataset",
@@ -32,6 +31,9 @@ __all__ = [
 LEAKY_SLOPE = 0.1
 _ACTIVATIONS = ("identity", "relu", "leaky-relu", "sigmoid")
 CHECKPOINT_MAGIC = b"EAE1"
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 def _act(tag: str, pre: np.ndarray):
@@ -147,9 +149,6 @@ class TrainConfig:
     epochs: int = 1
     learning_rate: float = 1e-4
     weight_decay: float = 1e-6
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -179,19 +178,6 @@ class TrainReport:
     encoder: DenseNet = field(repr=False, default=None)
     decoder: DenseNet = field(repr=False, default=None)
     embedding: PointBatch = field(repr=False, default=None)
-
-
-def total_loss(x: np.ndarray, encoder: DenseNet, decoder: DenseNet,
-               params: ParamSet) -> tuple[float, float, float]:
-    """(recon, reg, total) where recon is the batch mean of |x - x_hat|^2."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] < 2:
-        raise ValueError(f"batch must have >= 2 items, got {x.shape[0]}")
-    z = encoder.forward(x)
-    x_hat = decoder.forward(z)
-    recon = float(np.mean(np.sum((x - x_hat) ** 2, axis=1)))
-    reg = batch_loss(PointBatch(z), params)
-    return recon, reg, recon + params.lam * reg
 
 
 def total_loss_gradients(x: np.ndarray, encoder: DenseNet, decoder: DenseNet,
@@ -243,23 +229,21 @@ class _Adam:
     def step(self, theta, grad):
         c, m, v = self.config, self.m, self.v
         self.t += 1
-        b1c = 1.0 - c.adam_beta1**self.t
-        b2c = 1.0 - c.adam_beta2**self.t
-        m *= c.adam_beta1
-        m += (1.0 - c.adam_beta1) * grad
-        v *= c.adam_beta2
-        v += (1.0 - c.adam_beta2) * grad * grad
-        theta -= c.learning_rate * ((m / b1c) / (np.sqrt(v / b2c) + c.adam_epsilon)
+        b1c = 1.0 - ADAM_BETA1**self.t
+        b2c = 1.0 - ADAM_BETA2**self.t
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
+        theta -= c.learning_rate * ((m / b1c) / (np.sqrt(v / b2c) + ADAM_EPSILON)
                                     + c.weight_decay * theta)
 
 
-def train(config: TrainConfig, dataset: Dataset,
-          holdout: Dataset | None = None) -> TrainReport:
-    """Train the autoencoder; returns loss traces and a held-out embedding.
+def train(config: TrainConfig, dataset: Dataset) -> TrainReport:
+    """Train the autoencoder; returns loss traces and the training set's embedding.
 
     Epochs are shuffled deterministically from the seed.  A trailing partial
-    batch is kept if it still holds a pair, otherwise dropped.  The holdout
-    defaults to the training set itself.
+    batch is kept if it still holds a pair, otherwise dropped.
     """
     if dataset.count < config.batch_size:
         raise ValueError(
@@ -298,13 +282,12 @@ def train(config: TrainConfig, dataset: Dataset,
         recon_trace.append(recon_sum / batches)
         reg_trace.append(reg_sum / batches)
 
-    held = holdout if holdout is not None else dataset
     return TrainReport(
         recon_trace=recon_trace,
         reg_trace=reg_trace,
         encoder=encoder,
         decoder=decoder,
-        embedding=encode_dataset(encoder, held),
+        embedding=encode_dataset(encoder, dataset),
     )
 
 

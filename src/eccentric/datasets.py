@@ -112,17 +112,11 @@ GENERATORS = {
 
 
 def load_dataset(source: str, **kwargs) -> Dataset:
-    """Build a named synthetic dataset, or read an IDX pair via 'idx'.
-
-    For 'idx', pass images= and labels= file paths; other sources accept the
-    keyword arguments of the matching generator (n, seed, ...).
+    """Build a named synthetic dataset from the keyword arguments of its
+    generator (n, seed, ...).  IDX files are read by load_idx_pair.
     """
-    if source == "idx":
-        return load_idx_pair(kwargs["images"], kwargs["labels"])
     if source not in GENERATORS:
-        raise ValueError(
-            f"unknown dataset {source!r}; expected one of {sorted(GENERATORS)} or 'idx'"
-        )
+        raise ValueError(f"unknown dataset {source!r}; expected one of {sorted(GENERATORS)}")
     return GENERATORS[source](**kwargs)
 
 

@@ -1,4 +1,4 @@
-"""Repulsive pair loss: kernel, batch loss, exact gradient, softening-scale rule.
+"""Repulsive pair loss: batch loss, exact gradient, softening-scale rule.
 
 The loss on a batch of points z_1..z_b in R^d is the mean over ordered pairs
 i != j of
@@ -20,7 +20,6 @@ __all__ = [
     "ParamSet",
     "PointBatch",
     "choose_big_n",
-    "pair_kernel",
     "batch_loss",
     "batch_gradient",
     "batch_loss_and_gradient",
@@ -98,27 +97,6 @@ class PointBatch:
         return self.data.shape[1]
 
 
-def _check_pair(z_i: np.ndarray, z_j: np.ndarray, params: ParamSet):
-    z_i = np.asarray(z_i, dtype=np.float64)
-    z_j = np.asarray(z_j, dtype=np.float64)
-    if z_i.shape != (params.dim,) or z_j.shape != (params.dim,):
-        raise ValueError(
-            f"points must have shape ({params.dim},), got {z_i.shape} and {z_j.shape}"
-        )
-    if not (np.all(np.isfinite(z_i)) and np.all(np.isfinite(z_j))):
-        raise ValueError("non-finite point coordinates")
-    return z_i, z_j
-
-
-def pair_kernel(z_i: np.ndarray, z_j: np.ndarray, params: ParamSet) -> float:
-    """Evaluate the pair kernel K(z_i, z_j)."""
-    z_i, z_j = _check_pair(z_i, z_j, params)
-    diff = z_i - z_j
-    sq = float(diff @ diff)
-    quad = 0.5 * (float(z_i @ z_i) + float(z_j @ z_j))
-    return quad - params.mu * params.big_n * np.log1p(sq / params.big_n)
-
-
 _PAIR_BLOCK_ROWS = 128  # rows of the b x b distance matrix held at once
 
 
@@ -155,7 +133,7 @@ def _pair_pass(batch: PointBatch, params: ParamSet, want_loss: bool, want_grad: 
 
 
 def batch_loss(batch: PointBatch, params: ParamSet) -> float:
-    """Mean of pair_kernel over all ordered pairs i != j."""
+    """Mean of the pair kernel K(z_i, z_j) over all ordered pairs i != j."""
     return _pair_pass(batch, params, want_loss=True, want_grad=False)[0]
 
 

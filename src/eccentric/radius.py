@@ -38,11 +38,9 @@ from .kernel import ParamSet, choose_big_n
 
 __all__ = [
     "SolverError",
-    "RadiusProblem",
     "RadiusSolution",
     "ForceProfile",
     "gamma_ratio",
-    "stationarity_integral",
     "solve_radius",
     "sweep_radius",
     "lemma_a_check",
@@ -71,21 +69,6 @@ def _f_integrand(u: np.ndarray, dim: int, a: float) -> np.ndarray:
     q = 0.5 * (dim - 3)
     val = t**p * (2.0 - t) ** q / u
     return (2.0 * a / math.sqrt(math.pi)) * gamma_ratio(dim) * val
-
-
-@dataclass(frozen=True)
-class RadiusProblem:
-    """Parameters (d, mu, N) of the stationarity condition; d >= 3 required."""
-
-    dim: int
-    mu: float
-    big_n: float
-
-    def __post_init__(self):
-        if self.dim < 3:
-            raise ValueError(f"radius theory requires dim >= 3, got {self.dim}")
-        if not 0 < self.big_n < math.inf:
-            raise ValueError(f"big_n must be finite and positive, got {self.big_n}")
 
 
 @dataclass(frozen=True)
@@ -148,17 +131,6 @@ def _integral(a: np.ndarray, dim: np.ndarray) -> np.ndarray:
     return 2.0 * a / (a + 2.0) * _hyp2f1_pfaff(dim, 2.0 / (a + 2.0))
 
 
-def stationarity_integral(rho: float, problem: RadiusProblem) -> float:
-    """Left-hand side of the stationarity condition at candidate radius rho.
-
-    Equals 1/mu exactly at the stationary radius.
-    """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    a = problem.big_n / (2.0 * rho * rho)
-    return float(_integral(np.array([a]), np.array([float(problem.dim)]))[0])
-
-
 def _bisect(dim, mu):
     """Solve I(a) = 1/mu for every cell of the 1-D arrays (dim, mu).
 
@@ -167,7 +139,8 @@ def _bisect(dim, mu):
     (a, residual, iterations); each cell makes iterations + 1 evaluations.
     """
     target = 1.0 / mu
-    lo, hi = 2.0 / (4.0 * mu - 1.0), 2.0 / (2.0 * mu - 1.0)
+    # 2/(4mu-1) and 2/(2mu-1), scaled by exact powers of 2 so 4mu cannot overflow
+    lo, hi = 0.5 / (mu - 0.25), 1.0 / (mu - 0.5)
     mid = 0.5 * (lo + hi)
     g_mid = _integral(mid, dim) - target
     iterations = np.zeros(dim.size, dtype=np.int64)

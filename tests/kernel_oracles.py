@@ -1,12 +1,23 @@
 """Independent evaluations of the pair loss, kept as test oracles.
 
-Both take a `PointBatch` and the loss parameters and use the whole b x b
-matrix of pairwise terms at once, where `eccentric.kernel` works in row
-blocks.
+`pair_kernel` evaluates one term K(z_i, z_j).  The two batch oracles take a
+`PointBatch` and the loss parameters and use the whole b x b matrix of
+pairwise terms at once, where `eccentric.kernel` works in row blocks.
+`total_loss` is the autoencoder objective without its gradient, the loss
+that finite differences are taken of.
 """
 
 import numpy as np
 from scipy.spatial.distance import cdist
+
+from eccentric.kernel import PointBatch, batch_loss
+
+
+def pair_kernel(z_i, z_j, params):
+    """K(z_i, z_j) = (|z_i|^2 + |z_j|^2)/2 - mu N log(1 + |z_i - z_j|^2 / N)."""
+    diff = z_i - z_j
+    quad = 0.5 * (float(z_i @ z_i) + float(z_j @ z_j))
+    return quad - params.mu * params.big_n * np.log1p(float(diff @ diff) / params.big_n)
 
 
 def batch_loss_gram(batch, params):
@@ -35,3 +46,11 @@ def unblocked_loss_and_gradient(batch, params):
     w = 1.0 / (1.0 + sq)
     rep = w.sum(axis=1)[:, None] * z - w @ z
     return loss, (2.0 / b) * z - (4.0 * params.mu / (b * (b - 1))) * rep
+
+
+def total_loss(x, encoder, decoder, params):
+    """(recon, reg, total) where recon is the batch mean of |x - x_hat|^2."""
+    z = encoder.forward(x)
+    recon = float(np.mean(np.sum((x - decoder.forward(z)) ** 2, axis=1)))
+    reg = batch_loss(PointBatch(z), params)
+    return recon, reg, recon + params.lam * reg

@@ -15,7 +15,6 @@ from eccentric.autoencoder import (
     DenseNet,
     DenseNetSpec,
     TrainConfig,
-    total_loss,
     total_loss_gradients,
     train,
 )
@@ -28,7 +27,7 @@ from eccentric.kernel import (
     batch_loss_and_gradient,
     choose_big_n,
 )
-from kernel_oracles import batch_loss_gram
+from kernel_oracles import batch_loss_gram, total_loss
 from eccentric.particles import SimConfig, simulate
 from eccentric.radius import (
     force_profile,

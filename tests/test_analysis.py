@@ -21,7 +21,6 @@ from eccentric.analysis import (
     sample_latents,
     similarity_metrics,
     spectrum,
-    to_principal_embedding,
 )
 from eccentric.autoencoder import DenseNet, DenseNetSpec
 from eccentric.kernel import PointBatch
@@ -81,9 +80,10 @@ class TestPrincipalEmbedding:
     def test_centered_and_decorrelated(self):
         rng = np.random.default_rng(7)
         z = rng.standard_normal((80, 4)) @ np.diag([3.0, 1.0, 0.5, 0.2])
-        emb = to_principal_embedding(PointBatch(z))
-        np.testing.assert_allclose(emb.data.mean(axis=0), 0.0, atol=1e-12)
-        cov = np.cov(emb.data, rowvar=False)
+        rep = spectrum(PointBatch(z))
+        emb = (z - rep.mean) @ rep.eigenvectors
+        np.testing.assert_allclose(emb.mean(axis=0), 0.0, atol=1e-12)
+        cov = np.cov(emb, rowvar=False)
         np.testing.assert_allclose(cov, np.diag(np.diag(cov)), atol=1e-10)
         assert np.all(np.diff(np.diag(cov)) <= 1e-10)
 
@@ -91,10 +91,11 @@ class TestPrincipalEmbedding:
         # centering plus rotation: all pairwise distances survive
         rng = np.random.default_rng(8)
         z = rng.standard_normal((25, 5))
-        emb = to_principal_embedding(PointBatch(z))
+        rep = spectrum(PointBatch(z))
+        emb = (z - rep.mean) @ rep.eigenvectors
         zc = z - z.mean(axis=0)
         from scipy.spatial.distance import pdist
-        np.testing.assert_allclose(pdist(emb.data), pdist(zc), atol=1e-10)
+        np.testing.assert_allclose(pdist(emb), pdist(zc), atol=1e-10)
 
 
 def descending_embedding(rng, n, d):

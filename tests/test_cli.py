@@ -445,6 +445,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error:" in err and "fractional.csv" in err
 
+    def test_knn_width_mismatch(self, tmp_path, capsys):
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        write_embedding_csv(train, np.eye(3), np.arange(3))
+        write_embedding_csv(test, np.ones((2, 4)))
+        assert run(["knn", "--train", str(train), "--test", str(test),
+                    "--out-dir", str(tmp_path / "knn")]) == 1
+        err = capsys.readouterr().err
+        assert "training points have 3 columns but test points have 4" in err
+
     @pytest.mark.parametrize("command", ["align", "metrics"])
     def test_non_finite_embedding(self, tmp_path, capsys, command):
         good = tmp_path / "good.csv"

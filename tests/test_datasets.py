@@ -155,12 +155,3 @@ class TestIdx:
             idx_label_bytes(np.zeros(2, dtype=np.uint8)))
         with pytest.raises(ValueError, match="count mismatch"):
             load_idx_pair(tmp_path / "img.idx", tmp_path / "lab.idx")
-
-    def test_load_dataset_idx_route(self, tmp_path):
-        (tmp_path / "img.idx").write_bytes(
-            idx_image_bytes(np.zeros((2, 1, 1), dtype=np.uint8)))
-        (tmp_path / "lab.idx").write_bytes(
-            idx_label_bytes(np.zeros(2, dtype=np.uint8)))
-        d = load_dataset("idx", images=tmp_path / "img.idx",
-                         labels=tmp_path / "lab.idx")
-        assert d.count == 2

@@ -11,9 +11,8 @@ from eccentric.kernel import (
     batch_loss,
     batch_loss_and_gradient,
     choose_big_n,
-    pair_kernel,
 )
-from kernel_oracles import batch_loss_gram, unblocked_loss_and_gradient
+from kernel_oracles import batch_loss_gram, pair_kernel, unblocked_loss_and_gradient
 
 
 def random_params(dim, mu=1.0):
@@ -112,16 +111,6 @@ class TestPairKernel:
         a = rng.standard_normal(5)
         b = rng.standard_normal(5)
         assert pair_kernel(a, b, p) == pair_kernel(b, a, p)
-
-    def test_dimension_mismatch(self):
-        p = ParamSet(dim=3, mu=1.0, big_n=6.0)
-        with pytest.raises(ValueError):
-            pair_kernel(np.zeros(2), np.zeros(3), p)
-
-    def test_non_finite_input(self):
-        p = ParamSet(dim=2, mu=1.0, big_n=6.0)
-        with pytest.raises(ValueError):
-            pair_kernel(np.array([np.inf, 0.0]), np.zeros(2), p)
 
 
 class TestBatchLoss:

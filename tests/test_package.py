@@ -39,3 +39,12 @@ def test_cli_start_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
                          text=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "[]"
+
+
+def test_module_run_writes_outputs(tmp_path):
+    # `python -m eccentric.cli` runs the same entry point as the `eccentric` script
+    src = str(Path(importlib.import_module("eccentric").__file__).parents[1])
+    subprocess.run([sys.executable, "-m", "eccentric.cli", "solve-radius", "--dim", "5",
+                    "--mu", "1.5", "--auto-n", "--out-dir", "m1"], cwd=tmp_path,
+                   capture_output=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert (tmp_path / "m1" / "manifest.json").is_file()

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from eccentric.kernel import ParamSet, choose_big_n
 from eccentric.radius import (
     ForceProfile,
-    RadiusProblem,
     SolverError,
     force_profile,
     gamma_ratio,
@@ -16,10 +16,14 @@ from eccentric.radius import (
     lemma_b_argmax,
     lemma_b_argmax_numeric,
     solve_radius,
-    stationarity_integral,
     sweep_radius,
 )
-from eccentric.radius import _f_integrand, _mu_grid
+from eccentric.radius import _f_integrand, _integral, _mu_grid
+
+
+def stationarity_integral(rho, dim, big_n):
+    """Left-hand side of the stationarity condition at radius rho; 1/mu at the root."""
+    return float(_integral(np.array([big_n / (2.0 * rho * rho)]), np.array([float(dim)]))[0])
 
 
 def _integral_mp(rho, dim, big_n):
@@ -81,7 +85,7 @@ class TestStationarityIntegral:
         a = big_n / (2 * rho * rho)
         expected, err = quad(lambda u: _f_integrand(np.array([u]), dim, a)[0],
                              1.0, 1.0 + 2.0 / a, epsabs=1e-14, epsrel=1e-14)
-        got = stationarity_integral(rho, RadiusProblem(dim=dim, mu=1.0, big_n=big_n))
+        got = stationarity_integral(rho, dim, big_n)
         assert err < 1e-12
         assert got == pytest.approx(expected, abs=1e-12)
 
@@ -94,26 +98,25 @@ class TestStationarityIntegral:
         mode = 1.0 + 2.0 * p / (p + q) / a
         expected, _ = quad(lambda u: _f_integrand(u, dim, a), 1.0, 1.0 + 2.0 / a,
                            points=[mode], epsabs=0.0, epsrel=1e-13, limit=200)
-        got = stationarity_integral(1.0, RadiusProblem(dim=dim, mu=1.0, big_n=2.0 * a))
+        got = stationarity_integral(1.0, dim, 2.0 * a)
         assert got == pytest.approx(expected, rel=1e-11)
 
     @pytest.mark.parametrize("dim", [3, 4, 5, 12, 38, 117, 300, 1000])
     def test_against_mpmath_closed_form(self, dim):
         for mu in (1.0, 1.5, dim + 1.0, 2.0 * dim + 1.0):
             big_n = choose_big_n(dim, mu)
-            p = RadiusProblem(dim=dim, mu=mu, big_n=big_n)
             for scale in (0.3, 1.0, 3.0):
                 rho = scale * math.sqrt(dim)
                 expected = _integral_mp(rho, dim, big_n)
-                assert stationarity_integral(rho, p) == pytest.approx(expected, rel=1e-11)
+                assert stationarity_integral(rho, dim, big_n) == pytest.approx(expected,
+                                                                               rel=1e-11)
 
     @settings(max_examples=200, deadline=None)
     @given(dim=st.integers(3, 1000), rho=st.floats(0.05, 50.0),
            big_n=st.floats(0.05, 5000.0), scale=st.floats(0.1, 10.0))
     def test_depends_on_n_and_rho_only_through_a(self, dim, rho, big_n, scale):
-        v1 = stationarity_integral(rho, RadiusProblem(dim=dim, mu=1.0, big_n=big_n))
-        v2 = stationarity_integral(scale * rho, RadiusProblem(dim=dim, mu=1.0,
-                                                              big_n=scale * scale * big_n))
+        v1 = stationarity_integral(rho, dim, big_n)
+        v2 = stationarity_integral(scale * rho, dim, scale * scale * big_n)
         assert v2 == pytest.approx(v1, rel=1e-11)
 
     @settings(max_examples=200, deadline=None)
@@ -121,41 +124,31 @@ class TestStationarityIntegral:
            stretch=st.floats(1.001, 10.0))
     def test_strictly_decreasing_in_rho(self, dim, rho, stretch):
         # rho is measured in units of sqrt(N): a = 1/(2 rho^2) spans [5e-5, 50] and more
-        p = RadiusProblem(dim=dim, mu=1.0, big_n=1.0)
-        assert stationarity_integral(rho, p) > stationarity_integral(stretch * rho, p)
+        assert stationarity_integral(rho, dim, 1.0) > stationarity_integral(stretch * rho,
+                                                                            dim, 1.0)
 
     def test_near_unity_at_calibrated_radius(self):
         # at rho = sqrt(d) with N = N(d, mu) the integral should be close to 1/mu
-        p = RadiusProblem(dim=64, mu=1.0, big_n=choose_big_n(64, 1.0))
-        assert stationarity_integral(8.0, p) == pytest.approx(1.0, abs=2e-4)
+        big_n = choose_big_n(64, 1.0)
+        assert stationarity_integral(8.0, 64, big_n) == pytest.approx(1.0, abs=2e-4)
 
     def test_monotone_decreasing_in_rho(self):
-        p = RadiusProblem(dim=16, mu=1.0, big_n=choose_big_n(16, 1.0))
-        vals = [stationarity_integral(r, p) for r in (1.0, 2.0, 4.0, 8.0, 16.0)]
+        big_n = choose_big_n(16, 1.0)
+        vals = [stationarity_integral(r, 16, big_n) for r in (1.0, 2.0, 4.0, 8.0, 16.0)]
         assert all(x > y for x, y in zip(vals, vals[1:]))
 
     def test_limits(self):
         # small rho pushes the integral toward 2, large rho toward 0
-        p = RadiusProblem(dim=16, mu=1.0, big_n=choose_big_n(16, 1.0))
-        assert stationarity_integral(0.05, p) == pytest.approx(2.0, abs=5e-3)
-        assert stationarity_integral(1e3, p) < 1e-3
+        big_n = choose_big_n(16, 1.0)
+        assert stationarity_integral(0.05, 16, big_n) == pytest.approx(2.0, abs=5e-3)
+        assert stationarity_integral(1e3, 16, big_n) < 1e-3
 
     def test_depends_only_on_a(self):
         # substitution a = N/(2 rho^2): doubling N and scaling rho by sqrt(2)
         # leaves the integral unchanged
-        v1 = stationarity_integral(2.0, RadiusProblem(dim=8, mu=1.0, big_n=4.0))
-        v2 = stationarity_integral(2.0 * math.sqrt(2.0),
-                                   RadiusProblem(dim=8, mu=1.0, big_n=8.0))
+        v1 = stationarity_integral(2.0, 8, 4.0)
+        v2 = stationarity_integral(2.0 * math.sqrt(2.0), 8, 8.0)
         assert v2 == pytest.approx(v1, rel=1e-11)
-
-    def test_rejects_bad_rho(self):
-        p = RadiusProblem(dim=8, mu=1.0, big_n=4.0)
-        with pytest.raises(ValueError):
-            stationarity_integral(0.0, p)
-
-    def test_rejects_dim_two(self):
-        with pytest.raises(ValueError):
-            RadiusProblem(dim=2, mu=1.0, big_n=4.0)
 
 
 class TestSolveRadius:
@@ -163,8 +156,7 @@ class TestSolveRadius:
     def test_root_residual(self, dim, mu):
         big_n = choose_big_n(dim, mu)
         sol = solve_radius(dim, mu, big_n)
-        p = RadiusProblem(dim=dim, mu=mu, big_n=big_n)
-        assert abs(stationarity_integral(sol.rho, p) - 1.0 / mu) < 1e-10
+        assert abs(stationarity_integral(sol.rho, dim, big_n) - 1.0 / mu) < 1e-10
         assert abs(sol.residual) < 1e-10
 
     def test_rho_near_sqrt_d(self):
@@ -177,22 +169,33 @@ class TestSolveRadius:
         s1 = solve_radius(8, 1.5, 4.0)
         s2 = solve_radius(8, 1.5, big_n)
         assert s2.rho == pytest.approx(s1.rho * math.sqrt(big_n / 4.0), rel=1e-9)
-        p = RadiusProblem(dim=8, mu=1.5, big_n=big_n)
-        assert abs(stationarity_integral(s2.rho, p) - 1.0 / 1.5) < 1e-10
+        assert abs(stationarity_integral(s2.rho, 8, big_n) - 1.0 / 1.5) < 1e-10
 
-    @pytest.mark.parametrize("big_n", [5e-324, 1e308])
-    def test_any_positive_float_n(self, big_n):
-        # at mu = 1e6, a ~ 7e-7: N/(2a) would overflow at 1e308 and lose digits at 5e-324
-        s1 = solve_radius(4, 1e6, 1.0)
-        assert solve_radius(4, 1e6, big_n).rho == pytest.approx(s1.rho * math.sqrt(big_n),
-                                                                rel=1e-12)
+    @pytest.mark.parametrize("big_n, mu", [
+        pytest.param(5e-324, 1e6, id="5e-324"),
+        pytest.param(1e308, 1e6, id="1e+308"),
+        pytest.param(5e-324, sys.float_info.max, id="5e-324-largest-mu"),
+        pytest.param(1e308, sys.float_info.max, id="1e+308-largest-mu"),
+    ])
+    def test_any_positive_float_n(self, big_n, mu):
+        # at mu = 1e6, a ~ 7e-7: N/(2a) would overflow at 1e308 and lose digits at
+        # 5e-324; at the largest float, 4 mu itself overflows
+        s1 = solve_radius(4, mu, 1.0)
+        assert solve_radius(4, mu, big_n).rho == pytest.approx(s1.rho * math.sqrt(big_n),
+                                                               rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(3, 2000), mu=st.floats(1.0, sys.float_info.max))
+    def test_any_finite_mu_solves(self, dim, mu):
+        rho = solve_radius(dim, mu, 1.0).rho
+        assert 0.0 < rho < math.inf
 
     @settings(max_examples=300, deadline=None)
     @given(dim=st.integers(3, 2000), mu=st.floats(1.0, 1e6))
     def test_root_inside_closed_form_bracket(self, dim, mu):
         # 2a/(a+2) <= I(a) < 4a/(a+2) by Gauss's sum, so I = 1/mu has its root in between
         def integral(a):
-            return stationarity_integral(1.0, RadiusProblem(dim=dim, mu=mu, big_n=2.0 * a))
+            return stationarity_integral(1.0, dim, 2.0 * a)
 
         assert integral(2.0 / (4.0 * mu - 1.0)) < 1.0 / mu < integral(2.0 / (2.0 * mu - 1.0))
 
