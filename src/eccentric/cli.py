@@ -96,6 +96,9 @@ def _load_cli_dataset(cfg) -> datasets.Dataset:
         if not cfg["images"] or not cfg["labels"]:
             raise ValueError("dataset 'idx' requires --images and --labels")
         return datasets.load_idx_pair(cfg["images"], cfg["labels"])
+    if name not in datasets.GENERATORS:
+        raise ValueError(f"unknown dataset {name!r}; expected one of "
+                         f"{sorted(datasets.GENERATORS)} or 'idx'")
     return datasets.load_dataset(name, n=cfg["data_n"], seed=cfg["data_seed"])
 
 

@@ -103,9 +103,13 @@ _PAIR_BLOCK_ROWS = 128  # rows of the b x b distance matrix held at once
 def _pair_pass(batch: PointBatch, params: ParamSet, want_loss: bool, want_grad: bool):
     """(loss or None, gradient or None) from one distance pass in row blocks.
 
-    Each block holds |z_i - z_j|^2 / N for its rows i (computed directly: the
-    Gram expansion can go negative from cancellation), then becomes the
-    weights w_ij in place.  The diagonal adds log(1+0) = 0 and w_ii * 0.
+    Rows I = [lo, hi) take two blocks of |z_i - z_j|^2 / N (computed directly:
+    the Gram expansion can go negative from cancellation): the diagonal block
+    I x I and the block I x [hi, b) to its right, each turned into the weights
+    w_ij in place.  Since w_ij = w_ji, the right block serves both row sets:
+    its log1p sum counts twice, and it adds to the gradient of rows I and of
+    rows hi: alike, so no block is computed from both sides.  The diagonal
+    adds log(1+0) = 0 and w_ii * 0.
     """
     # imported here: scipy.spatial adds ~0.5 s to every CLI start
     from scipy.spatial.distance import cdist
@@ -115,17 +119,24 @@ def _pair_pass(batch: PointBatch, params: ParamSet, want_loss: bool, want_grad: 
     if batch.count < 2:
         raise ValueError(f"loss needs at least 2 points, got {batch.count}")
     z, b = batch.data, batch.count
-    log_sum, rep = 0.0, np.empty_like(z)
+    log_sum, rep = 0.0, np.zeros_like(z)
     for lo in range(0, b, _PAIR_BLOCK_ROWS):
-        rows = z[lo:lo + _PAIR_BLOCK_ROWS]
-        w = cdist(rows, z, "sqeuclidean")
-        w /= params.big_n
-        if want_loss:
-            log_sum += float(np.sum(np.log1p(w)))
-        if want_grad:
-            w += 1.0
-            np.reciprocal(w, out=w)
-            rep[lo:lo + _PAIR_BLOCK_ROWS] = w.sum(axis=1)[:, None] * rows - w @ z
+        hi = lo + _PAIR_BLOCK_ROWS
+        rows = z[lo:hi]
+        for cols, twice in ((rows, False), (z[hi:], True)):
+            if not len(cols):
+                break
+            w = cdist(rows, cols, "sqeuclidean")
+            w /= params.big_n
+            if want_loss:
+                log_sum += (1 + twice) * float(np.sum(np.log1p(w)))
+            if want_grad:
+                w += 1.0
+                np.reciprocal(w, out=w)
+                rep[lo:hi] += w.sum(axis=1)[:, None] * rows - w @ cols
+                if twice:
+                    # (rows.T @ w).T rather than w.T @ rows: less peak memory
+                    rep[hi:] += w.sum(axis=0)[:, None] * cols - (rows.T @ w).T
     pairs = b * (b - 1)
     loss = float(np.sum(z * z)) / b - params.mu * params.big_n * log_sum / pairs
     grad = (2.0 / b) * z - (4.0 * params.mu / pairs) * rep if want_grad else None

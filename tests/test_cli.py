@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -241,6 +244,22 @@ class TestDeterminismAndVerify:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
         assert run(changed) == 1
 
+    def test_simulate_bits_do_not_depend_on_blas_threads(self, tmp_path):
+        # the kernel's block products go through BLAS; its thread count must not
+        # reach the hashed outputs
+        src = str(Path(cli.__file__).parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            subprocess.run([sys.executable, "-m", "eccentric.cli", "simulate", "--dim", "8",
+                            "--mu", "1.0", "--auto-n", "--count", "300", "--steps", "6",
+                            "--step-size", "0.1", "--init-scale", "1.0", "--seed", "5",
+                            "--out-dir", str(out)], capture_output=True, check=True,
+                           env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                                "PYTHONPATH": src})
+            outputs.append(json.loads((out / "manifest.json").read_text())["outputs"])
+        assert outputs[0] == outputs[1]
+
     def test_out_outside_out_dir_rejected(self, tmp_path):
         # an --out path would escape the scratch directory of --verify
         assert run(["sweep-radius", "--dims", "4", "--mu-step", "1",
@@ -414,6 +433,12 @@ class TestExitCodes:
         assert run(["encode", "--checkpoint", str(path),
                     "--out-dir", str(tmp_path / "enc")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_unknown_dataset_names_idx(self, tmp_path, capsys):
+        assert run(["encode", "--dataset", "mnist", "--checkpoint", str(tmp_path / "x"),
+                    "--out-dir", str(tmp_path / "enc")]) == 1
+        err = capsys.readouterr().err
+        assert "'mnist'" in err and "'idx'" in err
 
     def test_header_only_embedding(self, tmp_path, capsys):
         train = tmp_path / "train.csv"

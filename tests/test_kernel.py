@@ -249,6 +249,7 @@ class TestRowBlocks:
     @example(count=BLOCK - 1, dim=5, seed=0)
     @example(count=BLOCK + 1, dim=5, seed=0)
     @example(count=2 * BLOCK + 1, dim=5, seed=0)
+    @example(count=4 * BLOCK, dim=5, seed=0)
     def test_matches_unblocked_formula(self, count, dim, seed):
         rng = np.random.default_rng(seed)
         p = random_params(dim, mu=float(rng.uniform(1.0, 3.0)))
@@ -263,6 +264,33 @@ class TestRowBlocks:
         assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
         assert batch_loss(batch, p) == loss
         assert np.array_equal(batch_gradient(batch, p), grad)
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(0, 2**31 - 1), st.integers(2 * BLOCK + 1, 4 * BLOCK),
+           st.integers(2, 12))
+    def test_permutation_invariance_across_blocks(self, seed, count, dim):
+        # a row's gradient gathers pair terms from the blocks before it as well
+        # as its own, so moving rows between blocks must only permute the rows
+        rng = np.random.default_rng(seed)
+        p = random_params(dim, mu=float(rng.uniform(1.0, 3.0)))
+        z = rng.standard_normal((count, dim)) * rng.uniform(0.1, 3.0)
+        loss, grad = batch_loss_and_gradient(PointBatch(z), p)
+        assume(abs(loss) >= 1e-3 * np.sum(z * z) / count)  # as in test_rotation_invariance
+        perm = rng.permutation(count)
+        loss_p, grad_p = batch_loss_and_gradient(PointBatch(z[perm]), p)
+        assert loss_p == pytest.approx(loss, rel=1e-12)
+        assert np.abs(grad_p - grad[perm]).max() <= 1e-12 * np.abs(grad).max()
+
+    @pytest.mark.parametrize("count", [BLOCK + 1, 3 * BLOCK + 7])
+    def test_pair_forces_cancel(self, count):
+        # w_ij (z_i - z_j) + w_ji (z_j - z_i) = 0, so the repulsive part sums to
+        # zero over the rows and only the pull (2/b) z is left
+        rng = np.random.default_rng(count)
+        p = random_params(6, mu=1.5)
+        z = rng.standard_normal((count, 6)) * 2.0
+        grad = batch_gradient(PointBatch(z), p)
+        net = grad.sum(axis=0) - (2.0 / count) * z.sum(axis=0)
+        assert np.abs(net).max() <= 1e-12 * np.abs(grad).max()
 
     def test_gradient_without_loss_checks_batch(self):
         p = ParamSet(dim=3, mu=1.0, big_n=6.0)
