@@ -11,7 +11,7 @@ import numpy as np
 
 from .kernel import PointBatch
 
-# bytes of distances held per block of test rows in knn_classify
+# bytes of prefilter values held per block of test rows in knn_classify
 _KNN_BLOCK_BYTES = 1 << 22
 
 __all__ = [
@@ -227,49 +227,103 @@ def knn_classify(train_coords: np.ndarray, train_labels: np.ndarray,
                  truth: np.ndarray | None = None):
     """Brute-force Euclidean k-nearest-neighbor majority vote.
 
-    Neighbors are taken in (distance, training index) order.  The label with
-    the most votes wins; a vote tie goes to the smallest summed neighbor
-    distance, accumulated nearest-first, then to the lowest label.  Distances
-    are held for one block of test rows at a time.  Returns (predictions,
-    error_rate) where error_rate is None unless truth labels are given.
+    Neighbors are taken in (distance, training index) order, where the
+    distance is sqrt(sum (x - y)^2) from direct differences.  A BLAS product
+    only narrows the search: it computes |y|^2 - 2 x.y against every training
+    row, and every column within a proven rounding margin of a row's k-th
+    smallest value gets its exact distance; the others cannot be among the k
+    nearest.  The label with the most votes wins; a vote tie goes to the
+    smallest summed neighbor distance, accumulated nearest-first, then to the
+    lowest label.  Test rows are taken one block at a time.  Returns
+    (predictions, error_rate) where error_rate is None unless truth labels
+    are given.
     """
-    from scipy.spatial.distance import cdist  # imported here, as in kernel._pair_pass
-
     train_coords = np.asarray(train_coords, dtype=np.float64)
     test_coords = np.asarray(test_coords, dtype=np.float64)
     train_labels = np.asarray(train_labels)
-    n = train_coords.shape[0]
+    for name, coords in (("train_coords", train_coords), ("test_coords", test_coords)):
+        if coords.ndim != 2:
+            raise ValueError(f"{name} must be a 2-D array of points, got shape {coords.shape}")
+    n, dim = train_coords.shape
+    m = test_coords.shape[0]
     if n == 0:
         raise ValueError("empty training set")
-    if train_labels.shape[0] != n:
-        raise ValueError("training labels must match training coordinates")
+    if m == 0:
+        raise ValueError("test_coords holds no points")
+    if train_labels.shape != (n,):
+        raise ValueError(f"training labels have shape {train_labels.shape} but there are "
+                         f"{n} training points")
+    if truth is not None:
+        truth = np.asarray(truth)
+        if truth.shape != (m,):
+            raise ValueError(f"truth has shape {truth.shape} but there are {m} test points")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    if test_coords.shape[1] != train_coords.shape[1]:
-        raise ValueError(f"training points have {train_coords.shape[1]} columns but test "
+    if test_coords.shape[1] != dim:
+        raise ValueError(f"training points have {dim} columns but test "
                          f"points have {test_coords.shape[1]}")
     if not (np.isfinite(train_coords).all() and np.isfinite(test_coords).all()):
         raise ValueError("knn coordinates must be finite")
 
-    preds = np.empty(test_coords.shape[0], dtype=train_labels.dtype)
-    # a test row holds its n distances and, in the vote, about 16 arrays of k
+    # The margin.  With u = 2^-53, G_j = fl(|y_j|^2 - 2 x.y_j) is the
+    # prefilter value, s_j = |x - y_j|^2 exactly, and D_j the computed
+    # distance.  A dot product of length d, summed in any order, with or
+    # without FMA, errs by at most gamma_d sum |x_i y_i| (gamma_n = nu/(1-nu)),
+    # so with xx = |x|^2 and Y = max_j |y_j|^2 (2|x||y| <= xx + Y):
+    #   |G_j - (s_j - xx)| <= E = gamma_{d+1} (xx + 2Y).
+    # D_j takes d roundings of differences, d of squares, d-1 of sums and
+    # one of the square root, so |D_j^2 / s_j - 1| <= eta = gamma_{d+4}.
+    # Let t be the k-th smallest G in the row.  The k rows with G <= t have
+    # s <= t + xx + E <= 2 xx + 2Y + 2E, which bounds the k-th smallest
+    # distance: D_k^2 <= (1 + eta)(t + xx + E).  Any j with D_j <= D_k then
+    # has s_j <= D_k^2 / (1 - eta), so
+    #   G_j <= t + 2E + 2 eta/(1 - eta) (t + xx + E) <= t + 6 gamma_{d+4} (xx + 2Y),
+    # to first order in (d+4) u.  Keeping every column with
+    # G <= t + 8 (d+4) u (xx + 2Y) therefore keeps all the k nearest, ties
+    # included, whatever order BLAS summed in; the 8 over 6 covers the
+    # second-order terms and the roundings of xx, Y and the bound itself.
+    # Underflow adds at most d 2^-1075 per dot product and per distance, which
+    # the 8 (d+4) smallest-subnormal term covers.  A norm that overflows makes
+    # the bound inf or nan, and a nan keeps the pair, so the row keeps all.
+    yy = np.einsum("ij,ij->i", train_coords, train_coords)
+    yy2 = 2 * yy.max()
+    slack = 8 * (dim + 4) * np.finfo(np.float64).eps / 2
+    floor = 8 * (dim + 4) * np.finfo(np.float64).smallest_subnormal
+    neg2y = -2.0 * train_coords.T
+    # pairs per chunk of the exact pass: two (chunk, d) arrays fill one block
+    chunk = max(1, _KNN_BLOCK_BYTES // (16 * max(dim, 1)))
+    preds = np.empty(m, dtype=train_labels.dtype)
+    # a test row holds its n prefilter values and, in the vote, about 16 arrays of k
     height = max(1, _KNN_BLOCK_BYTES // (8 * (n + 16 * k)))
-    for lo in range(0, test_coords.shape[0], height):
-        dist = cdist(test_coords[lo:lo + height], train_coords)
-        # the k smallest in stable-argsort order: everything below the k-th
-        # distance, then the lowest-index entries equal to it
-        kth = np.partition(dist, k - 1, axis=1)[:, [k - 1]]
-        below = dist < kth
-        tied = dist == kth
-        need = k - np.count_nonzero(below, axis=1)
-        # a row with more ties than places left keeps its lowest-index ties
-        over = np.flatnonzero(np.count_nonzero(tied, axis=1) > need)
-        tied[over] &= np.cumsum(tied[over], axis=1) <= need[over, None]
-        cols = np.nonzero(below | tied)[1].reshape(-1, k)
-        near = np.take_along_axis(dist, cols, axis=1)
+    for lo in range(0, m, height):
+        x = test_coords[lo:lo + height]
+        # an overflow here only widens the bound (see the margin)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pre = x @ neg2y
+            pre += yy
+            kth = np.partition(pre, k - 1, axis=1)[:, k - 1]
+            bound = kth + (slack * (np.einsum("ij,ij->i", x, x) + yy2) + floor)
+        rows, cols = np.divmod(np.flatnonzero(~(pre > bound[:, None])), n)
+        del pre
+        dist = np.empty(rows.size)
+        for a in range(0, rows.size, chunk):
+            diff = x[rows[a:a + chunk]]
+            diff -= train_coords[cols[a:a + chunk]]
+            # numpy's own loop, not BLAS: a pair's distance has the same bits
+            # whatever chunk it falls in and whatever the BLAS thread count
+            dist[a:a + chunk] = np.einsum("ij,ij->i", diff, diff)
+        np.sqrt(dist, out=dist)
+        # the candidates come row by row, columns ascending, and lexsort is
+        # stable: each row's candidates come out in (distance, index) order
+        order = np.lexsort((dist, rows))
+        count = np.bincount(rows, minlength=x.shape[0])
+        pick = order[(np.cumsum(count) - count)[:, None] + np.arange(k)]
+        cols, near = cols[pick], dist[pick]
+        # the candidates may be every training row: free them before the next block
+        del rows, dist, order
         labels = train_labels[cols]
-        # group each row by label, nearest-first within a label; cols ascend,
-        # so equal distances keep training-index order
+        # group each row by label, nearest-first within a label; lexsort is
+        # stable, so equal distances keep training-index order
         order = np.lexsort((near, labels), axis=1)
         near = np.take_along_axis(near, order, axis=1)
         labels = np.take_along_axis(labels, order, axis=1)
@@ -285,8 +339,5 @@ def knn_classify(train_coords: np.ndarray, train_labels: np.ndarray,
         label_of = label_of.reshape(-1, k)
         best = np.lexsort((label_of, summed, -votes), axis=1)[:, 0]
         preds[lo:lo + height] = label_of[np.arange(labels.shape[0]), best]
-    error = None
-    if truth is not None:
-        truth = np.asarray(truth)
-        error = float(np.mean(preds != truth))
+    error = None if truth is None else float(np.mean(preds != truth))
     return preds, error

@@ -431,6 +431,22 @@ class TestDecodeEigenComponents:
             np.testing.assert_allclose(got[k, 1], minus, rtol=0, atol=1e-12)
 
 
+def knn_loop_oracle(train, labels, test, k):
+    """Per-point loop with explicit vote counting: stable (distance, index)
+    neighbors, then most votes, smallest summed distance, lowest label."""
+    preds = []
+    for x in test:
+        d = np.linalg.norm(train - x, axis=1)
+        nearest = np.argsort(d, kind="stable")[:k]
+        cand = {}
+        for j in nearest:
+            lab = int(labels[j])
+            cnt, tot = cand.get(lab, (0, 0.0))
+            cand[lab] = (cnt + 1, tot + float(d[j]))
+        preds.append(min(cand.items(), key=lambda kv: (-kv[1][0], kv[1][1], kv[0]))[0])
+    return np.array(preds)
+
+
 class TestKnnClassify:
     def test_hand_example(self):
         train = np.array([[0.0], [1.0], [10.0], [11.0]])
@@ -444,11 +460,12 @@ class TestKnnClassify:
         ("normal", 5),
         *[("int", k) for k in (1, 5, 8, 13, 80)],
         *[("tenth", k) for k in (1, 5, 8, 13, 80)],
+        # products near the smallest subnormal: the prefilter's rounding is absolute
+        *[("tiny", k) for k in (1, 5, 8, 13, 80)],
         ("blocks", 5),
         ("blocks", 2000),
     ], ids=lambda v: f"k{v}" if isinstance(v, int) else v)
     def test_matches_loop_oracle(self, kind, k):
-        # oracle: per-point loop with explicit vote counting
         if kind == "normal":
             rng = np.random.default_rng(26)
             train = rng.standard_normal((80, 3))
@@ -458,7 +475,7 @@ class TestKnnClassify:
             # grid points: exact duplicate training rows and many equal distances
             rng = np.random.default_rng(27)
             n, m = (65536, 30) if kind == "blocks" else (80, 40)
-            step = 0.1 if kind == "tenth" else 1.0
+            step = {"tenth": 0.1, "tiny": 1e-162}.get(kind, 1.0)
             train = rng.integers(-2, 3, (n, 2)) * step
             labels = rng.integers(0, 4, n)
             test = rng.integers(-4, 5, (m, 2)) * (step / 2)
@@ -466,29 +483,46 @@ class TestKnnClassify:
                 height = analysis._KNN_BLOCK_BYTES // (8 * (n + 16 * k))
                 assert m > 2 * height  # >= 3 blocks
         preds, _ = knn_classify(train, labels, test, k=k)
-        for i, x in enumerate(test):
-            d = np.linalg.norm(train - x, axis=1)
-            nearest = np.argsort(d, kind="stable")[:k]
-            cand = {}
-            for j in nearest:
-                lab = int(labels[j])
-                cnt, tot = cand.get(lab, (0, 0.0))
-                cand[lab] = (cnt + 1, tot + float(d[j]))
-            best = min(cand.items(), key=lambda kv: (-kv[1][0], kv[1][1], kv[0]))
-            assert preds[i] == best[0]
+        np.testing.assert_array_equal(preds, knn_loop_oracle(train, labels, test, k))
 
-    @pytest.mark.parametrize("n_train, n_test, dim, k", [
-        (5000, 2000, 64, 5),
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40), dim=st.integers(1, 6),
+           # the top octave is where the products pass 2^53 and start to round
+           offset=st.just(2**26) | st.integers(2**25, 2**26) | st.integers(0, 2**26),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_loop_oracle_on_offset_grids(self, data, n, dim, offset, seed):
+        # grid points far from the origin are exact in float64, and so are
+        # their distances' squares, but |y|^2 - 2 x.y loses up to all of its
+        # digits there: the prefilter must still keep every exact neighbor
+        k = data.draw(st.integers(1, n), label="k")
+        rng = np.random.default_rng(seed)
+        # rows drawn with replacement: duplicate training rows
+        train = offset + rng.integers(-3, 4, (n, dim))[rng.integers(0, n, n)].astype(float)
+        labels = rng.integers(0, 3, n)
+        test = offset + rng.integers(-7, 8, (rng.integers(1, 21), dim)) / 2
+        preds, _ = knn_classify(train, labels, test, k=k)
+        np.testing.assert_array_equal(preds, knn_loop_oracle(train, labels, test, k))
+
+    @pytest.mark.parametrize("n_train, n_test, dim, k, offset", [
+        (5000, 2000, 64, 5, None),
         # k = n: the vote must stay linear in k per row (a k x k mask per
         # row would take 30 MiB for each of a block's 262 rows)
-        (2000, 600, 8, 2000),
-    ], ids=["analyze-k5", "k-equals-n"])
-    def test_peak_memory_is_one_block(self, n_train, n_test, dim, k):
+        (2000, 600, 8, 2000, None),
+        # a grid at 2^26: the prefilter's margin exceeds every distance, so
+        # every training row is a candidate of every test row
+        (5000, 400, 16, 5, 2**26),
+    ], ids=["analyze-k5", "k-equals-n", "offset-grid"])
+    def test_peak_memory_is_one_block(self, n_train, n_test, dim, k, offset):
         # the full 2000 x 5000 distance matrix alone would take 76 MiB
         rng = np.random.default_rng(28)
-        train = rng.standard_normal((n_train, dim))
-        labels = rng.integers(0, 10, n_train)
-        test = rng.standard_normal((n_test, dim))
+        if offset is None:
+            train = rng.standard_normal((n_train, dim))
+            labels = rng.integers(0, 10, n_train)
+            test = rng.standard_normal((n_test, dim))
+        else:
+            train = offset + rng.integers(-2, 3, (n_train, dim)).astype(float)
+            labels = rng.integers(0, 10, n_train)
+            test = offset + rng.integers(-4, 5, (n_test, dim)) / 2
         tracemalloc.start()
         try:
             knn_classify(train, labels, test, k=k)
@@ -505,6 +539,48 @@ class TestKnnClassify:
         train[1, 0] = np.inf
         with pytest.raises(ValueError, match="finite"):
             knn_classify(train, labels, np.zeros((1, 2)), k=1)
+
+    def test_overflowing_norms_keep_every_candidate_without_warnings(self):
+        # |y|^2 overflows: the prefilter turns inf and nan, and every
+        # training row must still reach the exact pass, silently
+        rng = np.random.default_rng(3)
+        train = np.vstack([rng.standard_normal((20, 3)), 1e200 * rng.standard_normal((20, 3))])
+        labels = rng.integers(0, 4, 40)
+        test = np.vstack([rng.standard_normal((5, 3)), 1e200 * rng.standard_normal((5, 3))])
+        for k in (1, 3, 40):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                preds, _ = knn_classify(train, labels, test, k=k)
+            with np.errstate(over="ignore"):
+                np.testing.assert_array_equal(preds, knn_loop_oracle(train, labels, test, k))
+
+    @pytest.mark.parametrize("bad, message", [
+        # a length-1 truth used to broadcast: an error rate against label 0 for every row
+        ({"truth": np.array([0])}, r"truth has shape \(1,\) but there are 4 test points"),
+        ({"train_labels": np.array([[0], [0], [1], [1]])},
+         r"training labels have shape \(4, 1\) but there are 4 training points"),
+    ], ids=["truth", "train-labels"])
+    def test_rejects_labels_of_wrong_shape(self, bad, message):
+        args = {"train_coords": np.array([[0.0], [1.0], [10.0], [11.0]]),
+                "train_labels": np.array([0, 0, 1, 1]),
+                "test_coords": np.array([[0.5], [0.6], [10.5], [10.6]]), "k": 1,
+                "truth": np.array([0, 0, 1, 1]), **bad}
+        with pytest.raises(ValueError, match=message):
+            knn_classify(**args)
+
+    @pytest.mark.parametrize("which", ["train_coords", "test_coords"])
+    def test_rejects_one_dimensional_coordinates(self, which):
+        coords = {"train_coords": np.zeros((3, 2)), "test_coords": np.zeros((2, 2))}
+        coords[which] = np.zeros(2)
+        with pytest.raises(ValueError, match=f"{which} must be a 2-D array"):
+            knn_classify(coords["train_coords"], np.zeros(3, dtype=int),
+                         coords["test_coords"], k=1)
+
+    def test_rejects_empty_test_set(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="test_coords holds no points"):
+                knn_classify(np.zeros((3, 2)), np.zeros(3, dtype=int), np.zeros((0, 2)), k=1)
 
     def test_vote_tie_uses_distance(self):
         # one neighbor each: nearer label wins

@@ -260,6 +260,28 @@ class TestDeterminismAndVerify:
             outputs.append(json.loads((out / "manifest.json").read_text())["outputs"])
         assert outputs[0] == outputs[1]
 
+    def test_knn_bits_do_not_depend_on_blas_threads(self, tmp_path):
+        # the KNN prefilter is a BLAS product; only exact distances may reach
+        # the outputs.  On a grid at 2^24 the product rounds, the margin still
+        # drops most columns, and some rows tie at their k-th distance.
+        src = str(Path(cli.__file__).parents[1])
+        rng = np.random.default_rng(6)
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        write_embedding_csv(train, 2**24 + rng.integers(-10, 11, (3000, 16)).astype(float),
+                            rng.integers(0, 4, 3000))
+        write_embedding_csv(test, 2**24 + rng.integers(-21, 22, (300, 16)) / 2,
+                            rng.integers(0, 4, 300))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            subprocess.run([sys.executable, "-m", "eccentric.cli", "knn", "--train", str(train),
+                            "--test", str(test), "--k", "5", "--out-dir", str(out)],
+                           capture_output=True, check=True,
+                           env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                                "PYTHONPATH": src})
+            outputs.append(json.loads((out / "manifest.json").read_text())["outputs"])
+        assert outputs[0] == outputs[1]
+
     def test_out_outside_out_dir_rejected(self, tmp_path):
         # an --out path would escape the scratch directory of --verify
         assert run(["sweep-radius", "--dims", "4", "--mu-step", "1",
