@@ -12,7 +12,7 @@ import numpy as np
 from .kernel import PointBatch
 
 # bytes of prefilter values held per block of test rows in knn_classify
-_KNN_BLOCK_BYTES = 1 << 22
+_KNN_BLOCK_BYTES = 1 << 21
 
 __all__ = [
     "SpectrumReport",
@@ -185,6 +185,8 @@ def sample_latents(mode: str, reference: PointBatch | None, n: int, dim: int,
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    if dim < 1:
+        raise ValueError(f"dim must be positive, got {dim}")
     rng = np.random.default_rng(seed)
     if mode == "standard":
         return PointBatch(rng.standard_normal((n, dim)))
@@ -202,8 +204,9 @@ def sample_latents(mode: str, reference: PointBatch | None, n: int, dim: int,
         )
     v = rep.eigenvectors
     factor = (v * np.sqrt(np.maximum(rep.eigenvalues, 0.0))) @ v.T
-    g = rng.standard_normal((n, dim))
-    return PointBatch(rep.mean + g @ factor)
+    out = rng.standard_normal((n, dim)) @ factor
+    out += rep.mean
+    return PointBatch(out)
 
 
 def decode_eigen_components(decode, rep: SpectrumReport, scale: float) -> np.ndarray:
@@ -285,11 +288,13 @@ def knn_classify(train_coords: np.ndarray, train_labels: np.ndarray,
     # Underflow adds at most d 2^-1075 per dot product and per distance, which
     # the 8 (d+4) smallest-subnormal term covers.  A norm that overflows makes
     # the bound inf or nan, and a nan keeps the pair, so the row keeps all.
+    # The product takes -2x: scaling by a power of two is exact, so each of
+    # its terms rounds as in x.y, and its underflow and overflow are those
+    # covered above.
     yy = np.einsum("ij,ij->i", train_coords, train_coords)
     yy2 = 2 * yy.max()
     slack = 8 * (dim + 4) * np.finfo(np.float64).eps / 2
     floor = 8 * (dim + 4) * np.finfo(np.float64).smallest_subnormal
-    neg2y = -2.0 * train_coords.T
     # pairs per chunk of the exact pass: two (chunk, d) arrays fill one block
     chunk = max(1, _KNN_BLOCK_BYTES // (16 * max(dim, 1)))
     preds = np.empty(m, dtype=train_labels.dtype)
@@ -299,7 +304,7 @@ def knn_classify(train_coords: np.ndarray, train_labels: np.ndarray,
         x = test_coords[lo:lo + height]
         # an overflow here only widens the bound (see the margin)
         with np.errstate(over="ignore", invalid="ignore"):
-            pre = x @ neg2y
+            pre = (-2.0 * x) @ train_coords.T
             pre += yy
             kth = np.partition(pre, k - 1, axis=1)[:, k - 1]
             bound = kth + (slack * (np.einsum("ij,ij->i", x, x) + yy2) + floor)

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import warnings
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,8 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "manifest.json"
+# rows per block that the CSV reader parses and the writers convert at a time
+_IO_ROWS = 256
 
 
 def format_value(x) -> str:
@@ -39,12 +43,21 @@ def format_value(x) -> str:
     return str(x)
 
 
+def _write_lines(path, header, lines):
+    """Write the header row, then each line of an iterable (each ending in '\\n')."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
+
+
+def _rows_of(array):
+    """The rows of an array as Python values, converted _IO_ROWS at a time."""
+    return chain.from_iterable(array[lo:lo + _IO_ROWS].tolist()
+                               for lo in range(0, len(array), _IO_ROWS))
+
+
 def write_csv(path, header, rows):
-    path = Path(path)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    _write_lines(path, header, (",".join(map(format_value, row)) + "\n" for row in rows))
 
 
 def write_json(path, obj):
@@ -58,14 +71,35 @@ def write_embedding_csv(path, coords: np.ndarray, labels=None):
     coords = np.asarray(coords)
     header = [f"c{i}" for i in range(coords.shape[1])]
     fmt = ["%.17g"] * coords.shape[1]
-    rows = coords.tolist()
+    rows = _rows_of(coords)
     if labels is not None:
         header.append("label")
         fmt.append("%d")
-        rows = [c + [l] for c, l in zip(rows, np.asarray(labels).tolist())]
-    fmt = ",".join(fmt)
-    lines = [",".join(header)] + [fmt % tuple(row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+        rows = (row + [label] for row, label in zip(rows, _rows_of(np.asarray(labels))))
+    fmt = ",".join(fmt) + "\n"
+    _write_lines(path, header, (fmt % tuple(row) for row in rows))
+
+
+def _load_rows(path, lines, first, dtype, width):
+    """Parse data lines first, first + 1, ... of path, each of width fields.
+
+    An error names the first bad line, counted from the top of the file."""
+    try:
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning) as exc:
+        error = exc
+    for number, line in enumerate(lines, first):
+        try:
+            np.loadtxt([line], dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except (ValueError, DeprecationWarning) as exc:
+            fields = line.count(",") + 1
+            if fields != width:
+                raise ValueError(f"{path}: {fields} columns on line {number}, "
+                                 f"{width} in the header") from None
+            # numpy numbers the row within the lines it was given
+            raise ValueError(f"{path}: " + re.sub(r"\brow \d+", f"line {number}", str(exc))
+                             ) from None
+    raise ValueError(f"{path}: {error}") from None
 
 
 def read_embedding_csv(path):
@@ -73,31 +107,41 @@ def read_embedding_csv(path):
 
     Every line after the header is a data row: a blank line, a comment, a
     fractional label or a row width other than the header's is an error
-    naming the path."""
-    header, _, body = Path(path).read_text().strip().partition("\n")
-    if not body:
-        raise ValueError(f"{path}: no data rows")
-    rows = body.split("\n")
-    if not all(map(str.strip, rows)):
-        raise ValueError(f"{path}: blank line among the data rows")
-    header = header.split(",")
-    try:
+    naming the path and the line.  Blank lines before the header and after
+    the last row are ignored.  Rows are parsed _IO_ROWS at a time, so beyond
+    the result the reader holds one block of text and the parsed blocks."""
+    with open(path) as fh, warnings.catch_warnings():
         # older numpy truncates an unparsable int field through float with
         # only a DeprecationWarning; make that an error as well
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            if header[-1] != "label":
-                coords = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-                if coords.shape[1] != len(header):
-                    raise ValueError(f"{coords.shape[1]} columns in the data rows, "
-                                     f"{len(header)} in the header")
-                return coords, None
-            # a structured row keeps the label column integer: '3.5' there is an error
-            row = np.dtype([("c", "f8", (len(header) - 1,)), ("label", "i8")])
-            data = np.loadtxt(rows, dtype=row, delimiter=",", comments=None, ndmin=1)
-    except (ValueError, DeprecationWarning) as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return np.ascontiguousarray(data["c"]), np.ascontiguousarray(data["label"])
+        warnings.simplefilter("error", DeprecationWarning)
+        head, header = 0, ""
+        for head, header in enumerate(fh, 1):
+            if header.strip():
+                break
+        header = header.strip().split(",")
+        labeled = header[-1] == "label"
+        width = len(header) - labeled
+        if not width:
+            raise ValueError(f"{path}: no coordinate columns in the header")
+        # a structured row keeps the label column integer: '3.5' there is an error
+        dtype = np.dtype([("c", "f8", (width,))] + [("label", "i8")] * labeled)
+        blocks, first, blank = [], head + 1, None
+        while block := list(islice(fh, _IO_ROWS)):
+            # the rows end at the first blank line; every line after it must be blank
+            end = 0
+            if blank is None:
+                end = next((i for i, line in enumerate(block) if not line.strip()), len(block))
+                if end < len(block):
+                    blank = first + end
+            if any(map(str.strip, block[end:])):
+                raise ValueError(f"{path}: blank line {blank} among the data rows")
+            if end:
+                blocks.append(_load_rows(path, block[:end], first, dtype, len(header)))
+            first += len(block)
+    if not blocks:
+        raise ValueError(f"{path}: no data rows")
+    coords = np.concatenate([b["c"] for b in blocks])
+    return coords, (np.concatenate([b["label"] for b in blocks]) if labeled else None)
 
 
 def sha256_file(path) -> str:

@@ -531,6 +531,23 @@ class TestKnnClassify:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    @pytest.mark.parametrize("n_train, n_test", [(5000, 2000), (20000, 200)],
+                             ids=["analyze-k5", "wide-train"])
+    def test_peak_memory_scales_with_block(self, n_train, n_test):
+        # a block's prefilter values, their partitioned copy and its masks;
+        # no copy of the training set, which is 10 MiB in the wide case
+        rng = np.random.default_rng(28)
+        train = rng.standard_normal((n_train, 64))
+        labels = rng.integers(0, 10, n_train)
+        test = rng.standard_normal((n_test, 64))
+        tracemalloc.start()
+        try:
+            knn_classify(train, labels, test, k=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * analysis._KNN_BLOCK_BYTES
+
     def test_rejects_non_finite(self):
         train = np.zeros((3, 2))
         labels = np.zeros(3, dtype=int)

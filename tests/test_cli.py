@@ -472,6 +472,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error:" in err and "header_only.csv" in err
 
+    def test_label_only_embedding(self, tmp_path, capsys):
+        # no coordinate columns: its rows are not points of any dimension
+        path = tmp_path / "lab.csv"
+        path.write_text("label\n1\n2\n")
+        assert run(["knn", "--train", str(path), "--test", str(path), "--k", "1",
+                    "--out-dir", str(tmp_path / "knn")]) == 1
+        assert "error:" in (err := capsys.readouterr().err) and "lab.csv" in err
+        assert not (tmp_path / "knn" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("n, dim, named", [
+        ("3", "0", "dim"), ("3", "-1", "dim"), ("0", "2", "n"), ("-1", "2", "n")])
+    def test_sample_size_must_be_positive(self, tmp_path, capsys, n, dim, named):
+        assert run(["sample", "--mode", "standard", "--n", n, "--dim", dim,
+                    "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        value = dim if named == "dim" else n
+        assert f"error: {named} must be positive, got {value}" in err
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_embedding_wider_than_header(self, tmp_path, capsys):
         path = tmp_path / "wide.csv"
         path.write_text("c0,c1\n1,2,3\n4,5,7\n2,2,2\n")

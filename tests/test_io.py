@@ -1,4 +1,6 @@
 import json
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from eccentric import io
 from eccentric.io import (
     MANIFEST_NAME,
     format_value,
@@ -164,6 +167,89 @@ class TestEmbeddingCsv:
             rows = [r + [int(l)] for r, l in zip(rows, labels)]
         write_csv(tmp_path / "generic.csv", header, rows)
         assert path.read_bytes() == (tmp_path / "generic.csv").read_bytes()
+
+
+def reference_csv(header, rows):
+    """All lines at once, each value through format_value: the layout the writers keep."""
+    return ",".join(header) + "\n" + "".join(
+        ",".join(format_value(v) for v in row) + "\n" for row in rows)
+
+
+B = io._IO_ROWS
+
+
+class TestEmbeddingCsvBlocks:
+    @pytest.mark.parametrize("rows", [B - 1, B, B + 1, 2 * B + 1])
+    @pytest.mark.parametrize("with_labels", [False, True])
+    def test_round_trip_across_blocks(self, tmp_path, rows, with_labels):
+        rng = np.random.default_rng(rows)
+        coords = rng.standard_normal((rows, 3))
+        labels = rng.integers(-5, 5, rows) if with_labels else None
+        path = tmp_path / "e.csv"
+        write_embedding_csv(path, coords, labels)
+        back, back_labels = read_embedding_csv(path)
+        np.testing.assert_array_equal(back, coords)
+        assert back.flags.c_contiguous
+        header = ["c0", "c1", "c2"]
+        table = [list(c) for c in coords]
+        if with_labels:
+            np.testing.assert_array_equal(back_labels, labels)
+            header.append("label")
+            table = [r + [int(l)] for r, l in zip(table, labels)]
+        else:
+            assert back_labels is None
+        assert path.read_text() == reference_csv(header, table)
+
+    @pytest.mark.parametrize("bad, position, named", [
+        ("\n", B + 3, "blank line"),
+        # the last line of the first block, followed by rows in the second
+        ("  \n", B - 1, "blank line"),
+        ("#3,4,1\n", B + 3, "'#3'"),
+        ("3,4,1.5\n", B + 3, "'1.5'"),
+        ("3,4\n", B + 3, "2 columns"),
+    ], ids=["blank", "blank-at-block-end", "comment", "fractional-label", "narrow"])
+    @pytest.mark.parametrize("lead", ["", "\n\n"], ids=["", "after-blank-lead"])
+    def test_bad_line_names_its_file_line(self, tmp_path, bad, position, named, lead):
+        lines = ["1,2,0\n"] * (2 * B)
+        lines[position] = bad
+        path = tmp_path / "e.csv"
+        path.write_text(lead + "c0,c1,label\n" + "".join(lines))
+        # leading lines, the header, then the 0-based data index
+        line = lead.count("\n") + 1 + position + 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError) as info:
+                read_embedding_csv(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: ") and named in message
+        assert f"line {line}" in message and not re.search(r"\brow \d", message)
+
+    def test_no_coordinate_columns(self, tmp_path):
+        path = tmp_path / "lab.csv"
+        path.write_text("label\n1\n2\n")
+        with pytest.raises(ValueError, match=r"lab\.csv: no coordinate columns"):
+            read_embedding_csv(path)
+
+    def test_peak_memory(self, tmp_path):
+        # whole-file text, line lists and joined strings took ~7x the array
+        rng = np.random.default_rng(3)
+        coords = rng.standard_normal((20000, 64))
+        labels = rng.integers(0, 10, 20000)
+        data_bytes = coords.nbytes + labels.nbytes
+        path = tmp_path / "e.csv"
+        peaks = []
+        tracemalloc.start()
+        try:
+            write_embedding_csv(path, coords, labels)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            back, _ = read_embedding_csv(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back, coords)
+        for peak in peaks:
+            assert peak < 2 * data_bytes + 2**21
 
 
 class TestManifest:
