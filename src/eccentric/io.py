@@ -2,7 +2,7 @@
 
 Floats are formatted with 17 significant digits (round-trip exact for
 float64), '.' decimal separator and '\\n' line endings, so identical runs
-produce byte-identical files on every platform.
+with the same build and BLAS thread count produce byte-identical files.
 """
 
 from __future__ import annotations

@@ -105,7 +105,8 @@ class TestSolveRadius:
         monkeypatch.setattr(radius, "_integral", lambda a, dim: np.full_like(a, np.nan))
         assert run(["solve-radius", "--dim", "4", "--mu", "2", "--big-n", "5",
                     "--out-dir", str(tmp_path)]) == 2
-        assert "bisection stalled" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "root search stalled" in err and "d=4, mu=2.0" in err
 
 
 # keys whose values are floats; an int default on one of them would make an int flag

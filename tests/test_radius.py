@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eccentric import radius
 from eccentric.kernel import ParamSet, choose_big_n
 from eccentric.radius import (
     ForceProfile,
@@ -18,7 +19,33 @@ from eccentric.radius import (
     solve_radius,
     sweep_radius,
 )
-from eccentric.radius import _f_integrand, _integral, _mu_grid
+from eccentric.radius import (A_RTOL, MAX_ITER, RESIDUAL_TOL, _f_integrand, _integral, _mu_grid,
+                              _solve_a)
+
+# measured: 5-9 evaluations per cell over 200k random cells with d in [3, 2000] and
+# mu in [1, 1e6] and over every cell of criterion 1's sweep; bisection takes 40
+MAX_EVALS = 10
+
+
+def bisect_a(dim, mu):
+    """Oracle: plain bisection for I(a) = 1/mu over the closed-form bracket, with the
+    stopping rule of _solve_a, elementwise over the 1-D arrays (dim, mu)."""
+    target = 1.0 / mu
+    lo, hi = 0.5 / (mu - 0.25), 1.0 / (mu - 0.5)
+    mid = 0.5 * (lo + hi)
+    g_mid = _integral(mid, dim) - target
+    idx = np.arange(dim.size)
+    for _ in range(MAX_ITER):
+        up = g_mid[idx] < 0.0
+        lo[idx] = np.where(up, mid[idx], lo[idx])
+        hi[idx] = np.where(up, hi[idx], mid[idx])
+        mid[idx] = 0.5 * (lo[idx] + hi[idx])
+        g_mid[idx] = _integral(mid[idx], dim[idx]) - target[idx]
+        done = (hi[idx] - lo[idx] <= A_RTOL * mid[idx]) & (np.abs(g_mid[idx]) < RESIDUAL_TOL)
+        idx = idx[~done]
+        if not idx.size:
+            return mid
+    raise AssertionError(f"oracle bisection stalled at d={dim[idx[0]]}, mu={mu[idx[0]]}")
 
 
 def stationarity_integral(rho, dim, big_n):
@@ -198,6 +225,55 @@ class TestSolveRadius:
             return stationarity_integral(1.0, dim, 2.0 * a)
 
         assert integral(2.0 / (4.0 * mu - 1.0)) < 1.0 / mu < integral(2.0 / (2.0 * mu - 1.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(dim=st.integers(3, 2000), mu=st.floats(1.0, 1e6))
+    def test_matches_bisection_oracle(self, dim, mu):
+        a, res, _ = _solve_a(np.array([float(dim)]), np.array([mu]))
+        assert a[0] == pytest.approx(bisect_a(np.array([float(dim)]), np.array([mu]))[0],
+                                     rel=1e-11)
+        assert abs(res[0]) < RESIDUAL_TOL
+
+    @settings(max_examples=300, deadline=None)
+    @given(dim=st.integers(3, 2000), mu=st.floats(1.0, 1e6))
+    def test_evaluations_capped(self, dim, mu):
+        sol = solve_radius(dim, mu, 1.0)
+        assert sol.quadrature_points == sol.iterations + 2 <= MAX_EVALS
+
+    def test_sweep_cells_capped(self):
+        # every cell of criterion 1's sweep at d = 12, 38 and 117, solved as sweep_radius does
+        grids = [_mu_grid(d, 0.25) for d in (12, 38, 117)]
+        mu = np.concatenate(grids)
+        dim = np.concatenate([np.full(g.size, float(d)) for d, g in zip((12, 38, 117), grids)])
+        a, res, iterations = _solve_a(dim, mu)
+        assert iterations.max() + 2 <= MAX_EVALS
+        assert np.abs(res).max() < RESIDUAL_TOL
+        np.testing.assert_allclose(a, bisect_a(dim, mu), rtol=1e-11)
+
+    @pytest.mark.parametrize("dim, mu", [
+        # a is subnormal: the lower end's rounded residual is already >= 0, so the
+        # evaluated bracket has no sign change and the root is that end
+        pytest.param(3, 1.6798029063528636e308, id="subnormal-a"),
+        pytest.param(2000, sys.float_info.max, id="largest-mu"),
+    ])
+    def test_extreme_mu(self, dim, mu):
+        sol = solve_radius(dim, mu, 1.0)
+        assert 0.0 < sol.rho < math.inf and abs(sol.residual) < RESIDUAL_TOL
+        a = bisect_a(np.array([float(dim)]), np.array([mu]))[0]
+        assert sol.rho == pytest.approx(1.0 / math.sqrt(2.0 * a), rel=1e-11)
+
+    @pytest.mark.parametrize("fake", [
+        pytest.param(lambda a, dim: np.full_like(a, np.nan), id="nan"),
+        # I = 2 > 1/mu at both ends: the bracket collapses onto its lower end, whose
+        # residual never meets the stopping rule
+        pytest.param(lambda a, dim: np.full_like(a, 2.0), id="zero-width"),
+    ])
+    def test_stall_raises_after_max_iter(self, monkeypatch, fake):
+        calls = []
+        monkeypatch.setattr(radius, "_integral", lambda a, dim: calls.append(a) or fake(a, dim))
+        with pytest.raises(SolverError, match=r"d=4, mu=2\.0"):
+            solve_radius(4, 2.0, 5.0)
+        assert len(calls) == MAX_ITER + 2
 
     def test_deterministic(self):
         s1 = solve_radius(12, 2.0, choose_big_n(12, 2.0))
