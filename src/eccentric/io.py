@@ -3,6 +3,10 @@
 Floats are formatted with 17 significant digits (round-trip exact for
 float64), '.' decimal separator and '\\n' line endings, so identical runs
 with the same build and BLAS thread count produce byte-identical files.
+`simulate` outputs do not depend on the BLAS thread count at all (the pair
+kernel's products are at most 128 x 128 tiles); `train` outputs can at
+batches above 128, where the autoencoder's `inp.T @ g` sums over the batch
+in one BLAS product.
 """
 
 from __future__ import annotations

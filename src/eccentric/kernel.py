@@ -97,19 +97,24 @@ class PointBatch:
         return self.data.shape[1]
 
 
-_PAIR_BLOCK_ROWS = 128  # rows of the b x b distance matrix held at once
+_PAIR_TILE = 128  # side of the square tiles of the b x b distance matrix
 
 
 def _pair_pass(batch: PointBatch, params: ParamSet, want_loss: bool, want_grad: bool):
-    """(loss or None, gradient or None) from one distance pass in row blocks.
+    """(loss or None, gradient or None) from one distance pass in square tiles.
 
-    Rows I = [lo, hi) take two blocks of |z_i - z_j|^2 / N (computed directly:
-    the Gram expansion can go negative from cancellation): the diagonal block
-    I x I and the block I x [hi, b) to its right, each turned into the weights
-    w_ij in place.  Since w_ij = w_ji, the right block serves both row sets:
-    its log1p sum counts twice, and it adds to the gradient of rows I and of
-    rows hi: alike, so no block is computed from both sides.  The diagonal
-    adds log(1+0) = 0 and w_ii * 0.
+    The upper triangle of the matrix of d^2 = |z_i - z_j|^2 (computed
+    directly: the Gram expansion can go negative from cancellation) is taken
+    one _PAIR_TILE-square tile I x J at a time, diagonal tiles included.  A
+    tile adds its log1p(d^2/N) sum to the loss, then becomes the weights
+    w_ij = N / (N + d^2) in place.  One product with z1 = [z, 1] gives
+    sum_j w_ij z_j and sum_j w_ij at once; acc gathers them, and the
+    repulsion acc[i, -1] z_i - acc[i, :-1] is formed at the end.  Since
+    w_ij = w_ji, a tile above the diagonal serves both of its row sets: its
+    log1p sum counts twice and w.T @ z1[I] adds to rows J.  The diagonal adds
+    log(1+0) = 0 and w_ii (z_i - z_i).  No BLAS product exceeds
+    (128, 128) @ (128, d+1) and tiles add in a fixed order, so the bits did
+    not depend on the BLAS thread count at any shape tested (test_kernel.py).
     """
     # imported here: scipy.spatial adds ~0.5 s to every CLI start
     from scipy.spatial.distance import cdist
@@ -118,27 +123,27 @@ def _pair_pass(batch: PointBatch, params: ParamSet, want_loss: bool, want_grad: 
         raise ValueError(f"batch dim {batch.dim} != params dim {params.dim}")
     if batch.count < 2:
         raise ValueError(f"loss needs at least 2 points, got {batch.count}")
-    z, b = batch.data, batch.count
-    log_sum, rep = 0.0, np.zeros_like(z)
-    for lo in range(0, b, _PAIR_BLOCK_ROWS):
-        hi = lo + _PAIR_BLOCK_ROWS
-        rows = z[lo:hi]
-        for cols, twice in ((rows, False), (z[hi:], True)):
-            if not len(cols):
-                break
-            w = cdist(rows, cols, "sqeuclidean")
-            w /= params.big_n
+    z, b, big_n = batch.data, batch.count, params.big_n
+    z1 = np.concatenate((z, np.ones((b, 1))), axis=1)
+    log_sum, acc = 0.0, np.zeros((b, batch.dim + 1))
+    for lo in range(0, b, _PAIR_TILE):
+        rows = slice(lo, lo + _PAIR_TILE)
+        for c0 in range(lo, b, _PAIR_TILE):
+            cols = slice(c0, c0 + _PAIR_TILE)
+            w = cdist(z[rows], z[cols], "sqeuclidean")
             if want_loss:
-                log_sum += (1 + twice) * float(np.sum(np.log1p(w)))
+                t = w / big_n
+                np.log1p(t, out=t)
+                log_sum += (1 + (c0 > lo)) * float(np.sum(t))
             if want_grad:
-                w += 1.0
-                np.reciprocal(w, out=w)
-                rep[lo:hi] += w.sum(axis=1)[:, None] * rows - w @ cols
-                if twice:
-                    # (rows.T @ w).T rather than w.T @ rows: less peak memory
-                    rep[hi:] += w.sum(axis=0)[:, None] * cols - (rows.T @ w).T
+                w += big_n
+                np.divide(big_n, w, out=w)
+                acc[rows] += w @ z1[cols]
+                if c0 > lo:
+                    acc[cols] += w.T @ z1[rows]
     pairs = b * (b - 1)
-    loss = float(np.sum(z * z)) / b - params.mu * params.big_n * log_sum / pairs
+    loss = float(np.sum(z * z)) / b - params.mu * big_n * log_sum / pairs
+    rep = acc[:, -1:] * z - acc[:, :-1]
     grad = (2.0 / b) * z - (4.0 * params.mu / pairs) * rep if want_grad else None
     return (loss if want_loss else None), grad
 
@@ -158,7 +163,7 @@ def batch_loss_and_gradient(batch: PointBatch, params: ParamSet) -> tuple[float,
 
     Row i of the gradient is
     (2/b) z_i - (4 mu / (b(b-1))) * sum_{j != i} w_ij (z_i - z_j)
-    with w_ij = 1 / (1 + |z_i - z_j|^2 / N).  The loss is bit-identical to
-    batch_loss and the gradient to batch_gradient.
+    with w_ij = 1 / (1 + |z_i - z_j|^2 / N) = N / (N + |z_i - z_j|^2).  The
+    loss is bit-identical to batch_loss and the gradient to batch_gradient.
     """
     return _pair_pass(batch, params, want_loss=True, want_grad=True)

@@ -24,6 +24,19 @@ def run_ok(argv):
     assert code == 0, f"expected exit 0, got {code} for {argv}"
 
 
+def blas_thread_outputs(tmp_path, argv):
+    """Manifest `outputs` of argv run as a subprocess at 1 and at 2 BLAS threads."""
+    src = str(Path(cli.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "eccentric.cli", *argv, "--out-dir", str(out)],
+                       capture_output=True, check=True,
+                       env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src})
+        outputs.append(json.loads((out / "manifest.json").read_text())["outputs"])
+    return outputs
+
+
 class TestLoadConfig:
     def test_parses_flat_keys(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -246,41 +259,36 @@ class TestDeterminismAndVerify:
         assert run(changed) == 1
 
     def test_simulate_bits_do_not_depend_on_blas_threads(self, tmp_path):
-        # the kernel's block products go through BLAS; its thread count must not
+        # the kernel's tile products go through BLAS; its thread count must not
         # reach the hashed outputs
-        src = str(Path(cli.__file__).parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
-            subprocess.run([sys.executable, "-m", "eccentric.cli", "simulate", "--dim", "8",
-                            "--mu", "1.0", "--auto-n", "--count", "300", "--steps", "6",
-                            "--step-size", "0.1", "--init-scale", "1.0", "--seed", "5",
-                            "--out-dir", str(out)], capture_output=True, check=True,
-                           env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                                "PYTHONPATH": src})
-            outputs.append(json.loads((out / "manifest.json").read_text())["outputs"])
+        outputs = blas_thread_outputs(tmp_path, [
+            "simulate", "--dim", "8", "--mu", "1.0", "--auto-n", "--count", "300",
+            "--steps", "6", "--step-size", "0.1", "--init-scale", "1.0", "--seed", "5"])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("dim,count", [(16, 700), (64, 300)])
+    def test_simulate_bits_at_exposed_shapes(self, tmp_path, dim, count):
+        # shapes where a (128, b - 128) @ (b - 128, d) row-block product summed
+        # in another order at 2 BLAS threads.  A step this long carries those
+        # last bits of the gradient into z (at 0.2, z - 0.2 g rounded them away
+        # at d=64).
+        outputs = blas_thread_outputs(tmp_path, [
+            "simulate", "--dim", str(dim), "--mu", "1.0", "--auto-n", "--count", str(count),
+            "--steps", "3", "--step-size", "5", "--init-scale", "1.0", "--seed", "3"])
         assert outputs[0] == outputs[1]
 
     def test_knn_bits_do_not_depend_on_blas_threads(self, tmp_path):
         # the KNN prefilter is a BLAS product; only exact distances may reach
         # the outputs.  On a grid at 2^24 the product rounds, the margin still
         # drops most columns, and some rows tie at their k-th distance.
-        src = str(Path(cli.__file__).parents[1])
         rng = np.random.default_rng(6)
         train, test = tmp_path / "train.csv", tmp_path / "test.csv"
         write_embedding_csv(train, 2**24 + rng.integers(-10, 11, (3000, 16)).astype(float),
                             rng.integers(0, 4, 3000))
         write_embedding_csv(test, 2**24 + rng.integers(-21, 22, (300, 16)) / 2,
                             rng.integers(0, 4, 300))
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
-            subprocess.run([sys.executable, "-m", "eccentric.cli", "knn", "--train", str(train),
-                            "--test", str(test), "--k", "5", "--out-dir", str(out)],
-                           capture_output=True, check=True,
-                           env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                                "PYTHONPATH": src})
-            outputs.append(json.loads((out / "manifest.json").read_text())["outputs"])
+        outputs = blas_thread_outputs(tmp_path, ["knn", "--train", str(train),
+                                                 "--test", str(test), "--k", "5"])
         assert outputs[0] == outputs[1]
 
     def test_out_outside_out_dir_rejected(self, tmp_path):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -237,19 +242,24 @@ class TestBatchLossGradient:
         assert l1 == l2 and np.array_equal(g1, g2)
 
 
-BLOCK = kernel._PAIR_BLOCK_ROWS  # rows of the distance matrix per block
+BLOCK = kernel._PAIR_TILE  # side of the distance matrix's square tiles
 
 
 class TestRowBlocks:
     # the unblocked formula over the whole b x b matrix is the oracle
 
-    @settings(deadline=None, max_examples=40)
-    @given(st.one_of(st.sampled_from([2, BLOCK - 1, BLOCK, BLOCK + 1]), st.integers(2, 300)),
-           st.integers(2, 8), st.integers(0, 2**31 - 1))
+    # counts on both sides of one and two tile edges, and dims from the
+    # smallest to flow's
+    @settings(deadline=None, max_examples=60)
+    @given(st.one_of(st.sampled_from([2] + [k * BLOCK + e for k in (1, 2) for e in (-1, 0, 1)]),
+                     st.integers(2, 400)),
+           st.one_of(st.sampled_from([2, 3, 16]), st.integers(2, 8)), st.integers(0, 2**31 - 1))
     @example(count=BLOCK - 1, dim=5, seed=0)
     @example(count=BLOCK + 1, dim=5, seed=0)
     @example(count=2 * BLOCK + 1, dim=5, seed=0)
     @example(count=4 * BLOCK, dim=5, seed=0)
+    @example(count=2 * BLOCK - 1, dim=16, seed=1)
+    @example(count=2 * BLOCK, dim=3, seed=2)
     def test_matches_unblocked_formula(self, count, dim, seed):
         rng = np.random.default_rng(seed)
         p = random_params(dim, mu=float(rng.uniform(1.0, 3.0)))
@@ -291,6 +301,25 @@ class TestRowBlocks:
         grad = batch_gradient(PointBatch(z), p)
         net = grad.sum(axis=0) - (2.0 / count) * z.sum(axis=0)
         assert np.abs(net).max() <= 1e-12 * np.abs(grad).max()
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # every tile product is at most (128, 128) @ (128, d+1); among these
+        # shapes, a (128, n) @ (n, d) product with n > 128 sums in another
+        # order at 2 threads at d=16, b=700 and d=64, b=300
+        code = ("import hashlib, numpy as np\n"
+                "from eccentric.kernel import ParamSet, PointBatch, batch_gradient\n"
+                "for d in (2, 16, 64):\n"
+                "    for b in (300, 700, 1000, 1500, 2048, 3000):\n"
+                "        z = PointBatch(np.random.default_rng(b).standard_normal((b, d)))\n"
+                "        g = batch_gradient(z, ParamSet.auto(d, 1.5))\n"
+                "        print(d, b, hashlib.sha256(g.tobytes()).hexdigest())\n")
+        src = str(Path(kernel.__file__).parents[1])
+        out = [subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                              text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                                              "PYTHONPATH": src}).stdout
+               for threads in ("1", "2")]
+        assert len(out[0].splitlines()) == 18
+        assert out[0] == out[1]
 
     def test_gradient_without_loss_checks_batch(self):
         p = ParamSet(dim=3, mu=1.0, big_n=6.0)
