@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 LEAKY_SLOPE = 0.1
-_ACTIVATIONS = ("identity", "relu", "leaky-relu", "sigmoid")
+_ACTIVATIONS = ("identity", "leaky-relu", "sigmoid")
 CHECKPOINT_MAGIC = b"EAE1"
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -40,8 +40,6 @@ def _act(tag: str, pre: np.ndarray):
     """(output, derivative) of an activation; the derivative is None for identity."""
     if tag == "identity":
         return pre, None
-    if tag == "relu":
-        return np.maximum(pre, 0.0), (pre > 0.0).astype(np.float64)
     if tag == "leaky-relu":
         slope = np.where(pre > 0.0, 1.0, LEAKY_SLOPE)
         return pre * slope, slope
@@ -122,22 +120,20 @@ class DenseNet:
         return net
 
     def forward(self, x: np.ndarray, cache: list | None = None) -> np.ndarray:
-        """Apply the network to a batch or one vector.  Given a ``cache`` list,
+        """Apply the network to a (rows, in_width) batch.  Given a ``cache`` list,
         append (input, activation derivative) per layer for the backward loop.
         """
         x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        if x.shape[1] != self.spec.in_width:
-            raise ValueError(f"input width {x.shape[1]} != spec width {self.spec.in_width}")
+        if x.ndim != 2 or x.shape[1] != self.spec.in_width:
+            raise ValueError(
+                f"expected a (rows, {self.spec.in_width}) input, got shape {x.shape}")
         out = x
         for w, b, tag in zip(self.weights, self.biases, self.spec.activations):
             inp = out
             out, slope = _act(tag, inp @ w + b)
             if cache is not None:
                 cache.append((inp, slope))
-        return out[0] if squeeze else out
+        return out
 
 
 @dataclass(frozen=True)

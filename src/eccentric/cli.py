@@ -17,7 +17,7 @@ import tempfile
 from pathlib import Path
 
 from . import analysis, autoencoder, datasets, io, particles, radius
-from .kernel import ParamSet, PointBatch
+from .kernel import ParamSet, PointBatch, choose_big_n
 
 __all__ = ["main", "run", "load_config"]
 
@@ -56,11 +56,11 @@ def _config_argv(path, defaults: dict) -> list[str]:
     return argv
 
 
-def _resolve_big_n(cfg) -> float:
+def _resolve_big_n(cfg, dim: int) -> float:
     if cfg["auto_n"]:
         if cfg["big_n"] > 0:
             raise ValueError("pass either --big-n or --auto-n, not both")
-        return ParamSet.auto(cfg["dim"], cfg["mu"]).big_n
+        return choose_big_n(dim, cfg["mu"])
     if not cfg["big_n"] > 0:
         raise ValueError("either --big-n > 0 or --auto-n is required")
     return cfg["big_n"]
@@ -99,7 +99,7 @@ def _load_cli_dataset(cfg) -> datasets.Dataset:
     if name not in datasets.GENERATORS:
         raise ValueError(f"unknown dataset {name!r}; expected one of "
                          f"{sorted(datasets.GENERATORS)} or 'idx'")
-    return datasets.load_dataset(name, n=cfg["data_n"], seed=cfg["data_seed"])
+    return datasets.GENERATORS[name](n=cfg["data_n"], seed=cfg["data_seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +107,7 @@ def _load_cli_dataset(cfg) -> datasets.Dataset:
 
 
 def _cmd_solve_radius(cfg, out):
-    big_n = _resolve_big_n(cfg)
+    big_n = _resolve_big_n(cfg, cfg["dim"])
     sol = radius.solve_radius(cfg["dim"], cfg["mu"], big_n)
     payload = {
         "dim": cfg["dim"], "mu": cfg["mu"], "big_n": big_n,
@@ -129,7 +129,7 @@ def _cmd_sweep_radius(cfg, out):
 
 
 def _cmd_force_profile(cfg, out):
-    big_n = _resolve_big_n(cfg)
+    big_n = _resolve_big_n(cfg, cfg["dim"])
     params = ParamSet(dim=cfg["dim"], mu=cfg["mu"], big_n=big_n)
     prof = radius.force_profile(params, cfg["r_max"], cfg["steps"])
     path = _out_file(out, cfg["out"])
@@ -150,7 +150,7 @@ def _cmd_lemma_check(cfg, out):
 
 
 def _cmd_simulate(cfg, out):
-    big_n = _resolve_big_n(cfg)
+    big_n = _resolve_big_n(cfg, cfg["dim"])
     params = ParamSet(dim=cfg["dim"], mu=cfg["mu"], big_n=big_n)
     sim = particles.SimConfig(params=params, count=cfg["count"], steps=cfg["steps"],
                               step_size=cfg["step_size"], seed=cfg["seed"],
@@ -171,7 +171,7 @@ def _cmd_simulate(cfg, out):
 
 def _cmd_train(cfg, out):
     ds = _load_cli_dataset(cfg)
-    big_n = _resolve_big_n(cfg | {"dim": cfg["latent_dim"]})
+    big_n = _resolve_big_n(cfg, cfg["latent_dim"])
     enc_spec, dec_spec = _net_specs(cfg["hidden"], cfg["latent_dim"], ds.width)
     params = ParamSet(dim=cfg["latent_dim"], mu=cfg["mu"], big_n=big_n, lam=cfg["lam"])
     tc = autoencoder.TrainConfig(
@@ -194,6 +194,8 @@ def _cmd_train(cfg, out):
 def _cmd_encode(cfg, out):
     ds = _load_cli_dataset(cfg)
     enc_spec, _ = _net_specs(cfg["hidden"], cfg["latent_dim"], ds.width)
+    if not cfg["checkpoint"]:
+        raise ValueError("encode requires --checkpoint")
     net = autoencoder.load_checkpoint(cfg["checkpoint"], enc_spec)
     batch = autoencoder.encode_dataset(net, ds)
     path = out / "embedding.csv"
@@ -281,6 +283,8 @@ def _cmd_decode_components(cfg, out):
     coords, _ = io.read_embedding_csv(cfg["input"])
     rep = analysis.spectrum(PointBatch(coords))
     _, dec_spec = _net_specs(cfg["hidden"], rep.eigenvalues.shape[0], cfg["output_width"])
+    if not cfg["checkpoint"]:
+        raise ValueError("decode-components requires --checkpoint")
     net = autoencoder.load_checkpoint(cfg["checkpoint"], dec_spec)
     comps = analysis.decode_eigen_components(net.forward, rep, cfg["scale"])
     rows = [[k, sign, *row] for k, pair in enumerate(comps)
@@ -380,7 +384,7 @@ def run(argv=None) -> int:
         return 0
     except SystemExit as exc:  # argparse: a bad flag or file value, or --help
         return 1 if exc.code not in (0, None) else 0
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (radius.SolverError, particles.DivergenceError, FloatingPointError) as exc:

@@ -16,7 +16,6 @@ __all__ = [
     "gaussian_mixture",
     "noisy_ring",
     "swiss_roll_slice",
-    "load_dataset",
     "load_idx_images",
     "load_idx_labels",
     "load_idx_pair",
@@ -58,66 +57,55 @@ class Dataset:
         return self.data.shape[1]
 
 
-def _to_unit_box(points: np.ndarray, margin: float = 0.05) -> np.ndarray:
+def _to_unit_box(points: np.ndarray) -> np.ndarray:
+    """Scale each column affinely onto [0.05, 0.95]."""
     lo = points.min(axis=0)
     hi = points.max(axis=0)
     span = np.where(hi > lo, hi - lo, 1.0)
-    return margin + (1.0 - 2.0 * margin) * (points - lo) / span
+    return 0.05 + 0.9 * (points - lo) / span
 
 
-def gaussian_mixture(n: int = 300, k: int = 3, dim: int = 2, seed: int = 0,
-                     spread: float = 1.0, noise: float = 0.15) -> Dataset:
-    """k Gaussian blobs with centers drawn once from the seed; labels = component."""
-    if n < k:
-        raise ValueError(f"need at least one point per component, got n={n}, k={k}")
+def gaussian_mixture(n: int = 300, seed: int = 0) -> Dataset:
+    """3 blobs in 2-D, std 0.15, around standard normal centers; labels = component."""
+    if n < 3:
+        raise ValueError(f"need at least one point for each of 3 components, got n={n}")
     rng = np.random.default_rng(seed)
-    centers = spread * rng.standard_normal((k, dim))
-    labels = np.arange(n) % k
-    points = centers[labels] + noise * rng.standard_normal((n, dim))
+    centers = rng.standard_normal((3, 2))
+    labels = np.arange(n) % 3
+    points = centers[labels] + 0.15 * rng.standard_normal((n, 2))
     return Dataset(_to_unit_box(points), labels)
 
 
-def noisy_ring(n: int = 400, rings: int = 2, seed: int = 0,
-               noise: float = 0.02) -> Dataset:
-    """Concentric circles with radial Gaussian noise; labels = ring index."""
+def noisy_ring(n: int = 400, seed: int = 0) -> Dataset:
+    """Circles of radius 0.5 and 1.0, radial noise std 0.02; labels = ring index."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if rings < 1:
-        raise ValueError(f"rings must be >= 1, got {rings}")
     rng = np.random.default_rng(seed)
-    labels = np.arange(n) % rings
-    radii = 0.5 + 0.5 * labels  # 0.5, 1.0, 1.5, ...
+    labels = np.arange(n) % 2
+    radii = 0.5 + 0.5 * labels
     angles = rng.uniform(0.0, 2.0 * np.pi, n)
-    r = radii + noise * rng.standard_normal(n)
+    r = radii + 0.02 * rng.standard_normal(n)
     points = np.stack([r * np.cos(angles), r * np.sin(angles)], axis=1)
     return Dataset(_to_unit_box(points), labels)
 
 
-def swiss_roll_slice(n: int = 400, seed: int = 0, noise: float = 0.02) -> Dataset:
-    """A 2-D spiral arc (one slice of a swiss roll), unlabeled."""
+def swiss_roll_slice(n: int = 400, seed: int = 0) -> Dataset:
+    """A 2-D spiral arc (one slice of a swiss roll), noise std 0.02, unlabeled."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     t = rng.uniform(1.5 * np.pi, 4.5 * np.pi, n)
     points = np.stack([t * np.cos(t), t * np.sin(t)], axis=1) / (4.5 * np.pi)
-    points += noise * rng.standard_normal((n, 2))
+    points += 0.02 * rng.standard_normal((n, 2))
     return Dataset(_to_unit_box(points))
 
 
+# every generator takes exactly (n, seed), the keywords the CLI passes
 GENERATORS = {
     "gaussian-mixture": gaussian_mixture,
     "noisy-ring": noisy_ring,
     "swiss-roll": swiss_roll_slice,
 }
-
-
-def load_dataset(source: str, **kwargs) -> Dataset:
-    """Build a named synthetic dataset from the keyword arguments of its
-    generator (n, seed, ...).  IDX files are read by load_idx_pair.
-    """
-    if source not in GENERATORS:
-        raise ValueError(f"unknown dataset {source!r}; expected one of {sorted(GENERATORS)}")
-    return GENERATORS[source](**kwargs)
 
 
 def _read_idx_header(buf: bytes, path, expected_magic: int, n_dims: int):

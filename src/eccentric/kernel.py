@@ -29,12 +29,13 @@ __all__ = [
 def choose_big_n(dim: int, mu: float) -> float:
     """Softening scale N(d, mu) that puts the stationary sphere radius near sqrt(d).
 
-    N = 2d * (1 + 1/(2*mu*(d-1))) / (2*mu - 1)
+    N = 2d * (1 + 1/(2*mu*(d-1))) / (2*mu - 1), calibrated for mu in [1, 2d+1]
+    (radius.sweep_radius checks that range); any other mu is rejected.
     """
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
-    if mu <= 0.5:
-        raise ValueError(f"mu must exceed 1/2 (formula divides by 2*mu - 1), got {mu}")
+    if not 1.0 <= mu <= 2.0 * dim + 1.0:
+        raise ValueError(f"N(d, mu) requires 1 <= mu <= 2*dim+1, got mu={mu} at dim={dim}")
     return 2.0 * dim * (1.0 + 1.0 / (2.0 * mu * (dim - 1))) / (2.0 * mu - 1.0)
 
 
@@ -56,20 +57,6 @@ class ParamSet:
             raise ValueError(f"big_n must be finite and positive, got {self.big_n}")
         if not 0 <= self.lam < math.inf:
             raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
-
-    @classmethod
-    def auto(cls, dim: int, mu: float, lam: float = 0.0) -> "ParamSet":
-        """Build a ParamSet with N derived from (dim, mu).
-
-        The derivation is calibrated for mu in [1, 2d+1]; outside that range
-        the derived N is not guaranteed to put the stationary radius near
-        sqrt(d), so it is rejected here (pass big_n explicitly instead).
-        """
-        if not (1.0 <= mu <= 2.0 * dim + 1.0):
-            raise ValueError(
-                f"auto-derived N requires 1 <= mu <= 2*dim+1, got mu={mu} at dim={dim}"
-            )
-        return cls(dim=dim, mu=mu, big_n=choose_big_n(dim, mu), lam=lam)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ from .kernel import ParamSet, PointBatch, batch_gradient, batch_loss, batch_loss
 
 __all__ = ["SimConfig", "SimReport", "DivergenceError", "simulate", "radial_stats"]
 
+RECORD_EVERY = 50  # simulate records the loss at every RECORD_EVERY-th step
+
 
 class DivergenceError(RuntimeError):
     """Descent produced a non-finite coordinate."""
@@ -33,7 +35,6 @@ class SimConfig:
     step_size: float
     seed: int = 0
     init_scale: float = 0.01
-    record_every: int = 50
 
     def __post_init__(self):
         if self.count < 2:
@@ -44,8 +45,6 @@ class SimConfig:
             raise ValueError(f"step_size must be finite and nonnegative, got {self.step_size}")
         if not np.isfinite(self.init_scale):
             raise ValueError(f"init_scale must be finite, got {self.init_scale}")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,8 @@ def radial_stats(batch: PointBatch) -> tuple[float, float]:
 
 
 def simulate(config: SimConfig, init: np.ndarray | None = None) -> SimReport:
-    """Full-batch gradient descent z <- z - eta * grad, recording the loss.
+    """Full-batch gradient descent z <- z - eta * grad, recording the loss at
+    every RECORD_EVERY-th step and after the last.
 
     init overrides the Gaussian starting cloud (used e.g. to test rotation
     equivariance); it must have shape (count, dim).
@@ -84,7 +84,7 @@ def simulate(config: SimConfig, init: np.ndarray | None = None) -> SimReport:
     for step in range(config.steps):
         # overflow here is reported as DivergenceError, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            if step % config.record_every == 0:
+            if step % RECORD_EVERY == 0:
                 loss, grad = batch_loss_and_gradient(PointBatch(z), params)
                 trace.append(loss)
             else:

@@ -283,9 +283,11 @@ def lemma_b_argmax(dim: int, a: float) -> float:
 
 
 def lemma_b_argmax_numeric(dim: int, a: float) -> float:
-    """Grid scan plus bounded Brent refinement of the maximum of f_{d,a}."""
+    """Grid scan plus bounded Brent refinement of the maximum of f_{d,a} (dim >= 4, a > 0)."""
     if dim < 4:
         raise ValueError(f"requires dim >= 4, got {dim}")
+    if not a > 0:
+        raise ValueError(f"requires a > 0, got {a}")
     # imported here: scipy.optimize adds ~10 MiB to every CLI start
     from scipy.optimize import minimize_scalar
 

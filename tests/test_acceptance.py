@@ -262,7 +262,7 @@ def _two_ring_run(lam, seed):
     dec = DenseNetSpec((2, 32, 32, 2), ("leaky-relu", "leaky-relu", "sigmoid"))
     cfg = TrainConfig(encoder=enc, decoder=dec, params=params, batch_size=100,
                       epochs=3000, learning_rate=3e-3, seed=seed)
-    data = noisy_ring(n=400, rings=2, seed=3)
+    data = noisy_ring(n=400, seed=3)
     return train(cfg, data)
 
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eccentric import cli, radius
+from eccentric import cli, datasets, radius
 from eccentric.autoencoder import DenseNet, DenseNetSpec, save_checkpoint
 from eccentric.cli import load_config, run
 from eccentric.io import write_embedding_csv
@@ -94,6 +95,14 @@ class TestSolveRadius:
         assert run(["solve-radius", "--dim", "4", "--mu", "20", "--auto-n",
                     "--out-dir", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_auto_n_range_checked_against_latent_dim(self, tmp_path, capsys):
+        # train's N is derived at --latent-dim, where 2d+1 = 5 at d=2
+        assert run(["train", "--data-n", "20", "--batch-size", "10", "--latent-dim", "2",
+                    "--mu", "6", "--auto-n", "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "1 <= mu <= 2*dim+1, got mu=6.0 at dim=2" in err
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_back_to_back_runs_share_no_state(self, tmp_path):
         # the argument parser is built once; --auto-n must not leak into the next call
@@ -453,6 +462,26 @@ class TestExitCodes:
         assert run(["spectrum", "--input", str(tmp_path / "nope.csv"),
                     "--out-dir", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("argv, named", [
+        (["encode", "--data-n", "20"], "--checkpoint"),
+        (["encode", "--data-n", "20", "--checkpoint", "{dir}"], None),
+        (["decode-components", "--input", "{emb}"], "--checkpoint"),
+        (["decode-components", "--input", "{dir}", "--checkpoint", "{dir}"], None),
+        (["spectrum", "--input", "{dir}"], None),
+        (["train", "--dataset", "idx", "--images", "{dir}", "--labels", "{dir}"], None),
+    ], ids=["encode-no-checkpoint", "encode-checkpoint-dir", "decode-no-checkpoint",
+            "decode-input-dir", "spectrum-input-dir", "train-idx-dirs"])
+    def test_bad_input_path(self, tmp_path, capsys, argv, named):
+        # an empty path names the current directory: reading it must not end in a traceback
+        emb = tmp_path / "emb.csv"
+        write_embedding_csv(emb, np.eye(2))
+        argv = [v.format(dir=tmp_path, emb=emb) for v in argv]
+        out = tmp_path / "out"
+        assert run(argv + ["--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and (named is None or named in err)
+        assert not (out / "manifest.json").exists()
+
     def test_no_command(self, capsys):
         assert run([]) == 1
 
@@ -551,6 +580,15 @@ class TestExitCodes:
                     "--labels", str(labels), "--checkpoint", str(ckpt),
                     "--out-dir", str(tmp_path / "enc")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(datasets.GENERATORS))
+    def test_cli_reaches_every_generator(self, tmp_path, name):
+        # _load_cli_dataset passes exactly these keywords to every generator
+        assert list(inspect.signature(datasets.GENERATORS[name]).parameters) == ["n", "seed"]
+        run_ok(["train", "--dataset", name, "--data-n", "30", "--batch-size", "10",
+                "--epochs", "1", "--hidden", "4", "--auto-n", "--out-dir", str(tmp_path)])
+        lines = (tmp_path / "embedding.csv").read_text().strip().split("\n")
+        assert len(lines) == 1 + 30
 
     @pytest.mark.parametrize("dataset", ["noisy-ring", "swiss-roll"])
     def test_empty_generated_dataset(self, tmp_path, capsys, dataset):

@@ -7,7 +7,6 @@ from eccentric.datasets import (
     Dataset,
     GENERATORS,
     gaussian_mixture,
-    load_dataset,
     load_idx_images,
     load_idx_labels,
     load_idx_pair,
@@ -64,36 +63,24 @@ class TestGenerators:
         assert d.data.max() <= 1.0
 
     def test_gaussian_mixture_labels(self):
-        d = gaussian_mixture(n=90, k=3, seed=1)
+        d = gaussian_mixture(n=90, seed=1)
         assert set(np.unique(d.labels)) == {0, 1, 2}
         assert np.bincount(d.labels).tolist() == [30, 30, 30]
 
     def test_gaussian_mixture_rejects_small_n(self):
         with pytest.raises(ValueError):
-            gaussian_mixture(n=2, k=3)
+            gaussian_mixture(n=2)
 
     def test_noisy_ring_two_rings_separate_radially(self):
-        d = noisy_ring(n=400, rings=2, seed=0, noise=0.01)
+        d = noisy_ring(n=400, seed=0)
         center = d.data.mean(axis=0)
         r = np.linalg.norm(d.data - center, axis=1)
         inner = r[d.labels == 0]
         outer = r[d.labels == 1]
         assert inner.max() < outer.min()
 
-    def test_noisy_ring_rejects_zero_rings(self):
-        with pytest.raises(ValueError):
-            noisy_ring(rings=0)
-
     def test_swiss_roll_unlabeled(self):
         assert swiss_roll_slice(n=30).labels is None
-
-    def test_load_dataset_dispatch(self):
-        d = load_dataset("noisy-ring", n=40, seed=2)
-        assert d.count == 40
-
-    def test_load_dataset_unknown(self):
-        with pytest.raises(ValueError, match="unknown dataset"):
-            load_dataset("mnist")
 
 
 class TestIdx:

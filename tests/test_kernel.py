@@ -45,20 +45,22 @@ class TestChooseBigN:
         with pytest.raises(ValueError):
             choose_big_n(4, 0.5)
 
+    def test_rejects_mu_outside_calibrated_range(self):
+        # the rule is calibrated for 1 <= mu <= 2d+1; both ends are accepted
+        for dim in (2, 4, 64):
+            top = 2.0 * dim + 1.0
+            assert choose_big_n(dim, 1.0) > 0 and choose_big_n(dim, top) > 0
+            for mu in (np.nextafter(1.0, 0.0), np.nextafter(top, np.inf), 10.0 * dim, np.nan):
+                with pytest.raises(ValueError, match=rf"1 <= mu <= 2\*dim\+1, got mu=.* "
+                                                     rf"at dim={dim}"):
+                    choose_big_n(dim, mu)
+
     def test_rejects_small_dim(self):
         with pytest.raises(ValueError):
             choose_big_n(1, 1.0)
 
 
 class TestParamSet:
-    def test_auto_matches_formula(self):
-        p = ParamSet.auto(8, 2.0)
-        assert p.big_n == choose_big_n(8, 2.0)
-
-    def test_auto_rejects_mu_outside_sweep_range(self):
-        with pytest.raises(ValueError):
-            ParamSet.auto(4, 10.0)  # 2d+1 = 9
-
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):
             ParamSet(dim=1, mu=1.0, big_n=6.0)
@@ -307,11 +309,12 @@ class TestRowBlocks:
         # shapes, a (128, n) @ (n, d) product with n > 128 sums in another
         # order at 2 threads at d=16, b=700 and d=64, b=300
         code = ("import hashlib, numpy as np\n"
-                "from eccentric.kernel import ParamSet, PointBatch, batch_gradient\n"
+                "from eccentric.kernel import ParamSet, PointBatch, batch_gradient, "
+                "choose_big_n\n"
                 "for d in (2, 16, 64):\n"
                 "    for b in (300, 700, 1000, 1500, 2048, 3000):\n"
                 "        z = PointBatch(np.random.default_rng(b).standard_normal((b, d)))\n"
-                "        g = batch_gradient(z, ParamSet.auto(d, 1.5))\n"
+                "        g = batch_gradient(z, ParamSet(d, 1.5, choose_big_n(d, 1.5)))\n"
                 "        print(d, b, hashlib.sha256(g.tobytes()).hexdigest())\n")
         src = str(Path(kernel.__file__).parents[1])
         out = [subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,

@@ -10,6 +10,7 @@ from eccentric.kernel import (
     batch_loss_and_gradient,
     choose_big_n,
 )
+from eccentric import particles
 from eccentric.particles import (
     DivergenceError,
     SimConfig,
@@ -49,7 +50,7 @@ def descend_with_loss_every_step(cfg, init):
     z, recorded = init, []
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(cfg.steps):
-            if step % cfg.record_every == 0:
+            if step % particles.RECORD_EVERY == 0:
                 recorded.append(z)
             z = z - cfg.step_size * batch_loss_and_gradient(PointBatch(z), cfg.params)[1]
             if not np.all(np.isfinite(z)):
@@ -66,8 +67,6 @@ class TestSimConfig:
             SimConfig(params=p, count=10, steps=0, step_size=0.1)
         with pytest.raises(ValueError):
             SimConfig(params=p, count=10, steps=10, step_size=-0.1)
-        with pytest.raises(ValueError):
-            SimConfig(params=p, count=10, steps=10, step_size=0.1, record_every=0)
 
 
 class TestSimulate:
@@ -100,16 +99,14 @@ class TestSimulate:
 
     def test_loss_trace_schedule(self):
         p = params_for(3)
-        cfg = SimConfig(params=p, count=10, steps=120, step_size=0.05,
-                        record_every=50)
+        cfg = SimConfig(params=p, count=10, steps=120, step_size=0.05)
         report = simulate(cfg)
         # records at steps 0, 50, 100 plus the final state
         assert len(report.loss_trace) == 4
 
     def test_loss_decreases(self):
         p = params_for(8)
-        cfg = SimConfig(params=p, count=60, steps=400, step_size=0.1, seed=1,
-                        record_every=50)
+        cfg = SimConfig(params=p, count=60, steps=400, step_size=0.1, seed=1)
         report = simulate(cfg)
         trace = report.loss_trace
         assert trace[-1] < trace[0]
@@ -145,22 +142,24 @@ class TestSimulate:
             simulate(cfg, init=init)
         assert exc.value.step >= 0
 
-    def test_loss_trace_is_loss_of_recorded_iterates(self):
+    def test_loss_trace_is_loss_of_recorded_iterates(self, monkeypatch):
         # the loss is computed only on record steps; it must be the loss of
         # the iterate the plain every-step descent reaches there
+        monkeypatch.setattr(particles, "RECORD_EVERY", 5)
         p = params_for(6)
         init = 0.5 * np.random.default_rng(4).standard_normal((150, 6))
-        cfg = SimConfig(params=p, count=150, steps=23, step_size=0.1, record_every=5)
+        cfg = SimConfig(params=p, count=150, steps=23, step_size=0.1)
         report = simulate(cfg, init=init)
         iterates = descend_with_loss_every_step(cfg, init)
         assert len(report.loss_trace) == len(iterates) == 6
         assert report.loss_trace == [batch_loss(PointBatch(z), p) for z in iterates]
         assert np.array_equal(report.final_batch.data, iterates[-1])
 
-    def test_divergence_step_unchanged_off_record_steps(self):
+    def test_divergence_step_unchanged_off_record_steps(self, monkeypatch):
+        monkeypatch.setattr(particles, "RECORD_EVERY", 7)
         p = ParamSet(dim=3, mu=1.0, big_n=6.0)
         init = np.random.default_rng(0).standard_normal((4, 3))
-        cfg = SimConfig(params=p, count=4, steps=100, step_size=2e10, record_every=7)
+        cfg = SimConfig(params=p, count=4, steps=100, step_size=2e10)
         expected = descend_with_loss_every_step(cfg, init)
         assert expected == 30  # not a record step
         with pytest.raises(DivergenceError) as exc:

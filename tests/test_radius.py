@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -370,6 +371,16 @@ class TestLemmaB:
     def test_rejects_dim_three(self):
         with pytest.raises(ValueError):
             lemma_b_argmax(3, 1.0)
+
+    @pytest.mark.parametrize("function", [lemma_b_argmax, lemma_b_argmax_numeric])
+    @pytest.mark.parametrize("a", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_a(self, function, a):
+        # the support (1, 1 + 2/a) is empty unless a > 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=f"requires a > 0, got {a}"):
+                function(8, a)
+        assert caught == []
 
 
 class TestForceProfile:
