@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import Dataset
+from .io import open_new
 from .kernel import ParamSet, PointBatch, batch_loss_and_gradient
 
 __all__ = [
@@ -300,7 +301,8 @@ def save_checkpoint(net: DenseNet, path):
     """
     widths = net.spec.layer_widths
     header = CHECKPOINT_MAGIC + struct.pack(f"<{len(widths) + 1}I", len(widths), *widths)
-    Path(path).write_bytes(header + net.vec.astype("<f8").tobytes())
+    with open_new(path, binary=True) as fh:
+        fh.write(header + net.vec.astype("<f8").tobytes())
 
 
 def load_checkpoint(path, spec: DenseNetSpec) -> DenseNet:

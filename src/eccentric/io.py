@@ -7,6 +7,10 @@ with the same build and BLAS thread count produce byte-identical files.
 kernel's products are at most 128 x 128 tiles); `train` outputs can at
 batches above 128, where the autoencoder's `inp.T @ g` sums over the batch
 in one BLAS product.
+
+Every output is written as a new file: whatever file is at its path is
+removed first, so a symlink or hard link there is replaced, not written
+through.
 """
 
 from __future__ import annotations
@@ -47,9 +51,20 @@ def format_value(x) -> str:
     return str(x)
 
 
+def open_new(path, binary=False):
+    """Open path for writing as a new file, removing the file there first.
+
+    A symlink or hard link at path is replaced, not written through.  Removing
+    also skips truncating the old data, which on ext4 costs more than writing
+    a small file afresh."""
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    return open(path, "xb") if binary else open(path, "x", newline="\n")
+
+
 def _write_lines(path, header, lines):
     """Write the header row, then each line of an iterable (each ending in '\\n')."""
-    with open(path, "w", newline="\n") as fh:
+    with open_new(path) as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(lines)
 
@@ -65,7 +80,8 @@ def write_csv(path, header, rows):
 
 
 def write_json(path, obj):
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", newline="\n")
+    with open_new(path) as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def write_embedding_csv(path, coords: np.ndarray, labels=None):

@@ -119,16 +119,24 @@ def _hyp2f1_pfaff(dim: np.ndarray, x: np.ndarray) -> np.ndarray:
     # imported here: scipy.special adds ~0.25 s to every CLI start
     from scipy.special import hyp2f1
 
-    out = np.empty_like(x)
     small = dim < SERIES_MIN_DIM
+    if small.all():
+        return hyp2f1(1.0, 0.5 * (dim - 1.0), dim, x)
+    if not small.any():
+        return _pfaff_series(dim, x)
+    out = np.empty_like(x)
     out[small] = hyp2f1(1.0, 0.5 * (dim[small] - 1.0), dim[small], x[small])
     big = ~small
-    if big.any():
-        b = 0.5 * (dim[big, None] - 1.0)
-        j = np.arange(SERIES_TERMS)
-        terms = np.cumprod((b + j) / (dim[big, None] + j) * x[big, None], axis=1)
-        out[big] = 1.0 + terms.sum(axis=1)
+    out[big] = _pfaff_series(dim[big], x[big])
     return out
+
+
+def _pfaff_series(dim: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The first SERIES_TERMS terms of 2F1(1, (d-1)/2; d; x), elementwise."""
+    b = 0.5 * (dim[:, None] - 1.0)
+    j = np.arange(SERIES_TERMS)
+    terms = np.cumprod((b + j) / (dim[:, None] + j) * x[:, None], axis=1)
+    return 1.0 + terms.sum(axis=1)
 
 
 def _integral(a: np.ndarray, dim: np.ndarray) -> np.ndarray:
@@ -147,6 +155,11 @@ def _solve_a(dim, mu):
     narrow and the smaller residual of its ends under RESIDUAL_TOL; that end
     is returned.  Returns (a, residual, iterations); each cell makes
     iterations + 2 evaluations.
+
+    The three points and their residuals are six 1-D arrays over the cells
+    still searching, compacted on the steps where some cell stops.  Every
+    operation is elementwise, so a cell's iterates do not depend on the
+    batch it is solved in.
     """
     target = 1.0 / mu
     # 2/(4mu-1) and 2/(2mu-1), scaled by exact powers of 2 so 4mu cannot overflow
@@ -156,39 +169,44 @@ def _solve_a(dim, mu):
     # (a subnormal a at mu = 1.7e308) is the root in floats, and the bracket collapses onto it
     hi, g_hi = np.where(g_lo >= 0.0, lo, hi), np.where(g_lo >= 0.0, g_lo, g_hi)
     lo, g_lo = np.where(g_hi <= 0.0, hi, lo), np.where(g_hi <= 0.0, g_hi, g_lo)
-    # rows: the newest point, the bracket's other end, the point last dropped
-    # (none yet: its nan residual makes the first step bisect)
-    x, g = np.stack([lo, hi, hi]), np.stack([g_lo, g_hi, np.full_like(g_hi, np.nan)])
+    # x1 is the newest point, x2 the bracket's other end and x3 the point last dropped
+    # (none yet: its nan residual g3 makes the first step bisect); g1, g2, g3 their residuals
+    x1, x2, x3, g1, g2, g3 = lo, hi, hi, g_lo, g_hi, np.full_like(g_hi, np.nan)
     a, res, iterations = np.empty_like(lo), np.empty_like(lo), np.zeros(dim.size, dtype=np.int64)
     idx = np.arange(dim.size)
     for step in range(MAX_ITER + 1):
-        near = np.abs(g[0]) < np.abs(g[1])
-        a_best, g_best = np.where(near, x[0], x[1]), np.where(near, g[0], g[1])
-        done = (np.abs(x[1] - x[0]) <= A_RTOL * a_best) & (np.abs(g_best) < RESIDUAL_TOL)
-        a[idx[done]], res[idx[done]], iterations[idx[done]] = a_best[done], g_best[done], step
-        idx, a_best, g_best = idx[~done], a_best[~done], g_best[~done]
-        x, g = x[:, ~done], g[:, ~done]
-        if not idx.size:
-            return a, res, iterations
+        near = np.abs(g1) < np.abs(g2)
+        a_best, g_best = np.where(near, x1, x2), np.where(near, g1, g2)
+        width = x2 - x1
+        done = (np.abs(width) <= A_RTOL * a_best) & (np.abs(g_best) < RESIDUAL_TOL)
+        if done.any():
+            fin = idx[done]
+            a[fin], res[fin], iterations[fin] = a_best[done], g_best[done], step
+            if fin.size == idx.size:
+                return a, res, iterations
+            # from here on idx, dim, target and the bracket hold the live cells only
+            live = ~done
+            idx, dim, target, a_best, g_best, width, x1, x2, x3, g1, g2, g3 = (
+                v[live] for v in (idx, dim, target, a_best, g_best, width, x1, x2, x3, g1, g2, g3))
         if step == MAX_ITER:
             break
-        (x1, x2, x3), (g1, g2, g3) = x, g
         # a nan residual or a collapsed bracket divides by zero here and bisects
         with np.errstate(divide="ignore", invalid="ignore"):
-            xi, phi = (x1 - x2) / (x3 - x2), (g1 - g2) / (g3 - g2)
+            g12, g32 = g1 - g2, g3 - g2
+            xi, phi = (x1 - x2) / (x3 - x2), g12 / g32
             fit = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
-            t = np.where(fit, g1 / (g1 - g2) * g3 / (g3 - g2)
-                         + (x3 - x1) / (x2 - x1) * g1 / (g3 - g1) * g2 / (g3 - g2), 0.5)
+            t = np.where(fit, g1 / g12 * g3 / g32 + (x3 - x1) / width * g1 / (g3 - g1) * g2 / g32,
+                         0.5)
             # no step lands within half the stopping width of an end
-            t_min = np.fmin(0.5 * A_RTOL * a_best / np.abs(x2 - x1), 0.5)
-        new = x1 + np.clip(t, t_min, 1.0 - t_min) * (x2 - x1)
-        g_new = _integral(new, dim[idx]) - target[idx]
+            t_min = np.fmin(0.5 * A_RTOL * a_best / np.abs(width), 0.5)
+        new = x1 + np.clip(t, t_min, 1.0 - t_min) * width
+        g_new = _integral(new, dim) - target
         # the new point replaces the bracket end whose residual has its sign
         same = np.sign(g_new) == np.sign(g1)
-        x = np.where(same, (new, x2, x1), (new, x1, x2))
-        g = np.where(same, (g_new, g2, g1), (g_new, g1, g2))
+        x1, x2, x3 = new, np.where(same, x2, x1), np.where(same, x1, x2)
+        g1, g2, g3 = g_new, np.where(same, g2, g1), np.where(same, g1, g2)
     raise SolverError(f"root search stalled at a={a_best[0]} with residual {g_best[0]} "
-                      f"for (d={int(dim[idx[0]])}, mu={mu[idx[0]]})")
+                      f"for (d={int(dim[0])}, mu={mu[idx[0]]})")
 
 
 def solve_radius(dim: int, mu: float, big_n: float) -> RadiusSolution:

@@ -320,6 +320,49 @@ class TestDeterminismAndVerify:
                     "--out-dir", str(tmp_path), "--verify"]) == 1
 
 
+class TestOutputsReplaced:
+    @pytest.mark.parametrize("argv, linked, symlinked", [
+        (["solve-radius", "--dim", "12", "--mu", "2.0", "--auto-n"],
+         "radius.json", "manifest.json"),
+        (["sweep-radius", "--dims", "3,4", "--mu-step", "1.0"], "sweep.csv", "manifest.json"),
+        (["simulate", "--dim", "3", "--mu", "1.0", "--auto-n", "--count", "20", "--steps", "10",
+          "--step-size", "0.1", "--seed", "5"], "points.csv", "loss_trace.csv"),
+        (["train", "--dataset", "noisy-ring", "--data-n", "20", "--batch-size", "10",
+          "--epochs", "1", "--hidden", "8", "--auto-n", "--seed", "1"],
+         "encoder.bin", "decoder.bin"),
+    ], ids=["solve-radius", "sweep-radius", "simulate", "train"])
+    def test_rerun_replaces_every_output(self, tmp_path, argv, linked, symlinked):
+        # a run into a used directory removes each old output and writes it anew: a
+        # longer stale file leaves no tail, and nothing is written through a hard link
+        # or a symlink at an output name
+        fresh, out, elsewhere = tmp_path / "fresh", tmp_path / "out", tmp_path / "elsewhere"
+        run_ok(argv + ["--out-dir", str(fresh)])
+        expected = {p.name: p.read_bytes() for p in fresh.iterdir()}
+        out.mkdir()
+        elsewhere.mkdir()
+        stale = {name: b"stale\n" * (len(data) // 6 + 2) for name, data in expected.items()}
+        for name, data in stale.items():
+            (out / name).write_bytes(data)
+        os.link(out / linked, elsewhere / "hard_link")
+        target = elsewhere / "symlink_target"
+        target.write_bytes(stale[symlinked])
+        (out / symlinked).unlink()
+        (out / symlinked).symlink_to(target)
+        run_ok(argv + ["--out-dir", str(out)])
+        assert (elsewhere / "hard_link").read_bytes() == stale[linked]
+        assert target.read_bytes() == stale[symlinked]
+        for name, data in expected.items():
+            assert not (out / name).is_symlink() and (out / name).read_bytes() == data, name
+        run_ok(argv + ["--out-dir", str(out), "--verify"])
+
+    def test_directory_at_an_output_name(self, tmp_path, capsys):
+        (tmp_path / "radius.json").mkdir()
+        assert run(["solve-radius", "--dim", "12", "--mu", "2.0", "--auto-n",
+                    "--out-dir", str(tmp_path)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+
 class TestForceProfileCommand:
     def test_peak_location(self, tmp_path):
         run_ok(["force-profile", "--mu", "1.0", "--big-n", "16.0",

@@ -20,8 +20,21 @@ from eccentric.radius import (
     solve_radius,
     sweep_radius,
 )
-from eccentric.radius import (A_RTOL, MAX_ITER, RESIDUAL_TOL, _f_integrand, _integral, _mu_grid,
-                              _solve_a)
+from eccentric.radius import (A_RTOL, MAX_ITER, RESIDUAL_TOL, SERIES_MIN_DIM, _f_integrand,
+                              _integral, _mu_grid, _solve_a)
+
+# solve_radius(d, mu, choose_big_n(d, mu)) as (d, mu, rho.hex(), residual, iterations):
+# any change to the order of the root search's operations changes some of these bits
+PINNED_SOLVES = [
+    (3, 1.0, '0x1.beafd962aea2dp+0', 6.661338147750939e-16, 6),
+    (4, 2.5, '0x1.fb213f3e29c05p+0', -2.220446049250313e-16, 6),
+    (12, 7.25, '0x1.bb29abeef6245p+1', -2.7755575615628914e-16, 5),
+    (38, 1.5, '0x1.8a7cb0746f11dp+2', 9.992007221626409e-16, 6),
+    (63, 40.0, '0x1.fbfb8b19df06ap+2', 6.4427629897778615e-15, 4),
+    (64, 100.0, '0x1.ffffd4d1dc060p+2', 1.214306433183765e-17, 4),
+    (117, 3.0, '0x1.5a2147bbeec0cp+3', 0.0, 6),
+    (500, 250.0, '0x1.65c557f7a94dfp+4', 8.673617379884035e-19, 4),
+]
 
 # measured: 5-9 evaluations per cell over 200k random cells with d in [3, 2000] and
 # mu in [1, 1e6] and over every cell of criterion 1's sweep; bisection takes 40
@@ -250,6 +263,30 @@ class TestSolveRadius:
         assert iterations.max() + 2 <= MAX_EVALS
         assert np.abs(res).max() < RESIDUAL_TOL
         np.testing.assert_allclose(a, bisect_a(dim, mu), rtol=1e-11)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small=st.lists(st.tuples(st.integers(3, SERIES_MIN_DIM - 1), st.floats(0.0, 1.0)),
+                          min_size=1, max_size=6),
+           big=st.lists(st.tuples(st.integers(SERIES_MIN_DIM, 300), st.floats(0.0, 1.0)),
+                        min_size=1, max_size=6),
+           rnd=st.randoms())
+    def test_cells_independent_of_batch(self, small, big, rnd):
+        # a batch mixes both 2F1 paths, and its cells finish at different steps; each
+        # cell must come out as it does alone, bit for bit
+        cells = small + big
+        rnd.shuffle(cells)
+        dim = np.array([float(d) for d, _ in cells])
+        mu = 1.0 + 2.0 * dim * np.array([f for _, f in cells])
+        a, res, iterations = _solve_a(dim, mu)
+        for i in range(dim.size):
+            a1, res1, iterations1 = _solve_a(dim[i:i + 1], mu[i:i + 1])
+            assert (a[i].hex(), res[i].hex(), iterations[i]) == (
+                a1[0].hex(), res1[0].hex(), iterations1[0])
+
+    @pytest.mark.parametrize("dim, mu, rho_hex, residual, iterations", PINNED_SOLVES)
+    def test_pinned_iterates(self, dim, mu, rho_hex, residual, iterations):
+        sol = solve_radius(dim, mu, choose_big_n(dim, mu))
+        assert (sol.rho.hex(), sol.residual, sol.iterations) == (rho_hex, residual, iterations)
 
     @pytest.mark.parametrize("dim, mu", [
         # a is subnormal: the lower end's rounded residual is already >= 0, so the
