@@ -35,19 +35,43 @@ CHECKPOINT_MAGIC = b"EAE1"
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+# the most terms one BLAS product sums: at 2 threads OpenBLAS blocks a longer sum another way
+_CHUNK = 128
 
 
 def _act(tag: str, pre: np.ndarray):
-    """(output, derivative) of an activation; the derivative is None for identity."""
+    """Apply an activation to ``pre`` in place; return its derivative (None for identity)."""
     if tag == "identity":
-        return pre, None
+        return None
     if tag == "leaky-relu":
         slope = np.where(pre > 0.0, 1.0, LEAKY_SLOPE)
-        return pre * slope, slope
+        pre *= slope
+        return slope
     # sigmoid: exp(-pre) overflows to inf below pre = -709, where 1/(1+inf) = 0 is exact
     with np.errstate(over="ignore"):
-        out = 1.0 / (1.0 + np.exp(-pre))
-    return out, out * (1.0 - out)
+        np.exp(np.negative(pre, out=pre), out=pre)
+    np.reciprocal(np.add(pre, 1.0, out=pre), out=pre)
+    return pre * (1.0 - pre)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b, its inner sum taken _CHUNK terms at a time in a fixed order."""
+    if b.shape[0] <= _CHUNK:
+        return np.matmul(a, b, out=out)
+    out = np.matmul(a[:, :_CHUNK], b[:_CHUNK], out=out)
+    for lo in range(_CHUNK, b.shape[0], _CHUNK):
+        out += a[:, lo:lo + _CHUNK] @ b[lo:lo + _CHUNK]
+    return out
+
+
+def _blocks(vec: np.ndarray, *specs: DenseNetSpec) -> list:
+    """(fan_in + 1, fan_out) views of ``vec``, W_k row-major then b_k, layer by layer."""
+    blocks, offset = [], 0
+    for spec in specs:
+        for fi, fo in zip(spec.layer_widths, spec.layer_widths[1:]):
+            blocks.append(vec[offset:offset + (fi + 1) * fo].reshape(fi + 1, fo))
+            offset += (fi + 1) * fo
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -75,14 +99,6 @@ class DenseNetSpec:
         object.__setattr__(self, "activations", acts)
 
     @property
-    def in_width(self) -> int:
-        return self.layer_widths[0]
-
-    @property
-    def out_width(self) -> int:
-        return self.layer_widths[-1]
-
-    @property
     def param_count(self) -> int:
         w = self.layer_widths
         return sum(fi * fo + fo for fi, fo in zip(w[:-1], w[1:]))
@@ -91,25 +107,19 @@ class DenseNetSpec:
 class DenseNet:
     """Fully connected network; total_loss_gradients differentiates it.
 
-    Weights W have shape (fan_in, fan_out); a layer computes x @ W + b
-    followed by its activation.  All parameters live in one float64 vector
-    ``vec`` in checkpoint order (W0 row-major, b0, W1, b1, ...);
-    ``weights`` and ``biases`` are per-layer views into it.
+    A layer computes x @ W + b, W of shape (fan_in, fan_out), then its
+    activation.  All parameters live in one float64 vector ``vec`` in
+    checkpoint order (W0 row-major, b0, W1, b1, ...), so ``blocks[k]``, W_k
+    over the row b_k, is one view of it; ``weights`` and ``biases`` view those.
     """
 
     def __init__(self, spec: DenseNetSpec, vec: np.ndarray):
         if vec.dtype != np.float64 or vec.shape != (spec.param_count,):
             raise ValueError(
                 f"need {spec.param_count} float64 parameters, got {vec.dtype} {vec.shape}")
-        self.spec = spec
-        self.vec = vec
-        self.weights, self.biases = [], []
-        offset = 0
-        for fi, fo in zip(spec.layer_widths[:-1], spec.layer_widths[1:]):
-            self.weights.append(vec[offset:offset + fi * fo].reshape(fi, fo))
-            offset += fi * fo
-            self.biases.append(vec[offset:offset + fo])
-            offset += fo
+        self.spec, self.vec, self.blocks = spec, vec, _blocks(vec, spec)
+        self.weights = [block[:-1] for block in self.blocks]
+        self.biases = [block[-1] for block in self.blocks]
 
     @classmethod
     def initialize(cls, spec: DenseNetSpec, rng: np.random.Generator) -> "DenseNet":
@@ -121,17 +131,20 @@ class DenseNet:
         return net
 
     def forward(self, x: np.ndarray, cache: list | None = None) -> np.ndarray:
-        """Apply the network to a (rows, in_width) batch.  Given a ``cache`` list,
-        append (input, activation derivative) per layer for the backward loop.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.spec.in_width:
+        """Apply the network to a (rows, in_width) batch: each layer copies its input
+        beside a column of ones, takes one product with its block and applies its
+        activation in place.  Given a ``cache`` list, append (that input, the
+        activation's derivative) per layer for the backward loop."""
+        x = np.asarray(x)
+        if x.ndim != 2 or x.shape[1] != self.spec.layer_widths[0]:
             raise ValueError(
-                f"expected a (rows, {self.spec.in_width}) input, got shape {x.shape}")
+                f"expected a (rows, {self.spec.layer_widths[0]}) input, got shape {x.shape}")
         out = x
-        for w, b, tag in zip(self.weights, self.biases, self.spec.activations):
-            inp = out
-            out, slope = _act(tag, inp @ w + b)
+        for block, tag in zip(self.blocks, self.spec.activations):
+            inp = np.empty((x.shape[0], block.shape[0]))
+            inp[:, :-1], inp[:, -1] = out, 1.0
+            out = _matmul(inp, block)
+            slope = _act(tag, out)
             if cache is not None:
                 cache.append((inp, slope))
         return out
@@ -149,15 +162,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.encoder.out_width != self.params.dim:
-            raise ValueError(
-                f"encoder output width {self.encoder.out_width} != latent dim {self.params.dim}"
-            )
-        if self.decoder.in_width != self.params.dim:
-            raise ValueError(
-                f"decoder input width {self.decoder.in_width} != latent dim {self.params.dim}"
-            )
-        if self.encoder.in_width != self.decoder.out_width:
+        enc, dec = self.encoder.layer_widths, self.decoder.layer_widths
+        if (enc[-1], dec[0]) != (self.params.dim,) * 2:
+            raise ValueError(f"encoder output and decoder input widths {(enc[-1], dec[0])} "
+                             f"must equal the latent dim {self.params.dim}")
+        if enc[0] != dec[-1]:
             raise ValueError("encoder input width must equal decoder output width")
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be >= 2 (pair loss needs pairs), got {self.batch_size}")
@@ -184,56 +193,58 @@ def total_loss_gradients(x: np.ndarray, encoder: DenseNet, decoder: DenseNet,
     Returns (recon, reg, total, grad) where grad is one vector: the encoder's
     ``vec`` layout followed by the decoder's.  One backward loop runs over
     the layers of both nets; the regularizer's gradient joins it at the
-    latent codes, the output of the encoder's last layer.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] < 2:
-        raise ValueError(f"batch must have >= 2 items, got {x.shape[0]}")
+    latent codes, the output of the encoder's last layer.  One product,
+    (layer input with ones).T @ g, writes a layer's block of grad."""
+    rows = len(x)
+    if rows < 2:
+        raise ValueError(f"batch must have >= 2 items, got {rows}")
     cache = []
     z = encoder.forward(x, cache)
-    x_hat = decoder.forward(z, cache)
-    recon = float(np.mean(np.sum((x - x_hat) ** 2, axis=1)))
+    g = decoder.forward(z, cache)
+    g -= x  # x_hat - x: forward's output is a fresh array
+    recon = float(np.einsum("ij,ij->", g, g)) / rows
     if params.lam > 0:
         reg, grad_reg = batch_loss_and_gradient(PointBatch(z), params)
     else:
         # lam = 0 reduces to a plain reconstruction autoencoder
         reg, grad_reg = 0.0, None
-    weights = encoder.weights + decoder.weights
-    latent = len(encoder.weights) - 1
-    g = 2.0 * (x_hat - x) / x.shape[0]
-    parts = []  # per layer, last first: bias gradient, then weight gradient
-    for i in range(len(weights) - 1, -1, -1):
+    grad = np.empty(encoder.vec.size + decoder.vec.size)
+    dests = _blocks(grad, encoder.spec, decoder.spec)
+    blocks, latent = encoder.blocks + decoder.blocks, len(encoder.blocks) - 1
+    g *= 2.0 / rows
+    for i in range(len(blocks) - 1, -1, -1):
         if i == latent and grad_reg is not None:
-            g = g + params.lam * grad_reg
+            g += params.lam * grad_reg
         inp, slope = cache[i]
         if slope is not None:
-            g = g * slope
-        parts += [g.sum(axis=0), (inp.T @ g).ravel()]
+            g *= slope
+        _matmul(inp.T, g, out=dests[i])
         if i > 0:  # the data's own gradient is never needed
-            g = g @ weights[i].T
-    return recon, reg, recon + params.lam * reg, np.concatenate(parts[::-1])
+            g = _matmul(g, blocks[i][:-1].T)
+    return recon, reg, recon + params.lam * reg, grad
 
 
 class _Adam:
-    """Adam with decoupled weight decay over one flat parameter vector."""
+    """Adam with decoupled weight decay, in place over one flat parameter vector.
+    The bias corrections fold into one scalar step size (Kingma & Ba,
+    arXiv:1412.6980, sec. 2), so epsilon joins the uncorrected sqrt(v)."""
 
     def __init__(self, config: TrainConfig, size: int):
         self.config = config
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+        self.m, self.v, self.scratch = np.zeros(size), np.zeros(size), np.empty(size)
         self.t = 0
 
     def step(self, theta, grad):
-        c, m, v = self.config, self.m, self.v
+        c, m, v, s = self.config, self.m, self.v, self.scratch
         self.t += 1
-        b1c = 1.0 - ADAM_BETA1**self.t
-        b2c = 1.0 - ADAM_BETA2**self.t
+        rate = c.learning_rate * (1.0 - ADAM_BETA2**self.t) ** 0.5 / (1.0 - ADAM_BETA1**self.t)
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * grad
+        m += np.multiply(grad, 1.0 - ADAM_BETA1, out=s)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * grad * grad
-        theta -= c.learning_rate * ((m / b1c) / (np.sqrt(v / b2c) + ADAM_EPSILON)
-                                    + c.weight_decay * theta)
+        v += np.multiply(np.square(grad, out=s), 1.0 - ADAM_BETA2, out=s)
+        np.divide(m, np.add(np.sqrt(v, out=s), ADAM_EPSILON, out=s), out=s)
+        theta *= 1.0 - c.learning_rate * c.weight_decay
+        theta -= np.multiply(s, rate, out=s)
 
 
 def train(config: TrainConfig, dataset: Dataset) -> TrainReport:
@@ -243,9 +254,7 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainReport:
     batch is kept if it still holds a pair, otherwise dropped.
     """
     if dataset.count < config.batch_size:
-        raise ValueError(
-            f"dataset size {dataset.count} < batch_size {config.batch_size}"
-        )
+        raise ValueError(f"dataset size {dataset.count} < batch_size {config.batch_size}")
     rng = np.random.default_rng(config.seed)
     # both networks are views into theta, the one vector Adam updates
     theta = np.concatenate([DenseNet.initialize(config.encoder, rng).vec,
@@ -256,7 +265,6 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainReport:
     opt = _Adam(config, theta.size)
 
     recon_trace, reg_trace = [], []
-    data = dataset.data
     for epoch in range(config.epochs):
         perm = rng.permutation(dataset.count)
         recon_sum = reg_sum = 0.0
@@ -265,13 +273,10 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainReport:
             idx = perm[start:start + config.batch_size]
             if idx.size < 2:
                 continue
-            x = data[idx]
             recon, reg, total, grad = total_loss_gradients(
-                x, encoder, decoder, config.params)
+                dataset.data[idx], encoder, decoder, config.params)
             if not np.isfinite(total):
-                raise FloatingPointError(
-                    f"non-finite loss at epoch {epoch}, batch {batches}"
-                )
+                raise FloatingPointError(f"non-finite loss at epoch {epoch}, batch {batches}")
             opt.step(theta, grad)
             recon_sum += recon
             reg_sum += reg
@@ -279,13 +284,7 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainReport:
         recon_trace.append(recon_sum / batches)
         reg_trace.append(reg_sum / batches)
 
-    return TrainReport(
-        recon_trace=recon_trace,
-        reg_trace=reg_trace,
-        encoder=encoder,
-        decoder=decoder,
-        embedding=encode_dataset(encoder, dataset),
-    )
+    return TrainReport(recon_trace, reg_trace, encoder, decoder, encode_dataset(encoder, dataset))
 
 
 def encode_dataset(encoder: DenseNet, dataset: Dataset) -> PointBatch:

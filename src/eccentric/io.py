@@ -3,10 +3,9 @@
 Floats are formatted with 17 significant digits (round-trip exact for
 float64), '.' decimal separator and '\\n' line endings, so identical runs
 with the same build and BLAS thread count produce byte-identical files.
-`simulate` outputs do not depend on the BLAS thread count at all (the pair
-kernel's products are at most 128 x 128 tiles); `train` outputs can at
-batches above 128, where the autoencoder's `inp.T @ g` sums over the batch
-in one BLAS product.
+`simulate` and `train` outputs do not depend on the BLAS thread count at all:
+the pair kernel's products are at most 128 x 128 tiles, and no autoencoder
+product sums more than 128 terms.
 
 Every output is written as a new file: whatever file is at its path is
 removed first, so a symlink or hard link there is replaced, not written

@@ -4,13 +4,18 @@
 `PointBatch` and the loss parameters and use the whole b x b matrix of
 pairwise terms at once, where `eccentric.kernel` works in row blocks.
 `total_loss` is the autoencoder objective without its gradient, the loss
-that finite differences are taken of.
+that finite differences are taken of.  `total_loss_gradients` and
+`adam_step` restate the autoencoder's training step plainly: per-layer
+weight and bias arrays with sample-major activations, a separate bias sum,
+one unchunked product per weight gradient and a concatenated gradient; and
+textbook Adam, with both bias corrections applied to the moments.
 """
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from eccentric.kernel import PointBatch, batch_loss
+from eccentric.autoencoder import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, LEAKY_SLOPE
+from eccentric.kernel import PointBatch, batch_loss, batch_loss_and_gradient
 
 
 def pair_kernel(z_i, z_j, params):
@@ -54,3 +59,62 @@ def total_loss(x, encoder, decoder, params):
     recon = float(np.mean(np.sum((x - decoder.forward(z)) ** 2, axis=1)))
     reg = batch_loss(PointBatch(z), params)
     return recon, reg, recon + params.lam * reg
+
+
+def _act(tag, pre):
+    """(output, derivative) of an activation; the derivative is None for identity."""
+    if tag == "identity":
+        return pre, None
+    if tag == "leaky-relu":
+        slope = np.where(pre > 0.0, 1.0, LEAKY_SLOPE)
+        return pre * slope, slope
+    with np.errstate(over="ignore"):
+        out = 1.0 / (1.0 + np.exp(-pre))
+    return out, out * (1.0 - out)
+
+
+def _forward(net, x, cache):
+    out = x
+    for w, b, tag in zip(net.weights, net.biases, net.spec.activations):
+        inp = out
+        out, slope = _act(tag, inp @ w + b)
+        cache.append((inp, slope))
+    return out
+
+
+def total_loss_gradients(x, encoder, decoder, params):
+    """(recon, reg, total, grad) with grad laid out like encoder.vec then decoder.vec."""
+    x = np.asarray(x, dtype=np.float64)
+    cache = []
+    z = _forward(encoder, x, cache)
+    x_hat = _forward(decoder, z, cache)
+    recon = float(np.mean(np.sum((x - x_hat) ** 2, axis=1)))
+    if params.lam > 0:
+        reg, grad_reg = batch_loss_and_gradient(PointBatch(z), params)
+    else:
+        reg, grad_reg = 0.0, None
+    weights = encoder.weights + decoder.weights
+    latent = len(encoder.weights) - 1
+    g = 2.0 * (x_hat - x) / x.shape[0]
+    parts = []  # per layer, last first: bias gradient, then weight gradient
+    for i in range(len(weights) - 1, -1, -1):
+        if i == latent and grad_reg is not None:
+            g = g + params.lam * grad_reg
+        inp, slope = cache[i]
+        if slope is not None:
+            g = g * slope
+        parts += [g.sum(axis=0), (inp.T @ g).ravel()]
+        if i > 0:
+            g = g @ weights[i].T
+    return recon, reg, recon + params.lam * reg, np.concatenate(parts[::-1])
+
+
+def adam_step(theta, grad, m, v, t, learning_rate, weight_decay):
+    """Step t >= 1 of Adam with decoupled weight decay, updating theta, m and v in place."""
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    theta -= learning_rate * (m_hat / (np.sqrt(v_hat) + ADAM_EPSILON) + weight_decay * theta)

@@ -1,12 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from eccentric.autoencoder import (
+    _CHUNK,
     DenseNet,
     DenseNetSpec,
     TrainConfig,
+    _Adam,
     encode_dataset,
     load_checkpoint,
     save_checkpoint,
@@ -15,6 +19,7 @@ from eccentric.autoencoder import (
 )
 from eccentric.datasets import Dataset, noisy_ring
 from eccentric.kernel import ParamSet, choose_big_n
+import kernel_oracles
 from kernel_oracles import total_loss
 
 
@@ -149,6 +154,41 @@ class TestGradients:
         assert reg == 0.0
         assert total == recon
 
+    @settings(deadline=None, max_examples=80)
+    @given(st.data(), st.integers(2, 300), st.sampled_from([0.0, 0.05, 1.0]))
+    @example(None, _CHUNK, 1.0)
+    @example(None, _CHUNK + 1, 0.0)
+    @example(None, 2 * _CHUNK, 1.0)
+    @example(None, 2 * _CHUNK + 1, 0.05)
+    def test_matches_unblocked_oracle(self, data, batch, lam):
+        # the block layout, ones column, chunked products and x_hat - x reuse
+        # change only rounding against the plain oracle
+        if data is None:  # explicit examples: layers wider than one chunk
+            rng = np.random.default_rng(batch)
+            widths, acts = (_CHUNK + 30, _CHUNK + 2, 5), ("sigmoid", "leaky-relu")
+            dec_widths, dec_acts = (5, _CHUNK + 1, _CHUNK + 30), ("identity", "sigmoid")
+        else:
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            tags = st.sampled_from(["identity", "leaky-relu", "sigmoid"])
+            width = data.draw(st.integers(1, 40))
+            latent = data.draw(st.integers(2, 40))
+            enc_hidden = data.draw(st.lists(st.integers(1, 40), max_size=2))
+            dec_hidden = data.draw(st.lists(st.integers(1, 40), max_size=2))
+            widths, dec_widths = (width, *enc_hidden, latent), (latent, *dec_hidden, width)
+            acts = tuple(data.draw(tags) for _ in widths[1:])
+            dec_acts = tuple(data.draw(tags) for _ in dec_widths[1:])
+        encoder = DenseNet.initialize(DenseNetSpec(widths, acts), rng)
+        decoder = DenseNet.initialize(DenseNetSpec(dec_widths, dec_acts), rng)
+        encoder.vec[:] += 0.1 * rng.standard_normal(encoder.vec.size)  # biases away from 0
+        params = latent_params(dim=widths[-1], mu=1.5, lam=lam)
+        x = rng.uniform(0.0, 1.0, (batch, widths[0]))
+        recon, reg, total, grad = total_loss_gradients(x, encoder, decoder, params)
+        want = kernel_oracles.total_loss_gradients(x, encoder, decoder, params)
+        for got, ref in ((recon, want[0]), (reg, want[1]), (total, want[2])):
+            assert abs(got - ref) <= 1e-12 * abs(ref)
+        assert grad.shape == want[3].shape
+        assert np.abs(grad - want[3]).max() <= 1e-12 * np.abs(want[3]).max()
+
     def test_batch_too_small(self):
         rng = np.random.default_rng(9)
         encoder, decoder = tiny_nets(rng)
@@ -223,6 +263,26 @@ class TestTrain:
             TrainConfig(encoder=enc, decoder=dec, params=params)
 
 
+class TestAdam:
+    @pytest.mark.parametrize("learning_rate", [1e-4, 1e-3, 3e-3])
+    def test_folded_step_tracks_textbook(self, learning_rate):
+        # folding both bias corrections into one step size moves epsilon from
+        # sqrt(v_hat) to sqrt(v); with every |g| >= 1 >> epsilon that shifts
+        # 50 steps by well under 1e-9 of the parameters' scale
+        cfg = ring_config(lr=learning_rate)
+        rng = np.random.default_rng(17)
+        theta = rng.standard_normal(500)
+        ref, m, v = theta.copy(), np.zeros(500), np.zeros(500)
+        opt = _Adam(cfg, theta.size)
+        for t in range(1, 51):
+            g = rng.choice([-1.0, 1.0], 500) * rng.uniform(1.0, 10.0, 500)
+            opt.step(theta, g)
+            kernel_oracles.adam_step(ref, g, m, v, t, learning_rate, cfg.weight_decay)
+            assert np.abs(theta - ref).max() <= 1e-9 * np.abs(ref).max()
+        np.testing.assert_allclose(opt.m, m, rtol=1e-14)
+        np.testing.assert_allclose(opt.v, v, rtol=1e-14)
+
+
 class TestEncodeDataset:
     def test_preserves_order(self):
         rng = np.random.default_rng(12)
@@ -252,6 +312,32 @@ class TestCheckpoint:
         np.testing.assert_array_equal(net.vec, loaded.vec)
         x = rng.standard_normal((4, 3))
         np.testing.assert_array_equal(net.forward(x), loaded.forward(x))
+
+    def test_golden_layout(self, tmp_path):
+        # the checkpoint bytes of a fixed initialization do not depend on how
+        # DenseNet views its vector
+        spec = DenseNetSpec((3, 5, 4, 2), ("leaky-relu", "sigmoid", "identity"))
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(DenseNet.initialize(spec, np.random.default_rng(20)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "341c65eaa4d50aa537f815e5a4f6891381d67ae3dfaf77e8270a76b60849424c")
+
+    def test_weights_and_biases_alias_blocks(self):
+        spec = DenseNetSpec((3, 5, 4, 2), ("leaky-relu", "sigmoid", "identity"))
+        net = DenseNet(spec, np.arange(spec.param_count, dtype=np.float64))
+        offset = 0
+        for k, (fi, fo) in enumerate([(3, 5), (5, 4), (4, 2)]):
+            block, w, b = net.blocks[k], net.weights[k], net.biases[k]
+            assert block.shape == (fi + 1, fo) and w.shape == (fi, fo) and b.shape == (fo,)
+            for view in (block, w, b):
+                assert np.shares_memory(view, block) and np.shares_memory(view, net.vec)
+            np.testing.assert_array_equal(block.ravel(), net.vec[offset:offset + (fi + 1) * fo])
+            np.testing.assert_array_equal(w.ravel(), net.vec[offset:offset + fi * fo])
+            np.testing.assert_array_equal(b, net.vec[offset + fi * fo:offset + (fi + 1) * fo])
+            w[0, 0], b[-1] = -1.0, -2.0  # writes land in vec
+            assert net.vec[offset] == -1.0 and net.vec[offset + (fi + 1) * fo - 1] == -2.0
+            offset += (fi + 1) * fo
+        assert offset == net.vec.size
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"

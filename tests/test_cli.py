@@ -286,6 +286,29 @@ class TestDeterminismAndVerify:
             "--steps", "3", "--step-size", "5", "--init-scale", "1.0", "--seed", "3"])
         assert outputs[0] == outputs[1]
 
+    def test_train_bits_do_not_depend_on_blas_threads(self, tmp_path):
+        # a batch of 1000 is summed over in every weight gradient; one BLAS
+        # product over all of it split its sum differently at 2 threads
+        outputs = blas_thread_outputs(tmp_path, [
+            "train", "--dataset", "noisy-ring", "--data-n", "2000", "--batch-size", "1000",
+            "--epochs", "3", "--latent-dim", "16", "--hidden", "64", "--mu", "1.5",
+            "--auto-n", "--seed", "1"])
+        assert outputs[0] == outputs[1]
+
+    def test_wide_idx_train_bits_do_not_depend_on_blas_threads(self, tmp_path):
+        # 784 input columns: the first layer's product and the backward pass
+        # through the decoder's last layer each sum over 784 terms
+        rng = np.random.default_rng(4)
+        images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
+        images.write_bytes(struct.pack(">iiii", 0x803, 300, 28, 28)
+                           + rng.integers(0, 256, 300 * 784, dtype=np.uint8).tobytes())
+        labels.write_bytes(struct.pack(">ii", 0x801, 300) + bytes(range(10)) * 30)
+        outputs = blas_thread_outputs(tmp_path, [
+            "train", "--dataset", "idx", "--images", str(images), "--labels", str(labels),
+            "--batch-size", "100", "--epochs", "2", "--latent-dim", "8", "--hidden", "32,32",
+            "--mu", "1.5", "--auto-n", "--seed", "1"])
+        assert outputs[0] == outputs[1]
+
     def test_knn_bits_do_not_depend_on_blas_threads(self, tmp_path):
         # the KNN prefilter is a BLAS product; only exact distances may reach
         # the outputs.  On a grid at 2^24 the product rounds, the margin still
