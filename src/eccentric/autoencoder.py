@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import Dataset
 from .io import open_new
 from .kernel import ParamSet, PointBatch, batch_loss_and_gradient
 
@@ -190,6 +189,7 @@ def total_loss_gradients(x: np.ndarray, encoder: DenseNet, decoder: DenseNet,
                          params: ParamSet):
     """Loss values plus the gradient of the total loss in every parameter.
 
+    Non-finite latent codes raise FloatingPointError.
     Returns (recon, reg, total, grad) where grad is one vector: the encoder's
     ``vec`` layout followed by the decoder's.  One backward loop runs over
     the layers of both nets; the regularizer's gradient joins it at the
@@ -200,6 +200,8 @@ def total_loss_gradients(x: np.ndarray, encoder: DenseNet, decoder: DenseNet,
         raise ValueError(f"batch must have >= 2 items, got {rows}")
     cache = []
     z = encoder.forward(x, cache)
+    if not np.all(np.isfinite(z)):
+        raise FloatingPointError("non-finite latent codes")
     g = decoder.forward(z, cache)
     g -= x  # x_hat - x: forward's output is a fresh array
     recon = float(np.einsum("ij,ij->", g, g)) / rows
@@ -247,11 +249,13 @@ class _Adam:
         theta -= np.multiply(s, rate, out=s)
 
 
-def train(config: TrainConfig, dataset: Dataset) -> TrainReport:
+def train(config: TrainConfig, dataset: PointBatch) -> TrainReport:
     """Train the autoencoder; returns loss traces and the training set's embedding.
 
     Epochs are shuffled deterministically from the seed.  A trailing partial
-    batch is kept if it still holds a pair, otherwise dropped.
+    batch is kept if it still holds a pair, otherwise dropped.  A diverging
+    step raises FloatingPointError naming its epoch and batch; its overflow
+    warns nothing.
     """
     if dataset.count < config.batch_size:
         raise ValueError(f"dataset size {dataset.count} < batch_size {config.batch_size}")
@@ -265,31 +269,38 @@ def train(config: TrainConfig, dataset: Dataset) -> TrainReport:
     opt = _Adam(config, theta.size)
 
     recon_trace, reg_trace = [], []
-    for epoch in range(config.epochs):
-        perm = rng.permutation(dataset.count)
-        recon_sum = reg_sum = 0.0
-        batches = 0
-        for start in range(0, dataset.count, config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            if idx.size < 2:
-                continue
-            recon, reg, total, grad = total_loss_gradients(
-                dataset.data[idx], encoder, decoder, config.params)
-            if not np.isfinite(total):
-                raise FloatingPointError(f"non-finite loss at epoch {epoch}, batch {batches}")
-            opt.step(theta, grad)
-            recon_sum += recon
-            reg_sum += reg
-            batches += 1
-        recon_trace.append(recon_sum / batches)
-        reg_trace.append(reg_sum / batches)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            perm = rng.permutation(dataset.count)
+            recon_sum = reg_sum = 0.0
+            batches = 0
+            for start in range(0, dataset.count, config.batch_size):
+                idx = perm[start:start + config.batch_size]
+                if idx.size < 2:
+                    continue
+                try:
+                    recon, reg, total, grad = total_loss_gradients(
+                        dataset.data[idx], encoder, decoder, config.params)
+                except FloatingPointError as exc:
+                    raise FloatingPointError(f"{exc} at epoch {epoch}, batch {batches}") from None
+                if not np.isfinite(total):
+                    raise FloatingPointError(f"non-finite loss at epoch {epoch}, batch {batches}")
+                opt.step(theta, grad)
+                recon_sum += recon
+                reg_sum += reg
+                batches += 1
+            recon_trace.append(recon_sum / batches)
+            reg_trace.append(reg_sum / batches)
+        embedding = encode_dataset(encoder, dataset)
+    return TrainReport(recon_trace, reg_trace, encoder, decoder, embedding)
 
-    return TrainReport(recon_trace, reg_trace, encoder, decoder, encode_dataset(encoder, dataset))
 
-
-def encode_dataset(encoder: DenseNet, dataset: Dataset) -> PointBatch:
-    """Map every item through the encoder, preserving order."""
-    return PointBatch(encoder.forward(dataset.data))
+def encode_dataset(encoder: DenseNet, dataset: PointBatch) -> PointBatch:
+    """Map every item through the encoder, preserving order and labels."""
+    z = encoder.forward(dataset.data)
+    if not np.all(np.isfinite(z)):
+        raise FloatingPointError("non-finite latent codes")
+    return PointBatch(z, dataset.labels)
 
 
 def save_checkpoint(net: DenseNet, path):

@@ -90,7 +90,7 @@ def _net_specs(hidden: str, latent: int, width: int):
             autoencoder.DenseNetSpec((latent, *sizes, width), acts + ("sigmoid",)))
 
 
-def _load_cli_dataset(cfg) -> datasets.Dataset:
+def _load_cli_dataset(cfg) -> PointBatch:
     name = cfg["dataset"]
     if name == "idx":
         if not cfg["images"] or not cfg["labels"]:
@@ -100,6 +100,11 @@ def _load_cli_dataset(cfg) -> datasets.Dataset:
         raise ValueError(f"unknown dataset {name!r}; expected one of "
                          f"{sorted(datasets.GENERATORS)} or 'idx'")
     return datasets.GENERATORS[name](n=cfg["data_n"], seed=cfg["data_seed"])
+
+
+def _read_embedding(path) -> PointBatch:
+    """An embedding CSV as a batch, with its label column if it has one."""
+    return PointBatch(*io.read_embedding_csv(path))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +177,7 @@ def _cmd_simulate(cfg, out):
 def _cmd_train(cfg, out):
     ds = _load_cli_dataset(cfg)
     big_n = _resolve_big_n(cfg, cfg["latent_dim"])
-    enc_spec, dec_spec = _net_specs(cfg["hidden"], cfg["latent_dim"], ds.width)
+    enc_spec, dec_spec = _net_specs(cfg["hidden"], cfg["latent_dim"], ds.dim)
     params = ParamSet(dim=cfg["latent_dim"], mu=cfg["mu"], big_n=big_n, lam=cfg["lam"])
     tc = autoencoder.TrainConfig(
         encoder=enc_spec, decoder=dec_spec, params=params,
@@ -187,25 +192,24 @@ def _cmd_train(cfg, out):
     io.write_csv(trace_path, ["epoch", "recon", "reg"],
                  [(i, r, g) for i, (r, g) in enumerate(zip(rep.recon_trace, rep.reg_trace))])
     emb_path = out / "embedding.csv"
-    io.write_embedding_csv(emb_path, rep.embedding.data, ds.labels)
+    io.write_embedding_csv(emb_path, rep.embedding.data, rep.embedding.labels)
     return [enc_path, dec_path, trace_path, emb_path]
 
 
 def _cmd_encode(cfg, out):
     ds = _load_cli_dataset(cfg)
-    enc_spec, _ = _net_specs(cfg["hidden"], cfg["latent_dim"], ds.width)
+    enc_spec, _ = _net_specs(cfg["hidden"], cfg["latent_dim"], ds.dim)
     if not cfg["checkpoint"]:
         raise ValueError("encode requires --checkpoint")
     net = autoencoder.load_checkpoint(cfg["checkpoint"], enc_spec)
     batch = autoencoder.encode_dataset(net, ds)
     path = out / "embedding.csv"
-    io.write_embedding_csv(path, batch.data, ds.labels)
+    io.write_embedding_csv(path, batch.data, batch.labels)
     return [path]
 
 
 def _cmd_spectrum(cfg, out):
-    coords, _ = io.read_embedding_csv(cfg["input"])
-    rep = analysis.spectrum(PointBatch(coords))
+    rep = analysis.spectrum(_read_embedding(cfg["input"]))
     path = out / "spectrum.json"
     io.write_json(path, {
         "eigenvalues": [float(v) for v in rep.eigenvalues],
@@ -216,9 +220,7 @@ def _cmd_spectrum(cfg, out):
 
 
 def _cmd_align(cfg, out):
-    c1, _ = io.read_embedding_csv(cfg["e1"])
-    c2, _ = io.read_embedding_csv(cfg["e2"])
-    res = analysis.align(PointBatch(c1), PointBatch(c2))
+    res = analysis.align(_read_embedding(cfg["e1"]), _read_embedding(cfg["e2"]))
     paths = []
     for name, coords in [("aligned_e1.csv", res.aligned_p.data),
                          ("aligned_e2.csv", res.aligned_q.data)]:
@@ -240,9 +242,7 @@ def _cmd_align(cfg, out):
 
 
 def _cmd_metrics(cfg, out):
-    c1, _ = io.read_embedding_csv(cfg["e1"])
-    c2, _ = io.read_embedding_csv(cfg["e2"])
-    m = analysis.similarity_metrics(PointBatch(c1), PointBatch(c2))
+    m = analysis.similarity_metrics(_read_embedding(cfg["e1"]), _read_embedding(cfg["e2"]))
     path = out / "metrics.json"
     io.write_json(path, {
         "rms_distance": m.rms_distance, "mean_cosine": m.mean_cosine,
@@ -256,8 +256,7 @@ def _cmd_sample(cfg, out):
     if cfg["mode"] == "matched":
         if not cfg["reference"]:
             raise ValueError("matched mode requires --reference")
-        coords, _ = io.read_embedding_csv(cfg["reference"])
-        reference = PointBatch(coords)
+        reference = _read_embedding(cfg["reference"])
     batch = analysis.sample_latents(cfg["mode"], reference, cfg["n"], cfg["dim"],
                                     cfg["seed"])
     path = out / "sample.csv"
@@ -266,12 +265,11 @@ def _cmd_sample(cfg, out):
 
 
 def _cmd_knn(cfg, out):
-    train_coords, train_labels = io.read_embedding_csv(cfg["train"])
-    if train_labels is None:
+    train, test = _read_embedding(cfg["train"]), _read_embedding(cfg["test"])
+    if train.labels is None:
         raise ValueError("--train file must carry a label column")
-    test_coords, truth = io.read_embedding_csv(cfg["test"])
-    preds, error = analysis.knn_classify(train_coords, train_labels, test_coords,
-                                         cfg["k"], truth)
+    preds, error = analysis.knn_classify(train.data, train.labels, test.data, cfg["k"],
+                                         test.labels)
     pred_path = out / "predictions.csv"
     io.write_csv(pred_path, ["item", "label"], list(enumerate(preds)))
     report_path = out / "knn.json"
@@ -280,8 +278,7 @@ def _cmd_knn(cfg, out):
 
 
 def _cmd_decode_components(cfg, out):
-    coords, _ = io.read_embedding_csv(cfg["input"])
-    rep = analysis.spectrum(PointBatch(coords))
+    rep = analysis.spectrum(_read_embedding(cfg["input"]))
     _, dec_spec = _net_specs(cfg["hidden"], rep.eigenvalues.shape[0], cfg["output_width"])
     if not cfg["checkpoint"]:
         raise ValueError("decode-components requires --checkpoint")

@@ -1,18 +1,19 @@
 """Dataset ingestion: synthetic 2-D generators and the IDX image/label format.
 
-All generators emit flat float64 feature vectors scaled into [0, 1] (the toy
-autoencoder decoder ends in a sigmoid), with integer labels where natural.
+All generators emit a PointBatch of flat float64 feature vectors scaled into
+[0, 1] (the toy autoencoder decoder ends in a sigmoid), with integer labels
+where natural.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kernel import PointBatch
+
 __all__ = [
-    "Dataset",
     "gaussian_mixture",
     "noisy_ring",
     "swiss_roll_slice",
@@ -26,37 +27,6 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """n flat feature vectors with optional integer labels."""
-
-    data: np.ndarray = field(repr=False)
-    labels: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"expected a 2-D (items, width) array, got shape {arr.shape}")
-        if arr.shape[0] < 1:
-            raise ValueError(f"empty dataset, got shape {arr.shape}")
-        object.__setattr__(self, "data", arr)
-        if self.labels is not None:
-            lab = np.asarray(self.labels)
-            if lab.shape != (arr.shape[0],):
-                raise ValueError(
-                    f"labels shape {lab.shape} does not match {arr.shape[0]} items"
-                )
-            object.__setattr__(self, "labels", lab)
-
-    @property
-    def count(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-
 def _to_unit_box(points: np.ndarray) -> np.ndarray:
     """Scale each column affinely onto [0.05, 0.95]."""
     lo = points.min(axis=0)
@@ -65,7 +35,7 @@ def _to_unit_box(points: np.ndarray) -> np.ndarray:
     return 0.05 + 0.9 * (points - lo) / span
 
 
-def gaussian_mixture(n: int = 300, seed: int = 0) -> Dataset:
+def gaussian_mixture(n: int = 300, seed: int = 0) -> PointBatch:
     """3 blobs in 2-D, std 0.15, around standard normal centers; labels = component."""
     if n < 3:
         raise ValueError(f"need at least one point for each of 3 components, got n={n}")
@@ -73,10 +43,10 @@ def gaussian_mixture(n: int = 300, seed: int = 0) -> Dataset:
     centers = rng.standard_normal((3, 2))
     labels = np.arange(n) % 3
     points = centers[labels] + 0.15 * rng.standard_normal((n, 2))
-    return Dataset(_to_unit_box(points), labels)
+    return PointBatch(_to_unit_box(points), labels)
 
 
-def noisy_ring(n: int = 400, seed: int = 0) -> Dataset:
+def noisy_ring(n: int = 400, seed: int = 0) -> PointBatch:
     """Circles of radius 0.5 and 1.0, radial noise std 0.02; labels = ring index."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -86,10 +56,10 @@ def noisy_ring(n: int = 400, seed: int = 0) -> Dataset:
     angles = rng.uniform(0.0, 2.0 * np.pi, n)
     r = radii + 0.02 * rng.standard_normal(n)
     points = np.stack([r * np.cos(angles), r * np.sin(angles)], axis=1)
-    return Dataset(_to_unit_box(points), labels)
+    return PointBatch(_to_unit_box(points), labels)
 
 
-def swiss_roll_slice(n: int = 400, seed: int = 0) -> Dataset:
+def swiss_roll_slice(n: int = 400, seed: int = 0) -> PointBatch:
     """A 2-D spiral arc (one slice of a swiss roll), noise std 0.02, unlabeled."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -97,7 +67,7 @@ def swiss_roll_slice(n: int = 400, seed: int = 0) -> Dataset:
     t = rng.uniform(1.5 * np.pi, 4.5 * np.pi, n)
     points = np.stack([t * np.cos(t), t * np.sin(t)], axis=1) / (4.5 * np.pi)
     points += 0.02 * rng.standard_normal((n, 2))
-    return Dataset(_to_unit_box(points))
+    return PointBatch(_to_unit_box(points))
 
 
 # every generator takes exactly (n, seed), the keywords the CLI passes
@@ -108,53 +78,38 @@ GENERATORS = {
 }
 
 
-def _read_idx_header(buf: bytes, path, expected_magic: int, n_dims: int):
-    header_len = 4 + 4 * n_dims
-    if len(buf) < header_len:
-        raise ValueError(f"{path}: truncated header, {len(buf)} bytes < {header_len}")
-    magic = struct.unpack(">i", buf[:4])[0]
-    if magic != expected_magic:
-        raise ValueError(
-            f"{path}: bad magic 0x{magic:08x} at offset 0, expected 0x{expected_magic:08x}"
-        )
-    dims = struct.unpack(f">{n_dims}i", buf[4:header_len])
-    return dims, header_len
+def _read_idx(path, magic: int, n_dims: int, unit: str) -> np.ndarray:
+    """The uint8 payload of an IDX file as an array of the n_dims sizes in its header.
+
+    unit names one payload byte in the message of a length mismatch."""
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    offset = 4 + 4 * n_dims
+    if len(buf) < offset:
+        raise ValueError(f"{path}: truncated header, {len(buf)} bytes < {offset}")
+    found = struct.unpack(">i", buf[:4])[0]
+    if found != magic:
+        raise ValueError(f"{path}: bad magic 0x{found:08x} at offset 0, expected 0x{magic:08x}")
+    dims = struct.unpack(f">{n_dims}i", buf[4:offset])
+    expected = int(np.prod(dims))
+    if len(buf) - offset != expected:
+        raise ValueError(f"{path}: expected {expected} {unit} bytes after offset {offset}, "
+                         f"got {len(buf) - offset}")
+    return np.frombuffer(buf, dtype=np.uint8, offset=offset).reshape(dims)
 
 
 def load_idx_images(path) -> np.ndarray:
     """Read an IDX image file into a (count, rows*cols) float64 array in [0, 1]."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    (count, rows, cols), offset = _read_idx_header(buf, path, IDX_IMAGES_MAGIC, 3)
-    expected = count * rows * cols
-    payload = buf[offset:]
-    if len(payload) != expected:
-        raise ValueError(
-            f"{path}: expected {expected} pixel bytes after offset {offset}, got {len(payload)}"
-        )
-    pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
-    return pixels.reshape(count, rows * cols)
+    pixels = _read_idx(path, IDX_IMAGES_MAGIC, 3, "pixel")
+    count, rows, cols = pixels.shape
+    return pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
 
 
 def load_idx_labels(path) -> np.ndarray:
     """Read an IDX label file into a (count,) int array."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    (count,), offset = _read_idx_header(buf, path, IDX_LABELS_MAGIC, 1)
-    payload = buf[offset:]
-    if len(payload) != count:
-        raise ValueError(
-            f"{path}: expected {count} label bytes after offset {offset}, got {len(payload)}"
-        )
-    return np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
+    return _read_idx(path, IDX_LABELS_MAGIC, 1, "label").astype(np.int64)
 
 
-def load_idx_pair(images_path, labels_path) -> Dataset:
-    """Read matching IDX image and label files into one dataset."""
-    data = load_idx_images(images_path)
-    labels = load_idx_labels(labels_path)
-    if data.shape[0] != labels.shape[0]:
-        raise ValueError(
-            f"count mismatch: {data.shape[0]} images vs {labels.shape[0]} labels"
-        )
-    return Dataset(data, labels)
+def load_idx_pair(images_path, labels_path) -> PointBatch:
+    """Read matching IDX image and label files into one labelled batch."""
+    return PointBatch(load_idx_images(images_path), load_idx_labels(labels_path))

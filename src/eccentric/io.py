@@ -3,9 +3,8 @@
 Floats are formatted with 17 significant digits (round-trip exact for
 float64), '.' decimal separator and '\\n' line endings, so identical runs
 with the same build and BLAS thread count produce byte-identical files.
-`simulate` and `train` outputs do not depend on the BLAS thread count at all:
-the pair kernel's products are at most 128 x 128 tiles, and no autoencoder
-product sums more than 128 terms.
+At the shapes the tests run, `simulate` and `train` write the same bytes at
+1 and 2 BLAS threads too; at others (simulate at d = 200) they may not.
 
 Every output is written as a new file: whatever file is at its path is
 removed first, so a symlink or hard link there is replaced, not written

@@ -26,15 +26,17 @@ __all__ = [
 ]
 
 
-def choose_big_n(dim: int, mu: float) -> float:
+def choose_big_n(dim, mu):
     """Softening scale N(d, mu) that puts the stationary sphere radius near sqrt(d).
 
     N = 2d * (1 + 1/(2*mu*(d-1))) / (2*mu - 1), calibrated for mu in [1, 2d+1]
-    (radius.sweep_radius checks that range); any other mu is rejected.
+    (radius.sweep_radius checks that range); any other mu is rejected.  dim
+    and mu may be numbers or numpy arrays that broadcast together.
     """
-    if dim < 2:
+    # ndarray methods: np.any and np.all take ~3 us on the bool of a scalar call
+    if np.asarray(dim < 2).any():
         raise ValueError(f"dim must be >= 2, got {dim}")
-    if not 1.0 <= mu <= 2.0 * dim + 1.0:
+    if not np.asarray((1.0 <= mu) & (mu <= 2.0 * dim + 1.0)).all():
         raise ValueError(f"N(d, mu) requires 1 <= mu <= 2*dim+1, got mu={mu} at dim={dim}")
     return 2.0 * dim * (1.0 + 1.0 / (2.0 * mu * (dim - 1))) / (2.0 * mu - 1.0)
 
@@ -61,9 +63,10 @@ class ParamSet:
 
 @dataclass(frozen=True)
 class PointBatch:
-    """b points in R^d stored as a (b, d) float64 matrix, row i = point z_i."""
+    """b points in R^d as a (b, d) float64 matrix, row i = z_i, with optional labels."""
 
     data: np.ndarray = field(repr=False)
+    labels: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.float64)
@@ -74,6 +77,11 @@ class PointBatch:
         if not np.all(np.isfinite(arr)):
             raise ValueError("batch contains non-finite entries")
         object.__setattr__(self, "data", arr)
+        if self.labels is not None:
+            labels = np.asarray(self.labels)
+            if labels.shape != (arr.shape[0],):
+                raise ValueError(f"count mismatch: {len(arr)} points, labels shape {labels.shape}")
+            object.__setattr__(self, "labels", labels)
 
     @property
     def count(self) -> int:

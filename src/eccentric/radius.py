@@ -255,7 +255,7 @@ def sweep_radius(dims, mu_step: float = 0.25) -> list[tuple[int, float]]:
     grids = [_mu_grid(d, mu_step) for d in dims]
     mu = np.concatenate(grids)
     dim = np.concatenate([np.full(g.size, float(d)) for d, g in zip(dims, grids)])
-    big_n = np.array([choose_big_n(int(d), float(m)) for d, m in zip(dim, mu)])
+    big_n = choose_big_n(dim, mu)
     a, _, _ = _solve_a(dim, mu)
     rho = np.sqrt(big_n) / np.sqrt(2.0 * a)
     pct = np.abs(rho - np.sqrt(dim)) / np.sqrt(dim) * 100.0

@@ -17,8 +17,8 @@ from eccentric.autoencoder import (
     total_loss_gradients,
     train,
 )
-from eccentric.datasets import Dataset, noisy_ring
-from eccentric.kernel import ParamSet, choose_big_n
+from eccentric.datasets import noisy_ring
+from eccentric.kernel import ParamSet, PointBatch, choose_big_n
 import kernel_oracles
 from kernel_oracles import total_loss
 
@@ -288,16 +288,16 @@ class TestEncodeDataset:
         rng = np.random.default_rng(12)
         encoder, _ = tiny_nets(rng)
         data = rng.uniform(0.0, 1.0, (15, 4))
-        out = encode_dataset(encoder, Dataset(data))
+        out = encode_dataset(encoder, PointBatch(data))
         np.testing.assert_array_equal(out.data, encoder.forward(data))
         perm = rng.permutation(15)
-        out_perm = encode_dataset(encoder, Dataset(data[perm]))
+        out_perm = encode_dataset(encoder, PointBatch(data[perm]))
         np.testing.assert_array_equal(out_perm.data, out.data[perm])
 
     def test_empty_dataset(self):
         # a dataset has at least one row, so encode_dataset always has a batch to return
-        with pytest.raises(ValueError, match="empty dataset"):
-            Dataset(np.zeros((0, 4)))
+        with pytest.raises(ValueError, match="empty batch"):
+            PointBatch(np.zeros((0, 4)))
 
 
 class TestCheckpoint:

@@ -1,3 +1,4 @@
+import importlib.util
 import inspect
 import json
 import math
@@ -222,6 +223,29 @@ class TestConfigAsFlags:
         assert got == defaults
         assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in defaults.items()}
         assert {k for k, v in got.items() if type(v) is float} == FLOAT_KEYS & defaults.keys()
+
+
+class TestBenchmarkCommands:
+    def test_every_benchmark_argv_parses(self, tmp_path, monkeypatch):
+        # perfbench/workloads.py builds the commands the benchmark sends; a flag
+        # or subcommand they use must not drop out of the CLI
+        path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        # a dataclass resolves its module through sys.modules while it is built;
+        # no bytecode cache is written into perfbench/
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec.loader.exec_module(workloads)
+        argvs = [argv for name in workloads.NAMES
+                 for _, argv in workloads.build(name, 1, tmp_path / name).commands]
+        assert len(argvs) == 38
+        parser = cli._build_parser()
+        for argv in argvs:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"the CLI rejects benchmark command {argv}")
 
 
 class TestSweepRadius:
@@ -722,6 +746,24 @@ class TestExitCodes:
     def test_empty_int_list_is_no_entries(self, tmp_path):
         run_ok(["sweep-radius", "--dims", "", "--mu-step", "1", "--out-dir", str(tmp_path)])
         assert (tmp_path / "sweep.csv").read_text().strip() == "d,max_percent_diff"
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--epochs", "30", "--learning-rate", "1e200"], "at epoch 0, batch 1"),
+        (["--epochs", "30", "--learning-rate", "1e12"], "at epoch 4, batch 0"),
+        # one step, then the final encoding overflows
+        (["--epochs", "1", "--batch-size", "200", "--learning-rate", "1e200"],
+         "non-finite latent codes"),
+    ], ids=["lr-1e200", "lr-1e12", "final-encoding"])
+    def test_diverging_train_is_exit_2_without_warnings(self, tmp_path, capsys, argv, named):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["train", "--dataset", "noisy-ring", "--data-n", "200",
+                        "--latent-dim", "2", "--auto-n", "--mu", "1", "--lam", "0.1", *argv,
+                        "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: non-finite") and named in err
+        assert [str(w.message) for w in caught] == []
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_numerical_failure_is_exit_2(self, tmp_path):
         # a divergent step size must be reported as a numerical failure

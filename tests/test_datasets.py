@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from eccentric.datasets import (
-    Dataset,
     GENERATORS,
     gaussian_mixture,
     load_idx_images,
@@ -13,6 +12,7 @@ from eccentric.datasets import (
     noisy_ring,
     swiss_roll_slice,
 )
+from eccentric.kernel import PointBatch
 
 
 def idx_image_bytes(pixels):
@@ -30,11 +30,11 @@ def idx_label_bytes(labels):
 class TestDataset:
     def test_label_shape_checked(self):
         with pytest.raises(ValueError):
-            Dataset(np.zeros((4, 2)), labels=np.zeros(3, dtype=int))
+            PointBatch(np.zeros((4, 2)), labels=np.zeros(3, dtype=int))
 
     def test_properties(self):
-        d = Dataset(np.zeros((4, 2)))
-        assert d.count == 4 and d.width == 2
+        d = PointBatch(np.zeros((4, 2)))
+        assert d.count == 4 and d.dim == 2
 
     @pytest.mark.parametrize("generator", [noisy_ring, swiss_roll_slice])
     @pytest.mark.parametrize("n", [0, -3])
@@ -106,7 +106,7 @@ class TestIdx:
         (tmp_path / "img.idx").write_bytes(idx_image_bytes(pixels))
         (tmp_path / "lab.idx").write_bytes(idx_label_bytes(labels))
         d = load_idx_pair(tmp_path / "img.idx", tmp_path / "lab.idx")
-        assert d.count == 3 and d.width == 4
+        assert d.count == 3 and d.dim == 4
         np.testing.assert_array_equal(d.labels, labels)
 
     def test_bad_magic_names_offset(self, tmp_path):

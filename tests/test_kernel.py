@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from eccentric import kernel
+from eccentric import kernel, radius
 from eccentric.kernel import (
     ParamSet,
     PointBatch,
@@ -17,7 +17,12 @@ from eccentric.kernel import (
     batch_loss_and_gradient,
     choose_big_n,
 )
-from kernel_oracles import batch_loss_gram, pair_kernel, unblocked_loss_and_gradient
+from kernel_oracles import (
+    batch_loss_gram,
+    mp_gradient,
+    pair_kernel,
+    unblocked_loss_and_gradient,
+)
 
 
 def random_params(dim, mu=1.0):
@@ -58,6 +63,23 @@ class TestChooseBigN:
     def test_rejects_small_dim(self):
         with pytest.raises(ValueError):
             choose_big_n(1, 1.0)
+
+    def test_arrays_match_per_cell_calls(self):
+        # sweep_radius passes every (d, mu) cell of its grid in one call
+        dims = range(3, 301)
+        grids = [radius._mu_grid(d, 24.0) for d in dims]
+        mu = np.concatenate(grids)
+        dim = np.repeat(np.array(dims, dtype=np.float64), [g.size for g in grids])
+        per_cell = np.array([choose_big_n(int(d), float(m)) for d, m in zip(dim, mu)])
+        assert mu.size > 3000
+        assert choose_big_n(dim, mu).tobytes() == per_cell.tobytes()
+        assert choose_big_n(dim.astype(np.int64), mu).tobytes() == per_cell.tobytes()
+
+    def test_array_outside_range_rejected(self):
+        with pytest.raises(ValueError, match="1 <= mu <= 2"):
+            choose_big_n(np.array([4.0, 4.0]), np.array([1.0, 9.5]))
+        with pytest.raises(ValueError, match="dim must be >= 2"):
+            choose_big_n(np.array([4.0, 1.0]), np.array([1.0, 1.0]))
 
 
 class TestParamSet:
@@ -234,6 +256,21 @@ class TestBatchLossGradient:
         numeric = finite_difference_gradient(z, p)
         rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-12)
         assert rel.max() < 1e-6
+
+    def test_matches_mpmath_central_differences(self):
+        # criterion 5's batches (b in [4, 11], d in [2, 8], mu in [1, 3)) against
+        # 40-digit differences, where float64 differences only reach ~1e-6
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for _ in range(5):
+            d, b = int(rng.integers(2, 9)), int(rng.integers(4, 12))
+            p = random_params(d, mu=float(rng.uniform(1.0, 3.0)))
+            batch = PointBatch(rng.standard_normal((b, d)))
+            oracle = mp_gradient(batch, p)
+            _, grad = batch_loss_and_gradient(batch, p)
+            rel = np.abs(grad - oracle) / np.maximum(np.abs(oracle), 1e-8)
+            worst = max(worst, float(rel.max()))
+        assert worst <= 1e-10
 
     def test_repeat_is_bit_identical(self):
         rng = np.random.default_rng(31)
