@@ -47,8 +47,7 @@ def _act(tag: str, pre: np.ndarray):
         pre *= slope
         return slope
     # sigmoid: exp(-pre) overflows to inf below pre = -709, where 1/(1+inf) = 0 is exact
-    with np.errstate(over="ignore"):
-        np.exp(np.negative(pre, out=pre), out=pre)
+    np.exp(np.negative(pre, out=pre), out=pre)
     np.reciprocal(np.add(pre, 1.0, out=pre), out=pre)
     return pre * (1.0 - pre)
 
@@ -133,19 +132,23 @@ class DenseNet:
         """Apply the network to a (rows, in_width) batch: each layer copies its input
         beside a column of ones, takes one product with its block and applies its
         activation in place.  Given a ``cache`` list, append (that input, the
-        activation's derivative) per layer for the backward loop."""
+        activation's derivative) per layer for the backward loop.  Overflow on
+        the way warns nothing; a non-finite output raises FloatingPointError."""
         x = np.asarray(x)
         if x.ndim != 2 or x.shape[1] != self.spec.layer_widths[0]:
             raise ValueError(
                 f"expected a (rows, {self.spec.layer_widths[0]}) input, got shape {x.shape}")
         out = x
-        for block, tag in zip(self.blocks, self.spec.activations):
-            inp = np.empty((x.shape[0], block.shape[0]))
-            inp[:, :-1], inp[:, -1] = out, 1.0
-            out = _matmul(inp, block)
-            slope = _act(tag, out)
-            if cache is not None:
-                cache.append((inp, slope))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for block, tag in zip(self.blocks, self.spec.activations):
+                inp = np.empty((x.shape[0], block.shape[0]))
+                inp[:, :-1], inp[:, -1] = out, 1.0
+                out = _matmul(inp, block)
+                slope = _act(tag, out)
+                if cache is not None:
+                    cache.append((inp, slope))
+        if not np.isfinite(out).all():
+            raise FloatingPointError("non-finite network output")
         return out
 
 
@@ -189,7 +192,7 @@ def total_loss_gradients(x: np.ndarray, encoder: DenseNet, decoder: DenseNet,
                          params: ParamSet):
     """Loss values plus the gradient of the total loss in every parameter.
 
-    Non-finite latent codes raise FloatingPointError.
+    A non-finite network output or loss raises FloatingPointError.
     Returns (recon, reg, total, grad) where grad is one vector: the encoder's
     ``vec`` layout followed by the decoder's.  One backward loop runs over
     the layers of both nets; the regularizer's gradient joins it at the
@@ -200,8 +203,6 @@ def total_loss_gradients(x: np.ndarray, encoder: DenseNet, decoder: DenseNet,
         raise ValueError(f"batch must have >= 2 items, got {rows}")
     cache = []
     z = encoder.forward(x, cache)
-    if not np.all(np.isfinite(z)):
-        raise FloatingPointError("non-finite latent codes")
     g = decoder.forward(z, cache)
     g -= x  # x_hat - x: forward's output is a fresh array
     recon = float(np.einsum("ij,ij->", g, g)) / rows
@@ -210,6 +211,9 @@ def total_loss_gradients(x: np.ndarray, encoder: DenseNet, decoder: DenseNet,
     else:
         # lam = 0 reduces to a plain reconstruction autoencoder
         reg, grad_reg = 0.0, None
+    total = recon + params.lam * reg
+    if not np.isfinite(total):
+        raise FloatingPointError("non-finite loss")
     grad = np.empty(encoder.vec.size + decoder.vec.size)
     dests = _blocks(grad, encoder.spec, decoder.spec)
     blocks, latent = encoder.blocks + decoder.blocks, len(encoder.blocks) - 1
@@ -223,7 +227,7 @@ def total_loss_gradients(x: np.ndarray, encoder: DenseNet, decoder: DenseNet,
         _matmul(inp.T, g, out=dests[i])
         if i > 0:  # the data's own gradient is never needed
             g = _matmul(g, blocks[i][:-1].T)
-    return recon, reg, recon + params.lam * reg, grad
+    return recon, reg, total, grad
 
 
 class _Adam:
@@ -279,12 +283,10 @@ def train(config: TrainConfig, dataset: PointBatch) -> TrainReport:
                 if idx.size < 2:
                     continue
                 try:
-                    recon, reg, total, grad = total_loss_gradients(
+                    recon, reg, _, grad = total_loss_gradients(
                         dataset.data[idx], encoder, decoder, config.params)
                 except FloatingPointError as exc:
                     raise FloatingPointError(f"{exc} at epoch {epoch}, batch {batches}") from None
-                if not np.isfinite(total):
-                    raise FloatingPointError(f"non-finite loss at epoch {epoch}, batch {batches}")
                 opt.step(theta, grad)
                 recon_sum += recon
                 reg_sum += reg
@@ -297,10 +299,7 @@ def train(config: TrainConfig, dataset: PointBatch) -> TrainReport:
 
 def encode_dataset(encoder: DenseNet, dataset: PointBatch) -> PointBatch:
     """Map every item through the encoder, preserving order and labels."""
-    z = encoder.forward(dataset.data)
-    if not np.all(np.isfinite(z)):
-        raise FloatingPointError("non-finite latent codes")
-    return PointBatch(z, dataset.labels)
+    return PointBatch(encoder.forward(dataset.data), dataset.labels)
 
 
 def save_checkpoint(net: DenseNet, path):

@@ -4,7 +4,7 @@ Every run takes its configuration from flags; an optional flat key=value
 config file is read as flags placed before the command line, so the flags
 win.  It executes deterministically from --seed, writes its outputs plus a
 manifest with content hashes into --out-dir, and exits 0 on success, 1 on a
-validation error, 2 on a numerical failure.
+validation error, 2 on a numerical failure (any FloatingPointError).
 """
 
 from __future__ import annotations
@@ -104,7 +104,11 @@ def _load_cli_dataset(cfg) -> PointBatch:
 
 def _read_embedding(path) -> PointBatch:
     """An embedding CSV as a batch, with its label column if it has one."""
-    return PointBatch(*io.read_embedding_csv(path))
+    coords, labels = io.read_embedding_csv(path)
+    try:
+        return PointBatch(coords, labels)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +388,7 @@ def run(argv=None) -> int:
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (radius.SolverError, particles.DivergenceError, FloatingPointError) as exc:
+    except FloatingPointError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ __all__ = ["SimConfig", "SimReport", "DivergenceError", "simulate", "radial_stat
 RECORD_EVERY = 50  # simulate records the loss at every RECORD_EVERY-th step
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(FloatingPointError):
     """Descent produced a non-finite coordinate."""
 
     def __init__(self, step: int):

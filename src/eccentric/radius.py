@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-class SolverError(RuntimeError):
+class SolverError(FloatingPointError):
     """The root search for a stalled (MAX_ITER steps) for the given parameters."""
 
 
@@ -232,8 +232,12 @@ def solve_radius(dim: int, mu: float, big_n: float) -> RadiusSolution:
 
 def _mu_grid(dim: int, mu_step: float) -> np.ndarray:
     """mu = 1, 1 + step, ... up to and including the last value <= 2d + 1."""
-    count = math.floor(2.0 * dim / mu_step * (1.0 + 1e-12)) + 1
-    return np.minimum(1.0 + mu_step * np.arange(count), 2.0 * dim + 1.0)
+    try:
+        steps = np.arange(math.floor(2.0 * dim / mu_step * (1.0 + 1e-12)) + 1)
+    except (OverflowError, ValueError, MemoryError):
+        raise ValueError(f"mu_step {mu_step} is too small: "
+                         f"the mu grid at d={dim} does not fit in memory") from None
+    return np.minimum(1.0 + mu_step * steps, 2.0 * dim + 1.0)
 
 
 def sweep_radius(dims, mu_step: float = 0.25) -> list[tuple[int, float]]:

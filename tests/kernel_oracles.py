@@ -6,7 +6,8 @@ pairwise terms at once, where `eccentric.kernel` works in row blocks.
 `mp_gradient` is the gradient of the pair loss from central differences
 taken at 40 significant digits with mpmath.
 `total_loss` is the autoencoder objective without its gradient, the loss
-that finite differences are taken of.  `total_loss_gradients` and
+that finite differences are taken of; `mp_net_gradient` is its gradient in
+every network parameter from 40-digit mpmath central differences.  `total_loss_gradients` and
 `adam_step` restate the autoencoder's training step plainly: per-layer
 weight and bias arrays with sample-major activations, a separate bias sum,
 one unchunked product per weight gradient and a concatenated gradient; and
@@ -92,6 +93,56 @@ def total_loss(x, encoder, decoder, params):
     recon = float(np.mean(np.sum((x - decoder.forward(z)) ** 2, axis=1)))
     reg = batch_loss(PointBatch(z), params)
     return recon, reg, recon + params.lam * reg
+
+
+def _mp_forward(spec, vec, rows):
+    """A DenseNet's forward pass over lists of mpf rows, its parameters ``vec``
+    (mpf, checkpoint order: W_k row-major, then b_k) layer by layer."""
+    slope, offset = mpmath.mpf(LEAKY_SLOPE), 0
+    for (fan_in, fan_out), tag in zip(zip(spec.layer_widths, spec.layer_widths[1:]),
+                                      spec.activations):
+        w = vec[offset:offset + fan_in * fan_out]
+        b = vec[offset + fan_in * fan_out:offset + (fan_in + 1) * fan_out]
+        offset += (fan_in + 1) * fan_out
+        pre = [[b[j] + mpmath.fsum(r[i] * w[i * fan_out + j] for i in range(fan_in))
+                for j in range(fan_out)] for r in rows]
+        if tag == "identity":
+            rows = pre
+        elif tag == "leaky-relu":
+            rows = [[v if v > 0 else slope * v for v in r] for r in pre]
+        else:
+            rows = [[1 / (1 + mpmath.exp(-v)) for v in r] for r in pre]
+    return rows
+
+
+def _mp_total_loss(x, specs, vecs, mu, big_n, lam):
+    """The autoencoder objective in mpmath arithmetic: the batch mean of
+    |x - x_hat|^2 plus lam times the pair loss on the latent codes."""
+    z = _mp_forward(specs[0], vecs[0], x)
+    x_hat = _mp_forward(specs[1], vecs[1], z)
+    recon = mpmath.fsum((p - q) ** 2 for r, s in zip(x, x_hat) for p, q in zip(r, s))
+    return recon / len(x) + lam * _mp_loss(z, mu, big_n)
+
+
+def mp_net_gradient(x, encoder, decoder, params, digits=40, h="1e-15"):
+    """Central differences of the total loss in every parameter, laid out like
+    encoder.vec then decoder.vec, each loss evaluated with mpmath at ``digits``
+    significant digits (see mp_gradient for the choice of h)."""
+    with mpmath.workdps(digits):
+        rows = [[mpmath.mpf(float(c)) for c in row] for row in x]
+        specs = (encoder.spec, decoder.spec)
+        vecs = [[mpmath.mpf(float(v)) for v in net.vec] for net in (encoder, decoder)]
+        mu, big_n, lam = (mpmath.mpf(v) for v in (params.mu, params.big_n, params.lam))
+        step, grad = mpmath.mpf(h), []
+        for vec in vecs:
+            for k, c in enumerate(vec):
+                vec[k] = c + step
+                up = _mp_total_loss(rows, specs, vecs, mu, big_n, lam)
+                vec[k] = c - step
+                down = _mp_total_loss(rows, specs, vecs, mu, big_n, lam)
+                vec[k] = c
+                grad.append(float((up - down) / (2 * step)))
+    return np.array(grad)
 
 
 def _act(tag, pre):

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,17 @@ class TestDenseNetForward:
         net = DenseNet(DenseNetSpec((1, 1), ("sigmoid",)), np.array([1.0, 0.0]))
         np.testing.assert_array_equal(net.forward(np.array([[-1000.0], [1000.0]])),
                                       [[0.0], [1.0]])
+
+    def test_overflow_raises_without_warning(self):
+        # weights of 1e160 overflow the second layer's products to inf and nan
+        spec = DenseNetSpec((2, 32, 32, 2), ("leaky-relu", "leaky-relu", "identity"))
+        net = DenseNet.initialize(spec, np.random.default_rng(0))
+        net.vec *= 1e160
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FloatingPointError, match="non-finite network output"):
+                net.forward(np.full((3, 2), 0.5))
+        assert [str(w.message) for w in caught] == []
 
     def test_width_mismatch(self):
         spec = DenseNetSpec((3, 2), ("identity",))
@@ -188,6 +200,29 @@ class TestGradients:
             assert abs(got - ref) <= 1e-12 * abs(ref)
         assert grad.shape == want[3].shape
         assert np.abs(grad - want[3]).max() <= 1e-12 * np.abs(want[3]).max()
+
+    def test_matches_mpmath_central_differences(self):
+        # criterion 5's nets (widths 3-6, batch 8), one per activation, against
+        # 40-digit differences, where float64 differences only reach ~1e-6
+        rng = np.random.default_rng(12)
+        worst = 0.0
+        for act in ("identity", "leaky-relu", "sigmoid"):
+            width, hidden = int(rng.integers(3, 6)), int(rng.integers(3, 7))
+            latent = int(rng.integers(2, 4))
+            encoder, decoder = tiny_nets(rng, in_width=width, latent=latent,
+                                         enc_hidden=(hidden,), dec_hidden=(hidden,), act=act)
+            params = latent_params(dim=latent, mu=float(rng.uniform(1.0, 2.0)),
+                                   lam=float(rng.uniform(0.05, 1.0)))
+            x = rng.uniform(0.1, 0.9, (8, width))
+            oracle = kernel_oracles.mp_net_gradient(x, encoder, decoder, params)
+            _, _, _, grad = total_loss_gradients(x, encoder, decoder, params)
+            # an entry sums products of size up to max|grad|, so float64 rounds it to
+            # ~1e-16 max|grad| absolute whatever its own size: below the floor
+            # 1e-4 max|grad| the bound is on that scale, at most ~1e-12 relative
+            floor = 1e-4 * np.abs(oracle).max()
+            rel = np.abs(grad - oracle) / np.maximum(np.abs(oracle), floor)
+            worst = max(worst, float(rel.max()))
+        assert worst <= 1e-10
 
     def test_batch_too_small(self):
         rng = np.random.default_rng(9)

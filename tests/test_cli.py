@@ -225,18 +225,28 @@ class TestConfigAsFlags:
         assert {k for k, v in got.items() if type(v) is float} == FLOAT_KEYS & defaults.keys()
 
 
+@pytest.fixture
+def perfbench(monkeypatch):
+    """perfbench's workloads and oracles modules, loaded from their files."""
+    # a dataclass resolves its module through sys.modules while it is built, and
+    # oracles imports workloads by name; no bytecode cache is written into perfbench/
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    modules = []
+    for name in ("workloads", "oracles"):
+        path = Path(__file__).parents[1] / "perfbench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+        modules.append(module)
+    return modules
+
+
 class TestBenchmarkCommands:
-    def test_every_benchmark_argv_parses(self, tmp_path, monkeypatch):
+    def test_every_benchmark_argv_parses(self, tmp_path, perfbench):
         # perfbench/workloads.py builds the commands the benchmark sends; a flag
         # or subcommand they use must not drop out of the CLI
-        path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        # a dataclass resolves its module through sys.modules while it is built;
-        # no bytecode cache is written into perfbench/
-        monkeypatch.setitem(sys.modules, spec.name, workloads)
-        monkeypatch.setattr(sys, "dont_write_bytecode", True)
-        spec.loader.exec_module(workloads)
+        workloads, _ = perfbench
         argvs = [argv for name in workloads.NAMES
                  for _, argv in workloads.build(name, 1, tmp_path / name).commands]
         assert len(argvs) == 38
@@ -246,6 +256,24 @@ class TestBenchmarkCommands:
                 parser.parse_args(argv)
             except SystemExit:
                 pytest.fail(f"the CLI rejects benchmark command {argv}")
+
+    def test_every_benchmark_command_runs_clean(self, tmp_path, monkeypatch, perfbench):
+        # each plan at seed 1, run in-process as the benchmark's load process runs it:
+        # every command exits 0 and warns nothing, and every oracle check passes
+        workloads, oracles = perfbench
+        for name in workloads.NAMES:
+            plan = workloads.build(name, 1, tmp_path / name / "inputs")
+            out = tmp_path / name / "plain"
+            out.mkdir()
+            monkeypatch.chdir(out)  # a plan's paths are relative to its pass directory
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                codes = [run(argv) for _, argv in plan.commands]
+            assert codes == [0] * len(plan.commands), name
+            assert [str(w.message) for w in caught] == [], name
+            failed = [(check, detail) for check, ok, detail in oracles.CHECKS[name](plan, out)
+                      if not ok]
+            assert failed == [], name
 
 
 class TestSweepRadius:
@@ -656,7 +684,9 @@ class TestExitCodes:
         bad.write_text("c0,c1,c2\n1,0,0\nnan,1,0\n0,0,1\n")
         assert run([command, "--e1", str(good), "--e2", str(bad),
                     "--out-dir", str(tmp_path / "out")]) == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert f"{bad}: batch contains non-finite entries" in err
         assert not (tmp_path / "out" / "manifest.json").exists()
 
     def test_empty_idx_pair(self, tmp_path, capsys):
@@ -752,7 +782,7 @@ class TestExitCodes:
         (["--epochs", "30", "--learning-rate", "1e12"], "at epoch 4, batch 0"),
         # one step, then the final encoding overflows
         (["--epochs", "1", "--batch-size", "200", "--learning-rate", "1e200"],
-         "non-finite latent codes"),
+         "non-finite network output"),
     ], ids=["lr-1e200", "lr-1e12", "final-encoding"])
     def test_diverging_train_is_exit_2_without_warnings(self, tmp_path, capsys, argv, named):
         with warnings.catch_warnings(record=True) as caught:
@@ -763,6 +793,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: non-finite") and named in err
         assert [str(w.message) for w in caught] == []
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["encode", "decode-components"])
+    def test_overflowing_checkpoint_is_exit_2_without_warnings(self, tmp_path, capsys,
+                                                               command):
+        # the default 2-32-32-2 nets with weights of 1e160 overflow to inf and nan
+        encoder = command == "encode"
+        last = "identity" if encoder else "sigmoid"
+        spec = DenseNetSpec((2, 32, 32, 2), ("leaky-relu", "leaky-relu", last))
+        net = DenseNet.initialize(spec, np.random.default_rng(0))
+        net.vec *= 1e160
+        save_checkpoint(net, tmp_path / "net.bin")
+        write_embedding_csv(tmp_path / "emb.csv", np.random.default_rng(1).standard_normal((20, 2)))
+        out = tmp_path / "out"
+        argv = [] if encoder else ["--input", str(tmp_path / "emb.csv")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run([command, *argv, "--checkpoint", str(tmp_path / "net.bin"),
+                        "--out-dir", str(out)]) == 2
+        assert "numerical failure: non-finite network output" in capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+        assert list(out.iterdir()) == []  # neither an output nor a manifest
+
+    @pytest.mark.parametrize("mu_step", ["5e-324", "1e-300"])
+    def test_mu_step_too_small_for_the_grid(self, tmp_path, capsys, mu_step):
+        assert run(["sweep-radius", "--dims", "3", "--mu-step", mu_step,
+                    "--out-dir", str(tmp_path)]) == 1
+        assert f"error: mu_step {mu_step} is too small" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
     def test_numerical_failure_is_exit_2(self, tmp_path):
