@@ -4,7 +4,11 @@ Every run takes its configuration from flags; an optional flat key=value
 config file is read as flags placed before the command line, so the flags
 win.  It executes deterministically from --seed, writes its outputs plus a
 manifest with content hashes into --out-dir, and exits 0 on success, 1 on a
-validation error, 2 on a numerical failure (any FloatingPointError).
+validation error, 2 on a numerical failure: any FloatingPointError, which
+includes numpy's overflow, invalid value or division by zero anywhere in a
+subcommand's computation.  A failed computation writes no file.  Library
+functions keep their own guards where they expect such values; `knn`'s exact
+distances come from einsum, which raises no floating-point flag.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from . import analysis, autoencoder, datasets, io, particles, radius
 from .kernel import ParamSet, PointBatch, choose_big_n
@@ -66,12 +72,11 @@ def _resolve_big_n(cfg, dim: int) -> float:
     return cfg["big_n"]
 
 
-def _out_file(out: Path, name: str) -> Path:
+def _check_out(name: str) -> None:
     """--out names a file inside --out-dir: the manifest and --verify key outputs by name."""
     if Path(name).name != name or name in ("", ".", "..", io.MANIFEST_NAME):
         raise ValueError(
             f"--out must be a bare file name other than {io.MANIFEST_NAME}, got {name!r}")
-    return out / name
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -82,9 +87,8 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise ValueError(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
-def _net_specs(hidden: str, latent: int, width: int):
-    """Encoder width -> hidden -> latent and decoder latent -> hidden -> width."""
-    sizes = _parse_int_list(hidden, "--hidden")
+def _net_specs(sizes: list[int], latent: int, width: int):
+    """Encoder width -> hidden sizes -> latent and decoder latent -> sizes -> width."""
     acts = ("leaky-relu",) * len(sizes)
     return (autoencoder.DenseNetSpec((width, *sizes, latent), acts + ("identity",)),
             autoencoder.DenseNetSpec((latent, *sizes, width), acts + ("sigmoid",)))
@@ -112,150 +116,124 @@ def _read_embedding(path) -> PointBatch:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (config_for_manifest, output_paths)
+# subcommand handlers: each checks its flags, computes, and returns its outputs
+# as {file name: (writer, *args)}; _run_handler calls writer(path, *args)
 
 
-def _cmd_solve_radius(cfg, out):
+def _cmd_solve_radius(cfg):
     big_n = _resolve_big_n(cfg, cfg["dim"])
     sol = radius.solve_radius(cfg["dim"], cfg["mu"], big_n)
-    payload = {
+    print(f"rho = {sol.rho:.17g} (residual {sol.residual:.3e})")
+    return {"radius.json": (io.write_json, {
         "dim": cfg["dim"], "mu": cfg["mu"], "big_n": big_n,
         "rho": sol.rho, "residual": sol.residual,
         "iterations": sol.iterations, "quadrature_points": sol.quadrature_points,
-    }
-    path = out / "radius.json"
-    io.write_json(path, payload)
-    print(f"rho = {sol.rho:.17g} (residual {sol.residual:.3e})")
-    return [path]
+    })}
 
 
-def _cmd_sweep_radius(cfg, out):
-    dims = _parse_int_list(cfg["dims"], "--dims")
-    rows = radius.sweep_radius(dims, mu_step=cfg["mu_step"])
-    path = _out_file(out, cfg["out"])
-    io.write_csv(path, ["d", "max_percent_diff"], rows)
-    return [path]
+def _cmd_sweep_radius(cfg):
+    rows = radius.sweep_radius(_parse_int_list(cfg["dims"], "--dims"), mu_step=cfg["mu_step"])
+    return {cfg["out"]: (io.write_csv, ["d", "max_percent_diff"], rows)}
 
 
-def _cmd_force_profile(cfg, out):
+def _cmd_force_profile(cfg):
     big_n = _resolve_big_n(cfg, cfg["dim"])
     params = ParamSet(dim=cfg["dim"], mu=cfg["mu"], big_n=big_n)
     prof = radius.force_profile(params, cfg["r_max"], cfg["steps"])
-    path = _out_file(out, cfg["out"])
-    io.write_csv(path, ["distance", "magnitude"],
-                 zip(prof.distances, prof.magnitudes))
-    return [path]
+    return {cfg["out"]: (io.write_csv, ["distance", "magnitude"],
+                         zip(prof.distances, prof.magnitudes))}
 
 
-def _cmd_lemma_check(cfg, out):
+def _cmd_lemma_check(cfg):
     payload = {"dim": cfg["dim"], "a": cfg["a"],
                "lemma_a_integral": radius.lemma_a_check(cfg["dim"], cfg["a"])}
     if cfg["dim"] >= 4:
         payload["lemma_b_u_closed_form"] = radius.lemma_b_argmax(cfg["dim"], cfg["a"])
         payload["lemma_b_u_numeric"] = radius.lemma_b_argmax_numeric(cfg["dim"], cfg["a"])
-    path = out / "lemma.json"
-    io.write_json(path, payload)
-    return [path]
+    return {"lemma.json": (io.write_json, payload)}
 
 
-def _cmd_simulate(cfg, out):
+def _cmd_simulate(cfg):
     big_n = _resolve_big_n(cfg, cfg["dim"])
     params = ParamSet(dim=cfg["dim"], mu=cfg["mu"], big_n=big_n)
-    sim = particles.SimConfig(params=params, count=cfg["count"], steps=cfg["steps"],
-                              step_size=cfg["step_size"], seed=cfg["seed"],
-                              init_scale=cfg["init_scale"])
-    rep = particles.simulate(sim)
-    points_path = out / "points.csv"
-    io.write_embedding_csv(points_path, rep.final_batch.data)
-    trace_path = out / "loss_trace.csv"
-    io.write_csv(trace_path, ["record", "loss"], list(enumerate(rep.loss_trace)))
-    report_path = out / "simulate.json"
-    io.write_json(report_path, {
-        "radial_mean": rep.radial_mean, "radial_std": rep.radial_std,
-        "trace": rep.spectrum.trace,
-        "eigenvalues": [float(v) for v in rep.spectrum.eigenvalues],
-    })
-    return [points_path, trace_path, report_path]
+    rep = particles.simulate(particles.SimConfig(
+        params=params, count=cfg["count"], steps=cfg["steps"], step_size=cfg["step_size"],
+        seed=cfg["seed"], init_scale=cfg["init_scale"]))
+    return {
+        "points.csv": (io.write_embedding_csv, rep.final_batch.data),
+        "loss_trace.csv": (io.write_csv, ["record", "loss"], list(enumerate(rep.loss_trace))),
+        "simulate.json": (io.write_json, {
+            "radial_mean": rep.radial_mean, "radial_std": rep.radial_std,
+            "trace": rep.spectrum.trace,
+            "eigenvalues": [float(v) for v in rep.spectrum.eigenvalues],
+        }),
+    }
 
 
-def _cmd_train(cfg, out):
+def _cmd_train(cfg):
+    sizes = _parse_int_list(cfg["hidden"], "--hidden")
     ds = _load_cli_dataset(cfg)
     big_n = _resolve_big_n(cfg, cfg["latent_dim"])
-    enc_spec, dec_spec = _net_specs(cfg["hidden"], cfg["latent_dim"], ds.dim)
+    enc_spec, dec_spec = _net_specs(sizes, cfg["latent_dim"], ds.dim)
     params = ParamSet(dim=cfg["latent_dim"], mu=cfg["mu"], big_n=big_n, lam=cfg["lam"])
-    tc = autoencoder.TrainConfig(
-        encoder=enc_spec, decoder=dec_spec, params=params,
-        batch_size=cfg["batch_size"], epochs=cfg["epochs"],
-        learning_rate=cfg["learning_rate"], weight_decay=cfg["weight_decay"],
-        seed=cfg["seed"])
-    rep = autoencoder.train(tc, ds)
-    enc_path, dec_path = out / "encoder.bin", out / "decoder.bin"
-    autoencoder.save_checkpoint(rep.encoder, enc_path)
-    autoencoder.save_checkpoint(rep.decoder, dec_path)
-    trace_path = out / "traces.csv"
-    io.write_csv(trace_path, ["epoch", "recon", "reg"],
-                 [(i, r, g) for i, (r, g) in enumerate(zip(rep.recon_trace, rep.reg_trace))])
-    emb_path = out / "embedding.csv"
-    io.write_embedding_csv(emb_path, rep.embedding.data, rep.embedding.labels)
-    return [enc_path, dec_path, trace_path, emb_path]
+    rep = autoencoder.train(autoencoder.TrainConfig(
+        encoder=enc_spec, decoder=dec_spec, params=params, batch_size=cfg["batch_size"],
+        epochs=cfg["epochs"], learning_rate=cfg["learning_rate"],
+        weight_decay=cfg["weight_decay"], seed=cfg["seed"]), ds)
+    return {
+        "encoder.bin": (functools.partial(autoencoder.save_checkpoint, rep.encoder),),
+        "decoder.bin": (functools.partial(autoencoder.save_checkpoint, rep.decoder),),
+        "traces.csv": (io.write_csv, ["epoch", "recon", "reg"],
+                       [(i, *rg) for i, rg in enumerate(zip(rep.recon_trace, rep.reg_trace))]),
+        "embedding.csv": (io.write_embedding_csv, rep.embedding.data, rep.embedding.labels),
+    }
 
 
-def _cmd_encode(cfg, out):
-    ds = _load_cli_dataset(cfg)
-    enc_spec, _ = _net_specs(cfg["hidden"], cfg["latent_dim"], ds.dim)
+def _cmd_encode(cfg):
+    sizes = _parse_int_list(cfg["hidden"], "--hidden")
+    if cfg["dataset"] != "idx" and cfg["data_n"] < 1:
+        raise ValueError(f"--data-n must be >= 1, got {cfg['data_n']}")
     if not cfg["checkpoint"]:
         raise ValueError("encode requires --checkpoint")
+    ds = _load_cli_dataset(cfg)
+    enc_spec, _ = _net_specs(sizes, cfg["latent_dim"], ds.dim)
     net = autoencoder.load_checkpoint(cfg["checkpoint"], enc_spec)
     batch = autoencoder.encode_dataset(net, ds)
-    path = out / "embedding.csv"
-    io.write_embedding_csv(path, batch.data, batch.labels)
-    return [path]
+    return {"embedding.csv": (io.write_embedding_csv, batch.data, batch.labels)}
 
 
-def _cmd_spectrum(cfg, out):
+def _cmd_spectrum(cfg):
     rep = analysis.spectrum(_read_embedding(cfg["input"]))
-    path = out / "spectrum.json"
-    io.write_json(path, {
+    return {"spectrum.json": (io.write_json, {
         "eigenvalues": [float(v) for v in rep.eigenvalues],
         "trace": rep.trace,
         "mean": [float(v) for v in rep.mean],
-    })
-    return [path]
+    })}
 
 
-def _cmd_align(cfg, out):
+def _cmd_align(cfg):
     res = analysis.align(_read_embedding(cfg["e1"]), _read_embedding(cfg["e2"]))
-    paths = []
-    for name, coords in [("aligned_e1.csv", res.aligned_p.data),
-                         ("aligned_e2.csv", res.aligned_q.data)]:
-        io.write_embedding_csv(out / name, coords)
-        paths.append(out / name)
-    for name, mat in [("corr_before.csv", res.corr_before),
-                      ("corr_after.csv", res.corr_after)]:
-        io.write_csv(out / name, [f"q{j}" for j in range(mat.shape[1])], mat)
-        paths.append(out / name)
-    summary = out / "align.json"
-    io.write_json(summary, {
-        "permutation_p": [int(v) for v in res.permutation_p],
-        "permutation_q": [int(v) for v in res.permutation_q],
-        "signs_p": [int(v) for v in res.signs_p],
-        "signs_q": [int(v) for v in res.signs_q],
-    })
-    paths.append(summary)
-    return paths
+    header = [f"q{j}" for j in range(res.corr_before.shape[1])]
+    return {
+        "aligned_e1.csv": (io.write_embedding_csv, res.aligned_p.data),
+        "aligned_e2.csv": (io.write_embedding_csv, res.aligned_q.data),
+        "corr_before.csv": (io.write_csv, header, res.corr_before),
+        "corr_after.csv": (io.write_csv, header, res.corr_after),
+        "align.json": (io.write_json, {
+            key: [int(v) for v in getattr(res, key)]
+            for key in ("permutation_p", "permutation_q", "signs_p", "signs_q")}),
+    }
 
 
-def _cmd_metrics(cfg, out):
+def _cmd_metrics(cfg):
     m = analysis.similarity_metrics(_read_embedding(cfg["e1"]), _read_embedding(cfg["e2"]))
-    path = out / "metrics.json"
-    io.write_json(path, {
+    return {"metrics.json": (io.write_json, {
         "rms_distance": m.rms_distance, "mean_cosine": m.mean_cosine,
         "mean_angle_deg": m.mean_angle_deg, "excluded_rows": m.excluded_rows,
-    })
-    return [path]
+    })}
 
 
-def _cmd_sample(cfg, out):
+def _cmd_sample(cfg):
     reference = None
     if cfg["mode"] == "matched":
         if not cfg["reference"]:
@@ -263,37 +241,31 @@ def _cmd_sample(cfg, out):
         reference = _read_embedding(cfg["reference"])
     batch = analysis.sample_latents(cfg["mode"], reference, cfg["n"], cfg["dim"],
                                     cfg["seed"])
-    path = out / "sample.csv"
-    io.write_embedding_csv(path, batch.data)
-    return [path]
+    return {"sample.csv": (io.write_embedding_csv, batch.data)}
 
 
-def _cmd_knn(cfg, out):
+def _cmd_knn(cfg):
     train, test = _read_embedding(cfg["train"]), _read_embedding(cfg["test"])
     if train.labels is None:
         raise ValueError("--train file must carry a label column")
     preds, error = analysis.knn_classify(train.data, train.labels, test.data, cfg["k"],
                                          test.labels)
-    pred_path = out / "predictions.csv"
-    io.write_csv(pred_path, ["item", "label"], list(enumerate(preds)))
-    report_path = out / "knn.json"
-    io.write_json(report_path, {"k": cfg["k"], "error_rate": error})
-    return [pred_path, report_path]
+    return {"predictions.csv": (io.write_csv, ["item", "label"], list(enumerate(preds))),
+            "knn.json": (io.write_json, {"k": cfg["k"], "error_rate": error})}
 
 
-def _cmd_decode_components(cfg, out):
-    rep = analysis.spectrum(_read_embedding(cfg["input"]))
-    _, dec_spec = _net_specs(cfg["hidden"], rep.eigenvalues.shape[0], cfg["output_width"])
+def _cmd_decode_components(cfg):
+    sizes = _parse_int_list(cfg["hidden"], "--hidden")
     if not cfg["checkpoint"]:
         raise ValueError("decode-components requires --checkpoint")
+    rep = analysis.spectrum(_read_embedding(cfg["input"]))
+    _, dec_spec = _net_specs(sizes, rep.eigenvalues.shape[0], cfg["output_width"])
     net = autoencoder.load_checkpoint(cfg["checkpoint"], dec_spec)
     comps = analysis.decode_eigen_components(net.forward, rep, cfg["scale"])
     rows = [[k, sign, *row] for k, pair in enumerate(comps)
             for sign, row in zip((1, -1), pair)]
-    path = out / "components.csv"
-    io.write_csv(path, ["component", "sign"] + [f"o{i}" for i in range(comps.shape[2])],
-                 rows)
-    return [path]
+    return {"components.csv": (
+        io.write_csv, ["component", "sign"] + [f"o{i}" for i in range(comps.shape[2])], rows)}
 
 
 _COMMANDS = {
@@ -349,6 +321,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_handler(handler, cfg, out_dir: Path) -> list[Path]:
+    """Compute a subcommand's outputs with numpy's errors raised, then write them."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        outputs = handler(cfg)
+    for name, (writer, *args) in outputs.items():
+        writer(out_dir / name, *args)
+    return [out_dir / name for name in outputs]
+
+
 def run(argv=None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -364,6 +345,8 @@ def run(argv=None) -> int:
             args = parser.parse_args(
                 argv[:cut] + _config_argv(args.config, defaults) + argv[cut:])
         cfg = {key: getattr(args, key) for key in defaults}
+        if "out" in cfg:
+            _check_out(cfg["out"])
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.verify:
@@ -372,7 +355,7 @@ def run(argv=None) -> int:
             # re-run into a scratch directory so the checked run is never touched
             with tempfile.TemporaryDirectory() as scratch:
                 shutil.copy(out_dir / io.MANIFEST_NAME, scratch)
-                handler(cfg, Path(scratch))
+                _run_handler(handler, cfg, Path(scratch))
                 bad = io.verify_manifest(scratch)
             if bad:
                 print(f"verify: output hashes differ from stored manifest: {', '.join(bad)}",
@@ -380,8 +363,7 @@ def run(argv=None) -> int:
                 return 1
             print("verify: outputs match stored manifest")
             return 0
-        outputs = handler(cfg, out_dir)
-        io.write_manifest(out_dir, args.command, cfg, outputs)
+        io.write_manifest(out_dir, args.command, cfg, _run_handler(handler, cfg, out_dir))
         return 0
     except SystemExit as exc:  # argparse: a bad flag or file value, or --help
         return 1 if exc.code not in (0, None) else 0

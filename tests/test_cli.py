@@ -1,5 +1,6 @@
 import importlib.util
 import inspect
+import itertools
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eccentric import cli, datasets, radius
+from eccentric import analysis, cli, datasets, radius
 from eccentric.autoencoder import DenseNet, DenseNetSpec, save_checkpoint
 from eccentric.cli import load_config, run
 from eccentric.io import write_embedding_csv
@@ -258,22 +259,29 @@ class TestBenchmarkCommands:
                 pytest.fail(f"the CLI rejects benchmark command {argv}")
 
     def test_every_benchmark_command_runs_clean(self, tmp_path, monkeypatch, perfbench):
-        # each plan at seed 1, run in-process as the benchmark's load process runs it:
-        # every command exits 0 and warns nothing, and every oracle check passes
+        # each plan at seeds 1 and 2, run in-process as the benchmark's load process
+        # runs it: every command exits 0 and warns nothing (a floating-point flag
+        # would be exit 2), its manifest lists exactly the files it wrote, and every
+        # oracle check passes
         workloads, oracles = perfbench
-        for name in workloads.NAMES:
-            plan = workloads.build(name, 1, tmp_path / name / "inputs")
-            out = tmp_path / name / "plain"
+        for seed, name in itertools.product([1, 2], workloads.NAMES):
+            plan = workloads.build(name, seed, tmp_path / f"s{seed}" / name / "inputs")
+            out = tmp_path / f"s{seed}" / name / "plain"
             out.mkdir()
             monkeypatch.chdir(out)  # a plan's paths are relative to its pass directory
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 codes = [run(argv) for _, argv in plan.commands]
-            assert codes == [0] * len(plan.commands), name
-            assert [str(w.message) for w in caught] == [], name
+            assert codes == [0] * len(plan.commands), (seed, name)
+            assert [str(w.message) for w in caught] == [], (seed, name)
+            for _, argv in plan.commands:
+                run_dir = out / argv[argv.index("--out-dir") + 1]
+                listed = json.loads((run_dir / "manifest.json").read_text())["outputs"]
+                written = {p.name for p in run_dir.iterdir()} - {"manifest.json"}
+                assert listed.keys() == written, argv
             failed = [(check, detail) for check, ok, detail in oracles.CHECKS[name](plan, out)
                       if not ok]
-            assert failed == [], name
+            assert failed == [], (seed, name)
 
 
 class TestSweepRadius:
@@ -816,6 +824,30 @@ class TestExitCodes:
         assert [str(w.message) for w in caught] == []
         assert list(out.iterdir()) == []  # neither an output nor a manifest
 
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "--e1", "{big}", "--e2", "{small}"],
+        ["align", "--e1", "{small}", "--e2", "{big}"],
+        ["spectrum", "--input", "{big}"],
+        ["sample", "--mode", "matched", "--reference", "{big}", "--n", "5", "--dim", "3"],
+        ["simulate", "--dim", "3", "--mu", "1", "--auto-n", "--count", "5", "--steps", "2",
+         "--step-size", "0.1", "--init-scale", "1e200"],
+    ], ids=["metrics", "align", "spectrum", "sample-matched", "simulate"])
+    def test_overflowing_inputs_are_exit_2_without_warnings(self, tmp_path, capsys, argv):
+        # squares and covariances of entries near 1e200 overflow: a numerical
+        # failure, not values written from inf and nan or a validation error
+        rng = np.random.default_rng(0)
+        big, small = tmp_path / "big.csv", tmp_path / "small.csv"
+        write_embedding_csv(big, 1e200 * rng.standard_normal((20, 3)), np.arange(20) % 2)
+        write_embedding_csv(small, rng.standard_normal((20, 3)), np.arange(20) % 2)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run([v.format(big=big, small=small) for v in argv]
+                       + ["--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure:")
+        assert [str(w.message) for w in caught] == []
+        assert list(out.iterdir()) == []  # neither an output nor a manifest
+
     @pytest.mark.parametrize("mu_step", ["5e-324", "1e-300"])
     def test_mu_step_too_small_for_the_grid(self, tmp_path, capsys, mu_step):
         assert run(["sweep-radius", "--dims", "3", "--mu-step", mu_step,
@@ -829,3 +861,36 @@ class TestExitCodes:
                     "--count", "10", "--steps", "200", "--step-size", "1e155",
                     "--seed", "0", "--init-scale", "1e150",
                     "--out-dir", str(tmp_path)]) == 2
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("computed before the flags were checked")
+
+
+class TestFlagsCheckedFirst:
+    """A bad or missing flag is rejected before any input is read or computed."""
+
+    @pytest.mark.parametrize("argv, patched", [
+        (["sweep-radius", "--dims", "3,12,38,117", "--mu-step", "0.05", "--out", "../x.csv"],
+         "sweep_radius"),
+        (["force-profile", "--mu", "1", "--big-n", "4", "--r-max", "8", "--steps", "5",
+          "--out", "../x.csv"], "force_profile"),
+    ], ids=["sweep-radius", "force-profile"])
+    def test_out(self, tmp_path, capsys, monkeypatch, argv, patched):
+        monkeypatch.setattr(radius, patched, _must_not_run)
+        assert run(argv + ["--out-dir", str(tmp_path / "run")]) == 1
+        assert "error: --out must be a bare file name" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_encode_checkpoint(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_load_cli_dataset", _must_not_run)
+        assert run(["encode", "--out-dir", str(tmp_path)]) == 1
+        assert "error: encode requires --checkpoint" in capsys.readouterr().err
+
+    def test_decode_components_checkpoint(self, tmp_path, capsys, monkeypatch):
+        emb = tmp_path / "emb.csv"
+        write_embedding_csv(emb, np.eye(2))
+        monkeypatch.setattr(analysis, "spectrum", _must_not_run)
+        assert run(["decode-components", "--input", str(emb),
+                    "--out-dir", str(tmp_path / "out")]) == 1
+        assert "error: decode-components requires --checkpoint" in capsys.readouterr().err
