@@ -239,34 +239,26 @@ def knn_classify(train_coords: np.ndarray, train_labels: np.ndarray,
     smallest summed neighbor distance, accumulated nearest-first, then to the
     lowest label.  Test rows are taken one block at a time.  Returns
     (predictions, error_rate) where error_rate is None unless truth labels
-    are given.
+    are given, and raises FloatingPointError if a distance to one of a row's
+    k nearest overflows.  The inputs are arrays wrapped here, not PointBatch,
+    only because the benchmark tracer's knn hook (perfbench/tracer.py) reads
+    test_coords as args[2], and become PointBatch when that hook goes.
     """
-    train_coords = np.asarray(train_coords, dtype=np.float64)
-    test_coords = np.asarray(test_coords, dtype=np.float64)
-    train_labels = np.asarray(train_labels)
-    for name, coords in (("train_coords", train_coords), ("test_coords", test_coords)):
-        if coords.ndim != 2:
-            raise ValueError(f"{name} must be a 2-D array of points, got shape {coords.shape}")
-    n, dim = train_coords.shape
-    m = test_coords.shape[0]
-    if n == 0:
-        raise ValueError("empty training set")
-    if m == 0:
-        raise ValueError("test_coords holds no points")
-    if train_labels.shape != (n,):
-        raise ValueError(f"training labels have shape {train_labels.shape} but there are "
-                         f"{n} training points")
-    if truth is not None:
-        truth = np.asarray(truth)
-        if truth.shape != (m,):
-            raise ValueError(f"truth has shape {truth.shape} but there are {m} test points")
+    if train_labels is None:
+        raise ValueError("train_labels must be given")
+    batches = []
+    for names, coords, labels in (("train_coords, train_labels", train_coords, train_labels),
+                                  ("test_coords, truth", test_coords, truth)):
+        try:
+            batches.append(PointBatch(coords, labels))
+        except ValueError as exc:
+            raise ValueError(f"{names}: {exc}") from None
+    train, test = batches
+    n, dim = train.data.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    if test_coords.shape[1] != dim:
-        raise ValueError(f"training points have {dim} columns but test "
-                         f"points have {test_coords.shape[1]}")
-    if not (np.isfinite(train_coords).all() and np.isfinite(test_coords).all()):
-        raise ValueError("knn coordinates must be finite")
+    if test.dim != dim:
+        raise ValueError(f"training points have {dim} columns but test points have {test.dim}")
 
     # The margin.  With u = 2^-53, G_j = fl(|y_j|^2 - 2 x.y_j) is the
     # prefilter value, s_j = |x - y_j|^2 exactly, and D_j the computed
@@ -287,24 +279,25 @@ def knn_classify(train_coords: np.ndarray, train_labels: np.ndarray,
     # second-order terms and the roundings of xx, Y and the bound itself.
     # Underflow adds at most d 2^-1075 per dot product and per distance, which
     # the 8 (d+4) smallest-subnormal term covers.  A norm that overflows makes
-    # the bound inf or nan, and a nan keeps the pair, so the row keeps all.
+    # the bound inf or nan, and a nan keeps the pair, so the row keeps all;
+    # an exact distance that overflows among the k nearest is then an error.
     # The product takes -2x: scaling by a power of two is exact, so each of
     # its terms rounds as in x.y, and its underflow and overflow are those
     # covered above.
-    yy = np.einsum("ij,ij->i", train_coords, train_coords)
+    yy = np.einsum("ij,ij->i", train.data, train.data)
     yy2 = 2 * yy.max()
     slack = 8 * (dim + 4) * np.finfo(np.float64).eps / 2
     floor = 8 * (dim + 4) * np.finfo(np.float64).smallest_subnormal
     # pairs per chunk of the exact pass: two (chunk, d) arrays fill one block
-    chunk = max(1, _KNN_BLOCK_BYTES // (16 * max(dim, 1)))
-    preds = np.empty(m, dtype=train_labels.dtype)
+    chunk = max(1, _KNN_BLOCK_BYTES // (16 * dim))
+    preds = np.empty(test.count, dtype=train.labels.dtype)
     # a test row holds its n prefilter values and, in the vote, about 16 arrays of k
     height = max(1, _KNN_BLOCK_BYTES // (8 * (n + 16 * k)))
-    for lo in range(0, m, height):
-        x = test_coords[lo:lo + height]
+    for lo in range(0, test.count, height):
+        x = test.data[lo:lo + height]
         # an overflow here only widens the bound (see the margin)
         with np.errstate(over="ignore", invalid="ignore"):
-            pre = (-2.0 * x) @ train_coords.T
+            pre = (-2.0 * x) @ train.data.T
             pre += yy
             kth = np.partition(pre, k - 1, axis=1)[:, k - 1]
             bound = kth + (slack * (np.einsum("ij,ij->i", x, x) + yy2) + floor)
@@ -313,7 +306,7 @@ def knn_classify(train_coords: np.ndarray, train_labels: np.ndarray,
         dist = np.empty(rows.size)
         for a in range(0, rows.size, chunk):
             diff = x[rows[a:a + chunk]]
-            diff -= train_coords[cols[a:a + chunk]]
+            diff -= train.data[cols[a:a + chunk]]
             # numpy's own loop, not BLAS: a pair's distance has the same bits
             # whatever chunk it falls in and whatever the BLAS thread count
             dist[a:a + chunk] = np.einsum("ij,ij->i", diff, diff)
@@ -324,9 +317,13 @@ def knn_classify(train_coords: np.ndarray, train_labels: np.ndarray,
         count = np.bincount(rows, minlength=x.shape[0])
         pick = order[(np.cumsum(count) - count)[:, None] + np.arange(k)]
         cols, near = cols[pick], dist[pick]
+        # each row's picks ascend: an overflow among them shows in the last
+        if np.isinf(near[:, -1]).any():
+            raise FloatingPointError(f"overflow in a distance to one of the k={k} nearest "
+                                     "training points")
         # the candidates may be every training row: free them before the next block
         del rows, dist, order
-        labels = train_labels[cols]
+        labels = train.labels[cols]
         # group each row by label, nearest-first within a label; lexsort is
         # stable, so equal distances keep training-index order
         order = np.lexsort((near, labels), axis=1)
@@ -344,5 +341,5 @@ def knn_classify(train_coords: np.ndarray, train_labels: np.ndarray,
         label_of = label_of.reshape(-1, k)
         best = np.lexsort((label_of, summed, -votes), axis=1)[:, 0]
         preds[lo:lo + height] = label_of[np.arange(labels.shape[0]), best]
-    error = None if truth is None else float(np.mean(preds != truth))
+    error = None if test.labels is None else float(np.mean(preds != test.labels))
     return preds, error

@@ -7,8 +7,7 @@ manifest with content hashes into --out-dir, and exits 0 on success, 1 on a
 validation error, 2 on a numerical failure: any FloatingPointError, which
 includes numpy's overflow, invalid value or division by zero anywhere in a
 subcommand's computation.  A failed computation writes no file.  Library
-functions keep their own guards where they expect such values; `knn`'s exact
-distances come from einsum, which raises no floating-point flag.
+functions keep their own guards where they expect such values.
 """
 
 from __future__ import annotations

@@ -557,26 +557,62 @@ class TestKnnClassify:
         with pytest.raises(ValueError, match="finite"):
             knn_classify(train, labels, np.zeros((1, 2)), k=1)
 
-    def test_overflowing_norms_keep_every_candidate_without_warnings(self):
-        # |y|^2 overflows: the prefilter turns inf and nan, and every
-        # training row must still reach the exact pass, silently
-        rng = np.random.default_rng(3)
+    @staticmethod
+    def _half_overflowing(rng):
+        # 20 unscaled training rows, then 20 whose |y|^2 overflows
         train = np.vstack([rng.standard_normal((20, 3)), 1e200 * rng.standard_normal((20, 3))])
-        labels = rng.integers(0, 4, 40)
-        test = np.vstack([rng.standard_normal((5, 3)), 1e200 * rng.standard_normal((5, 3))])
-        for k in (1, 3, 40):
-            with warnings.catch_warnings():
+        return train, rng.integers(0, 4, 40)
+
+    def test_overflowing_norms_keep_every_candidate_without_warnings(self):
+        # |y|^2 overflows: the prefilter turns inf, and every training row
+        # must still reach the exact pass, silently
+        rng = np.random.default_rng(3)
+        train, labels = self._half_overflowing(rng)
+        test = rng.standard_normal((5, 3))
+        for k in (1, 3):
+            with warnings.catch_warnings(), np.errstate(all="raise"):
                 warnings.simplefilter("error")
                 preds, _ = knn_classify(train, labels, test, k=k)
             with np.errstate(over="ignore"):
                 np.testing.assert_array_equal(preds, knn_loop_oracle(train, labels, test, k))
 
+    def test_overflowing_neighbour_distance_raises(self):
+        # a distance among a row's k nearest that overflows is a numerical
+        # failure, not a tie broken by training index
+        rng = np.random.default_rng(3)
+        train, labels = self._half_overflowing(rng)
+        small = rng.standard_normal((5, 3))
+        # every distance from a row at 1e200 overflows; at k = 40 the unscaled
+        # rows pick the 20 far training rows too
+        for test, k in [(1e200 * rng.standard_normal((5, 3)), 1), (small, 40)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(FloatingPointError, match=f"k={k} nearest"):
+                    knn_classify(train, labels, test, k=k)
+
+    @pytest.mark.parametrize("k", [1, 5, 30])
+    def test_far_training_row_outside_the_k_nearest_is_harmless(self, k):
+        # its distances overflow, but no row picks it: the predictions are
+        # those of the set without it, and nothing is flagged
+        rng = np.random.default_rng(4)
+        train = rng.standard_normal((30, 3))
+        labels = rng.integers(0, 3, 30)
+        test = rng.standard_normal((10, 3))
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            preds, _ = knn_classify(np.vstack([np.full((1, 3), 1e200), train]),
+                                    np.concatenate([[9], labels]), test, k=k)
+            alone, _ = knn_classify(train, labels, test, k=k)
+        np.testing.assert_array_equal(preds, alone)
+
     @pytest.mark.parametrize("bad, message", [
         # a length-1 truth used to broadcast: an error rate against label 0 for every row
-        ({"truth": np.array([0])}, r"truth has shape \(1,\) but there are 4 test points"),
+        ({"truth": np.array([0])},
+         r"test_coords, truth: count mismatch: 4 points, labels shape \(1,\)"),
         ({"train_labels": np.array([[0], [0], [1], [1]])},
-         r"training labels have shape \(4, 1\) but there are 4 training points"),
-    ], ids=["truth", "train-labels"])
+         r"train_coords, train_labels: count mismatch: 4 points, labels shape \(4, 1\)"),
+        ({"train_labels": None}, "train_labels must be given"),
+    ], ids=["truth", "train-labels", "no-train-labels"])
     def test_rejects_labels_of_wrong_shape(self, bad, message):
         args = {"train_coords": np.array([[0.0], [1.0], [10.0], [11.0]]),
                 "train_labels": np.array([0, 0, 1, 1]),
@@ -589,14 +625,15 @@ class TestKnnClassify:
     def test_rejects_one_dimensional_coordinates(self, which):
         coords = {"train_coords": np.zeros((3, 2)), "test_coords": np.zeros((2, 2))}
         coords[which] = np.zeros(2)
-        with pytest.raises(ValueError, match=f"{which} must be a 2-D array"):
+        with pytest.raises(ValueError, match=rf"{which}, \w+: expected a 2-D .* shape \(2,\)"):
             knn_classify(coords["train_coords"], np.zeros(3, dtype=int),
                          coords["test_coords"], k=1)
 
     def test_rejects_empty_test_set(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="test_coords holds no points"):
+            with pytest.raises(ValueError,
+                               match=r"test_coords, truth: empty batch, got shape \(0, 2\)"):
                 knn_classify(np.zeros((3, 2)), np.zeros(3, dtype=int), np.zeros((0, 2)), k=1)
 
     def test_vote_tie_uses_distance(self):

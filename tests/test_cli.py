@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import shlex
 import struct
 import subprocess
 import sys
@@ -282,6 +283,68 @@ class TestBenchmarkCommands:
             failed = [(check, detail) for check, ok, detail in oracles.CHECKS[name](plan, out)
                       if not ok]
             assert failed == [], (seed, name)
+
+    def test_traced_plans_feed_every_counter(self, tmp_path):
+        # perfbench/tracer.py wraps eccentric's public functions and reads their
+        # arguments and results in hooks, so a changed signature or result type
+        # breaks `--trace 1`; the tracer rebinds module attributes for the life of
+        # the process, so the four plans at seed 1 run under it in a subprocess
+        script = """if True:
+            import json, os, sys
+            from pathlib import Path
+            import workloads
+            from tracer import Tracer
+            from eccentric import cli
+
+            tracer = Tracer()
+            tracer.install()
+            root, report = Path(sys.argv[1]), {"codes": [], "counters": {}}
+            for name in workloads.NAMES:
+                plan = workloads.build(name, 1, root / name / "inputs")
+                (root / name / "traced").mkdir()
+                os.chdir(root / name / "traced")
+                lo = tracer.marks()
+                report["codes"] += [cli.run(argv) for _, argv in plan.commands]
+                for key, value in tracer.layer_metrics(lo, tracer.marks()).items():
+                    report["counters"][key] = report["counters"].get(key, 0) + value
+            (root / "report.json").write_text(json.dumps(report))
+        """
+        repo = Path(__file__).parents[1]
+        path = os.pathsep.join([str(repo / "src"), str(repo / "perfbench")])
+        # -B: no bytecode cache is written into perfbench/
+        proc = subprocess.run([sys.executable, "-B", "-c", script, str(tmp_path)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+                                   "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["codes"] == [0] * 38
+        counters = report["counters"]
+        hooked = ["radius.solve_calls", "radius.bisect_iters", "radius.quad_nodes",
+                  "kernel.pairs", "kernel.bytes_computed", "particles.steps",
+                  "autoencoder.opt_steps", "datasets.items", "analysis.align_iters",
+                  "analysis.knn_queries", "io.rows_read", "io.bytes_read",
+                  "io.rows_written", "io.bytes_written"]
+        assert {key: counters[key] for key in hooked if not counters[key] > 0} == {}
+        assert counters["cli.nonzero_exits"] == 0
+
+
+class TestReadme:
+    def test_cli_examples_parse(self):
+        # the `sh` block of README's CLI section: a renamed flag or subcommand
+        # must not leave a stale example behind
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.replace("\\\n", " ").splitlines()
+                 if line.startswith("eccentric ")]
+        assert len(lines) == 7
+        parser = cli._build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                pytest.fail(f"the CLI rejects README example {line!r}")
 
 
 class TestSweepRadius:
@@ -831,7 +894,8 @@ class TestExitCodes:
         ["sample", "--mode", "matched", "--reference", "{big}", "--n", "5", "--dim", "3"],
         ["simulate", "--dim", "3", "--mu", "1", "--auto-n", "--count", "5", "--steps", "2",
          "--step-size", "0.1", "--init-scale", "1e200"],
-    ], ids=["metrics", "align", "spectrum", "sample-matched", "simulate"])
+        ["knn", "--train", "{big}", "--test", "{small}", "--k", "5"],
+    ], ids=["metrics", "align", "spectrum", "sample-matched", "simulate", "knn"])
     def test_overflowing_inputs_are_exit_2_without_warnings(self, tmp_path, capsys, argv):
         # squares and covariances of entries near 1e200 overflow: a numerical
         # failure, not values written from inf and nan or a validation error
