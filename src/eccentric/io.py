@@ -67,12 +67,6 @@ def _write_lines(path, header, lines):
         fh.writelines(lines)
 
 
-def _rows_of(array):
-    """The rows of an array as Python values, converted _IO_ROWS at a time."""
-    return chain.from_iterable(array[lo:lo + _IO_ROWS].tolist()
-                               for lo in range(0, len(array), _IO_ROWS))
-
-
 def write_csv(path, header, rows):
     _write_lines(path, header, (",".join(map(format_value, row)) + "\n" for row in rows))
 
@@ -85,17 +79,18 @@ def write_json(path, obj):
 def write_embedding_csv(path, coords: np.ndarray, labels=None):
     """One row per item: coordinates, then an optional trailing label column.
 
-    One format string per row writes the bytes write_csv would write."""
+    One format string per _IO_ROWS-row block writes what write_csv would."""
     coords = np.asarray(coords)
-    header = [f"c{i}" for i in range(coords.shape[1])]
-    fmt = ["%.17g"] * coords.shape[1]
-    rows = _rows_of(coords)
-    if labels is not None:
-        header.append("label")
-        fmt.append("%d")
-        rows = (row + [label] for row, label in zip(rows, _rows_of(np.asarray(labels))))
-    fmt = ",".join(fmt) + "\n"
-    _write_lines(path, header, (fmt % tuple(row) for row in rows))
+    header = [f"c{i}" for i in range(coords.shape[1])] + ["label"] * (labels is not None)
+    row_fmt = ",".join(["%.17g"] * coords.shape[1] + ["%d"] * (labels is not None)) + "\n"
+    def blocks():
+        for lo in range(0, len(coords), _IO_ROWS):
+            rows = coords[lo:lo + _IO_ROWS].tolist()
+            if labels is not None:
+                for row, label in zip(rows, np.asarray(labels[lo:lo + _IO_ROWS]).tolist()):
+                    row.append(label)
+            yield (row_fmt * len(rows)) % tuple(chain.from_iterable(rows))
+    _write_lines(path, header, blocks())
 
 
 def _load_rows(path, lines, first, dtype, width):

@@ -175,6 +175,20 @@ def reference_csv(header, rows):
         ",".join(format_value(v) for v in row) + "\n" for row in rows)
 
 
+def per_row_embedding_csv(path, coords, labels=None):
+    """write_embedding_csv with one format string per row: the oracle for its blocks."""
+    header = [f"c{i}" for i in range(coords.shape[1])]
+    fmt = ["%.17g"] * coords.shape[1]
+    rows = coords.tolist()
+    if labels is not None:
+        header.append("label")
+        fmt.append("%d")
+        rows = [row + [label] for row, label in zip(rows, np.asarray(labels).tolist())]
+    fmt = ",".join(fmt) + "\n"
+    path.write_bytes((",".join(header) + "\n" + "".join(fmt % tuple(row) for row in rows)
+                      ).encode())
+
+
 B = io._IO_ROWS
 
 
@@ -199,6 +213,18 @@ class TestEmbeddingCsvBlocks:
         else:
             assert back_labels is None
         assert path.read_text() == reference_csv(header, table)
+
+    @pytest.mark.parametrize("rows", [1, B, B + 1])
+    @pytest.mark.parametrize("with_labels", [False, True])
+    def test_blocks_write_the_per_row_bytes(self, tmp_path, rows, with_labels):
+        rng = np.random.default_rng(rows)
+        coords = rng.standard_normal((rows, 4)) * 10.0 ** rng.integers(-320, 308, (rows, 4))
+        coords.flat[:7] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308,
+                           0.1][:coords.size]
+        labels = rng.integers(-2**63, 2**63 - 1, rows, dtype=np.int64) if with_labels else None
+        write_embedding_csv(tmp_path / "blocks.csv", coords, labels)
+        per_row_embedding_csv(tmp_path / "rows.csv", coords, labels)
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
     @pytest.mark.parametrize("bad, position, named", [
         ("\n", B + 3, "blank line"),

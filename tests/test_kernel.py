@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -282,6 +283,15 @@ class TestBatchLossGradient:
 
 
 BLOCK = kernel._PAIR_TILE  # side of the distance matrix's square tiles
+GRAM_C = kernel._GRAM_C  # a full tile takes Gram weights if its guard sum is <= GRAM_C * N
+
+
+def guard_sums(z):
+    """Each full tile's largest |z_i|^2 plus largest |z_j|^2, the sum the kernel's guard
+    compares with GRAM_C * N."""
+    full = len(z) - len(z) % BLOCK
+    top = np.einsum("ij,ij->i", z[:full], z[:full]).reshape(-1, BLOCK).max(axis=1)
+    return [top[i] + top[j] for i in range(len(top)) for j in range(i, len(top))]
 
 
 class TestRowBlocks:
@@ -342,8 +352,11 @@ class TestRowBlocks:
         assert np.abs(net).max() <= 1e-12 * np.abs(grad).max()
 
     def test_bits_do_not_depend_on_blas_threads(self):
-        # every tile product is at most (128, 128) @ (128, d+1); among these
-        # shapes, a (128, n) @ (n, d) product with n > 128 sums in another
+        # every tile product is at most (128, 128) @ (128, d+1), and a full
+        # tile that passes the Gram guard also takes one (128, d+2) @ (d+2, 128);
+        # the b=1536 batches scale four rows by 100 so that the full tiles of
+        # their blocks keep cdist and the others take the Gram product.  Among
+        # these shapes, a (128, n) @ (n, d) product with n > 128 sums in another
         # order at 2 threads at d=16, b=700 and d=64, b=300
         code = ("import hashlib, numpy as np\n"
                 "from eccentric.kernel import ParamSet, PointBatch, batch_gradient, "
@@ -352,14 +365,81 @@ class TestRowBlocks:
                 "    for b in (300, 700, 1000, 1500, 2048, 3000):\n"
                 "        z = PointBatch(np.random.default_rng(b).standard_normal((b, d)))\n"
                 "        g = batch_gradient(z, ParamSet(d, 1.5, choose_big_n(d, 1.5)))\n"
-                "        print(d, b, hashlib.sha256(g.tobytes()).hexdigest())\n")
+                "        print(d, b, hashlib.sha256(g.tobytes()).hexdigest())\n"
+                "for d in (16, 64):\n"
+                "    z = np.random.default_rng(d).standard_normal((1536, d))\n"
+                "    z[::500] *= 100.0\n"
+                "    g = batch_gradient(PointBatch(z), ParamSet(d, 1.5, choose_big_n(d, 1.5)))\n"
+                "    print(d, 1536, hashlib.sha256(g.tobytes()).hexdigest())\n")
+        for d in (16, 64):
+            z = np.random.default_rng(d).standard_normal((1536, d))
+            z[::500] *= 100.0
+            sums = guard_sums(z)
+            assert min(sums) <= GRAM_C * choose_big_n(d, 1.5) < max(sums)
         src = str(Path(kernel.__file__).parents[1])
         out = [subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
                               text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
                                               "PYTHONPATH": src}).stdout
                for threads in ("1", "2")]
-        assert len(out[0].splitlines()) == 18
+        assert len(out[0].splitlines()) == 20
         assert out[0] == out[1]
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from([BLOCK, 2 * BLOCK, 2 * BLOCK + 1, 3 * BLOCK]),
+           st.sampled_from([2, 16, 64]),
+           st.sampled_from(["clustered", "duplicates", "scales", "guard-edge"]),
+           st.integers(0, 2**31 - 1))
+    @example(count=3 * BLOCK, dim=16, case="guard-edge", seed=0)
+    @example(count=2 * BLOCK + 1, dim=64, case="clustered", seed=0)
+    def test_gram_tiles_match_unblocked_formula(self, count, dim, case, seed):
+        # full tiles that pass the guard take their weights from the Gram
+        # product; the others, and every partial tile, keep cdist's
+        rng = np.random.default_rng(seed)
+        p = random_params(dim, mu=float(rng.uniform(1.0, 3.0)))
+        z = rng.standard_normal((count, dim))
+        blocks = np.arange(count) // BLOCK
+        if case == "clustered":
+            # clusters in runs of rows, each centred at its own distance from
+            # the origin: near ones pass the guard, far ones fail it, and a far
+            # one of width ~sqrt(N) is where unguarded Gram weights go wrong
+            centres = rng.standard_normal((5, dim)) * 10.0 ** rng.uniform(-1, 7, (5, 1))
+            width = np.sqrt(p.big_n) * 10.0 ** rng.uniform(-6, 0, (5, 1))
+            pick = np.sort(rng.integers(0, 5, count))
+            z = centres[pick] + width[pick] * z
+        elif case == "duplicates":
+            z = z[rng.integers(0, count // 8, count)]
+        elif case == "scales":
+            z *= 10.0 ** rng.choice([-150.0, 0.0, 150.0], blocks[-1] + 1)[blocks, None]
+        else:
+            # each block's largest |z|^2 is c N / 2 times 1 -+ a few percent,
+            # under in even blocks and over in odd ones, so that some tiles sit
+            # just under the guard's bound and others just over it
+            sq = np.einsum("ij,ij->i", z, z)
+            top = np.array([sq[blocks == k].max() for k in range(blocks[-1] + 1)])
+            sign = np.where(np.arange(top.size) % 2, 1.0, -1.0)
+            target = GRAM_C * p.big_n / 2 * (1 + sign * rng.uniform(0.001, 0.05, top.size))
+            z *= np.sqrt(target / top)[blocks, None]
+            if count >= 2 * BLOCK:
+                sums = guard_sums(z)
+                assert min(sums) <= GRAM_C * p.big_n < max(sums)
+        batch = PointBatch(z)
+        want_loss, want_grad = unblocked_loss_and_gradient(batch, p)
+        assume(abs(want_loss) >= 1e-3 * np.sum(z * z) / count)  # as in test_rotation_invariance
+        loss, grad = batch_loss_and_gradient(batch, p)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
+        assert np.array_equal(batch_gradient(batch, p), grad)
+
+    def test_sub_tile_bits_are_pinned(self):
+        # a batch below one tile never takes the Gram product, so its bits (and
+        # so train's batch-100 steps) are those of the cdist-only kernel
+        want = {2: "78424e1f8a6f64564c3043ddf57587c4997900e9674df45281e323326eb8aea5",
+                8: "ae6bbf038cca416327f9be217152ffb97283badb340f0fb03f60afde8c31f7fe"}
+        for d, digest in want.items():
+            z = PointBatch(np.random.default_rng(d).standard_normal((100, d)))
+            loss, grad = batch_loss_and_gradient(z, ParamSet(d, 1.5, choose_big_n(d, 1.5)))
+            got = hashlib.sha256(np.float64(loss).tobytes() + grad.tobytes()).hexdigest()
+            assert got == digest, d
 
     def test_gradient_without_loss_checks_batch(self):
         p = ParamSet(dim=3, mu=1.0, big_n=6.0)
