@@ -61,14 +61,16 @@ def _config_argv(path, defaults: dict) -> list[str]:
     return argv
 
 
-def _resolve_big_n(cfg, dim: int) -> float:
+def _param_set(cfg, dim: int) -> ParamSet:
+    """The run's loss parameters, N from --big-n or (--auto-n) from N(dim, --mu)."""
+    big_n = cfg["big_n"]
     if cfg["auto_n"]:
-        if cfg["big_n"] > 0:
+        if big_n > 0:
             raise ValueError("pass either --big-n or --auto-n, not both")
-        return choose_big_n(dim, cfg["mu"])
-    if not cfg["big_n"] > 0:
+        big_n = choose_big_n(dim, cfg["mu"])
+    elif not big_n > 0:
         raise ValueError("either --big-n > 0 or --auto-n is required")
-    return cfg["big_n"]
+    return ParamSet(dim=dim, mu=cfg["mu"], big_n=big_n, lam=cfg.get("lam", 0.0))
 
 
 def _check_out(name: str) -> None:
@@ -120,11 +122,11 @@ def _read_embedding(path) -> PointBatch:
 
 
 def _cmd_solve_radius(cfg):
-    big_n = _resolve_big_n(cfg, cfg["dim"])
-    sol = radius.solve_radius(cfg["dim"], cfg["mu"], big_n)
+    params = _param_set(cfg, cfg["dim"])
+    sol = radius.solve_radius(params)
     print(f"rho = {sol.rho:.17g} (residual {sol.residual:.3e})")
     return {"radius.json": (io.write_json, {
-        "dim": cfg["dim"], "mu": cfg["mu"], "big_n": big_n,
+        "dim": cfg["dim"], "mu": cfg["mu"], "big_n": params.big_n,
         "rho": sol.rho, "residual": sol.residual,
         "iterations": sol.iterations, "quadrature_points": sol.quadrature_points,
     })}
@@ -136,9 +138,7 @@ def _cmd_sweep_radius(cfg):
 
 
 def _cmd_force_profile(cfg):
-    big_n = _resolve_big_n(cfg, cfg["dim"])
-    params = ParamSet(dim=cfg["dim"], mu=cfg["mu"], big_n=big_n)
-    prof = radius.force_profile(params, cfg["r_max"], cfg["steps"])
+    prof = radius.force_profile(_param_set(cfg, cfg["dim"]), cfg["r_max"], cfg["steps"])
     return {cfg["out"]: (io.write_csv, ["distance", "magnitude"],
                          zip(prof.distances, prof.magnitudes))}
 
@@ -146,18 +146,16 @@ def _cmd_force_profile(cfg):
 def _cmd_lemma_check(cfg):
     payload = {"dim": cfg["dim"], "a": cfg["a"],
                "lemma_a_integral": radius.lemma_a_check(cfg["dim"], cfg["a"])}
-    if cfg["dim"] >= 4:
+    if cfg["dim"] >= radius.LEMMA_B_MIN_DIM:
         payload["lemma_b_u_closed_form"] = radius.lemma_b_argmax(cfg["dim"], cfg["a"])
         payload["lemma_b_u_numeric"] = radius.lemma_b_argmax_numeric(cfg["dim"], cfg["a"])
     return {"lemma.json": (io.write_json, payload)}
 
 
 def _cmd_simulate(cfg):
-    big_n = _resolve_big_n(cfg, cfg["dim"])
-    params = ParamSet(dim=cfg["dim"], mu=cfg["mu"], big_n=big_n)
     rep = particles.simulate(particles.SimConfig(
-        params=params, count=cfg["count"], steps=cfg["steps"], step_size=cfg["step_size"],
-        seed=cfg["seed"], init_scale=cfg["init_scale"]))
+        params=_param_set(cfg, cfg["dim"]), count=cfg["count"], steps=cfg["steps"],
+        step_size=cfg["step_size"], seed=cfg["seed"], init_scale=cfg["init_scale"]))
     return {
         "points.csv": (io.write_embedding_csv, rep.final_batch.data),
         "loss_trace.csv": (io.write_csv, ["record", "loss"], list(enumerate(rep.loss_trace))),
@@ -171,10 +169,9 @@ def _cmd_simulate(cfg):
 
 def _cmd_train(cfg):
     sizes = _parse_int_list(cfg["hidden"], "--hidden")
+    params = _param_set(cfg, cfg["latent_dim"])
     ds = _load_cli_dataset(cfg)
-    big_n = _resolve_big_n(cfg, cfg["latent_dim"])
     enc_spec, dec_spec = _net_specs(sizes, cfg["latent_dim"], ds.dim)
-    params = ParamSet(dim=cfg["latent_dim"], mu=cfg["mu"], big_n=big_n, lam=cfg["lam"])
     rep = autoencoder.train(autoencoder.TrainConfig(
         encoder=enc_spec, decoder=dec_spec, params=params, batch_size=cfg["batch_size"],
         epochs=cfg["epochs"], learning_rate=cfg["learning_rate"],

@@ -26,6 +26,14 @@ __all__ = [
 ]
 
 
+def _check_dim(dim, least: int) -> None:
+    """The one check of every dimension limit: dim (a number or an array) >= least."""
+    # ndarray methods: np.any takes ~3 us on the bool of a scalar call
+    low = np.asarray(dim < least)
+    if low.any():
+        raise ValueError(f"dim must be >= {least}, got {np.asarray(dim)[low].flat[0]}")
+
+
 def choose_big_n(dim, mu):
     """Softening scale N(d, mu) that puts the stationary sphere radius near sqrt(d).
 
@@ -33,9 +41,7 @@ def choose_big_n(dim, mu):
     (radius.sweep_radius checks that range); any other mu is rejected.  dim
     and mu may be numbers or numpy arrays that broadcast together.
     """
-    # ndarray methods: np.any and np.all take ~3 us on the bool of a scalar call
-    if np.asarray(dim < 2).any():
-        raise ValueError(f"dim must be >= 2, got {dim}")
+    _check_dim(dim, 2)  # not left to ParamSet: the CLI derives N before it builds one
     if not np.asarray((1.0 <= mu) & (mu <= 2.0 * dim + 1.0)).all():
         raise ValueError(f"N(d, mu) requires 1 <= mu <= 2*dim+1, got mu={mu} at dim={dim}")
     return 2.0 * dim * (1.0 + 1.0 / (2.0 * mu * (dim - 1))) / (2.0 * mu - 1.0)
@@ -51,8 +57,7 @@ class ParamSet:
     lam: float = 0.0
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError(f"dim must be >= 2, got {self.dim}")
+        _check_dim(self.dim, 2)
         if not 0 <= self.mu < math.inf:
             raise ValueError(f"mu must be finite and nonnegative, got {self.mu}")
         if not 0 < self.big_n < math.inf:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import ParamSet, choose_big_n
+from .kernel import ParamSet, _check_dim, choose_big_n
 
 __all__ = [
     "SolverError",
@@ -60,8 +60,7 @@ class SolverError(FloatingPointError):
 
 def gamma_ratio(dim: int) -> float:
     """Gamma(d/2) / Gamma((d-1)/2) via log-gamma difference (no overflow to d=1e6)."""
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
+    _check_dim(dim, 2)
     return math.exp(math.lgamma(dim / 2.0) - math.lgamma((dim - 1) / 2.0))
 
 
@@ -105,6 +104,7 @@ RESIDUAL_TOL = 1e-10
 MAX_ITER = 200
 LEMMA_B_GRID = 4001
 LEMMA_B_XATOL = 1e-10
+LEMMA_B_MIN_DIM = 4  # f_{d,a} has an interior maximum from d = 4 on
 
 
 def _hyp2f1_pfaff(dim: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -209,8 +209,8 @@ def _solve_a(dim, mu):
                       f"for (d={int(dim[0])}, mu={mu[idx[0]]})")
 
 
-def solve_radius(dim: int, mu: float, big_n: float) -> RadiusSolution:
-    """Solve the stationarity condition for rho.
+def solve_radius(params: ParamSet) -> RadiusSolution:
+    """Solve the stationarity condition for rho at params' (d >= 3, mu >= 1, N).
 
     Finds a = N/(2 rho^2) in [2/(4mu-1), 2/(2mu-1)], a bracket that holds
     because 2a/(a+2) <= I(a) < 4a/(a+2) (Gauss's sum, DLMF 15.4.20), by
@@ -219,14 +219,12 @@ def solve_radius(dim: int, mu: float, big_n: float) -> RadiusSolution:
     rho = sqrt(N)/sqrt(2a): N only rescales the answer, and no positive float
     N overflows or underflows on the way.
     """
-    if dim < 3:
-        raise ValueError(f"radius theory requires dim >= 3, got {dim}")
-    if not 1.0 <= mu < math.inf:
-        raise ValueError(f"solver assumes finite mu >= 1, got {mu}")
-    if not 0 < big_n < math.inf:
-        raise ValueError(f"big_n must be finite and positive, got {big_n}")
-    a, res, iters = _solve_a(np.array([float(dim)]), np.array([float(mu)]))
-    return RadiusSolution(rho=math.sqrt(big_n) / math.sqrt(2.0 * a[0]), residual=float(res[0]),
+    _check_dim(params.dim, 3)
+    if params.mu < 1.0:
+        raise ValueError(f"solver assumes mu >= 1, got {params.mu}")
+    a, res, iters = _solve_a(np.array([float(params.dim)]), np.array([float(params.mu)]))
+    return RadiusSolution(rho=math.sqrt(params.big_n) / math.sqrt(2.0 * a[0]),
+                          residual=float(res[0]),
                           iterations=int(iters[0]), quadrature_points=int(iters[0]) + 2)
 
 
@@ -251,9 +249,7 @@ def sweep_radius(dims, mu_step: float = 0.25) -> list[tuple[int, float]]:
     if not 0 < mu_step < math.inf:
         raise ValueError(f"mu_step must be finite and positive, got {mu_step}")
     dims = list(dims)
-    for d in dims:
-        if d < 3:
-            raise ValueError(f"radius theory requires dim >= 3, got {d}")
+    _check_dim(np.array(dims), 3)
     if not dims:
         return []
     grids = [_mu_grid(d, mu_step) for d in dims]
@@ -273,8 +269,7 @@ def lemma_a_check(dim: int, a: float) -> float:
     Integrated numerically (scipy's adaptive Gauss-Kronrod), so the identity
     is checked independently of the closed form used by the solver.
     """
-    if dim < 3:
-        raise ValueError(f"requires dim >= 3, got {dim}")
+    _check_dim(dim, 3)
     if not 0.0 < a < 2.0:
         raise ValueError(f"requires 0 < a < 2, got {a}")
     # imported here: scipy.integrate adds ~0.2 s and ~13 MiB to every CLI start
@@ -285,16 +280,20 @@ def lemma_a_check(dim: int, a: float) -> float:
     return value
 
 
+def _check_lemma_b(dim: int, a: float) -> None:
+    """Lemma B's domain: d >= LEMMA_B_MIN_DIM and a > 0."""
+    _check_dim(dim, LEMMA_B_MIN_DIM)
+    if not a > 0:
+        raise ValueError(f"requires a > 0, got {a}")
+
+
 def lemma_b_argmax(dim: int, a: float) -> float:
     """Closed-form location of the maximum of f_{d,a} on (1, 1 + 2/a).
 
     The stationarity condition a = (1 + 1/(u(d-3)+1)) / (u-1) is quadratic
-    in u; the root with u > 1 is returned.  Requires dim >= 4.
+    in u; the root with u > 1 is returned.
     """
-    if dim < 4:
-        raise ValueError(f"requires dim >= 4, got {dim}")
-    if not a > 0:
-        raise ValueError(f"requires a > 0, got {a}")
+    _check_lemma_b(dim, a)
     m = dim - 3
     # a*m*u^2 + (a*(1-m) - m)*u - (a + 2) = 0
     qa = a * m
@@ -305,11 +304,8 @@ def lemma_b_argmax(dim: int, a: float) -> float:
 
 
 def lemma_b_argmax_numeric(dim: int, a: float) -> float:
-    """Grid scan plus bounded Brent refinement of the maximum of f_{d,a} (dim >= 4, a > 0)."""
-    if dim < 4:
-        raise ValueError(f"requires dim >= 4, got {dim}")
-    if not a > 0:
-        raise ValueError(f"requires a > 0, got {a}")
+    """Grid scan plus bounded Brent refinement of the maximum of f_{d,a}."""
+    _check_lemma_b(dim, a)
     # imported here: scipy.optimize adds ~10 MiB to every CLI start
     from scipy.optimize import minimize_scalar
 

@@ -919,6 +919,22 @@ class TestExitCodes:
         assert f"error: mu_step {mu_step} is too small" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["solve-radius", "--dim", "2", "--mu", "1", "--big-n", "4"], "dim must be >= 3, got 2"),
+        (["solve-radius", "--dim", "4", "--mu", "0.5", "--big-n", "4"],
+         "solver assumes mu >= 1, got 0.5"),
+        (["sweep-radius", "--dims", "4,2"], "dim must be >= 3, got 2"),
+        (["lemma-check", "--dim", "2", "--a", "1"], "dim must be >= 3, got 2"),
+        (["simulate", "--dim", "1", "--big-n", "4"], "dim must be >= 2, got 1"),
+        (["train", "--latent-dim", "1", "--big-n", "4"], "dim must be >= 2, got 1"),
+    ], ids=["solve-radius-dim", "solve-radius-mu", "sweep-radius-dims", "lemma-check-dim",
+            "simulate-dim", "train-latent-dim"])
+    def test_domain_limit(self, tmp_path, capsys, argv, message):
+        # each limit has one owner, and its one message is all the run prints
+        assert run(argv + ["--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_numerical_failure_is_exit_2(self, tmp_path):
         # a divergent step size must be reported as a numerical failure
         assert run(["simulate", "--dim", "3", "--mu", "1.0", "--auto-n",
@@ -945,6 +961,16 @@ class TestFlagsCheckedFirst:
         assert run(argv + ["--out-dir", str(tmp_path / "run")]) == 1
         assert "error: --out must be a bare file name" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "either --big-n > 0 or --auto-n is required"),
+        (["--auto-n", "--mu", "99"], "N(d, mu) requires 1 <= mu <= 2*dim+1, got mu=99.0 at dim=2"),
+        (["--auto-n", "--lam", "nan"], "lam must be finite and nonnegative, got nan"),
+    ], ids=["no-big-n", "auto-n-mu-out-of-range", "lam-nan"])
+    def test_train_loss_parameters(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr(cli, "_load_cli_dataset", _must_not_run)
+        assert run(["train", *argv, "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_encode_checkpoint(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_load_cli_dataset", _must_not_run)

@@ -18,22 +18,10 @@ def test_every_export_resolves(name):
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
 
 
-def test_cli_start_loads_no_optimize_or_integrate():
-    # each adds MiBs and a measurable start-up time to every CLI call; only
-    # lemma-check needs optimize and integrate, only align needs csgraph, and
-    # each imports its own
-    code = ("import sys, eccentric.cli; print([m for m in "
-            "('scipy.optimize', 'scipy.integrate', 'scipy.sparse.csgraph') "
-            "if m in sys.modules])")
-    src = str(Path(importlib.import_module("eccentric").__file__).parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
-                         text=True, env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "[]"
-
-
 def test_cli_start_loads_no_scipy():
     # scipy.spatial alone took ~0.5 s of a ~0.6 s CLI start; each command
-    # imports the scipy module it uses when it first needs it
+    # imports the scipy module it uses when it first needs it: only lemma-check
+    # needs optimize and integrate, only align needs csgraph, and each imports its own
     code = "import sys, eccentric.cli; print([m for m in sys.modules if m.startswith('scipy')])"
     src = str(Path(importlib.import_module("eccentric").__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,

@@ -23,7 +23,7 @@ from eccentric.radius import (
 from eccentric.radius import (A_RTOL, MAX_ITER, RESIDUAL_TOL, SERIES_MIN_DIM, _f_integrand,
                               _integral, _mu_grid, _solve_a)
 
-# solve_radius(d, mu, choose_big_n(d, mu)) as (d, mu, rho.hex(), residual, iterations):
+# solve_radius(ParamSet(d, mu, choose_big_n(d, mu))) as (d, mu, rho.hex(), residual, iterations):
 # any change to the order of the root search's operations changes some of these bits
 PINNED_SOLVES = [
     (3, 1.0, '0x1.beafd962aea2dp+0', 6.661338147750939e-16, 6),
@@ -196,19 +196,19 @@ class TestSolveRadius:
     @pytest.mark.parametrize("dim,mu", [(3, 1.0), (8, 2.0), (64, 1.0), (64, 16.5)])
     def test_root_residual(self, dim, mu):
         big_n = choose_big_n(dim, mu)
-        sol = solve_radius(dim, mu, big_n)
+        sol = solve_radius(ParamSet(dim, mu, big_n))
         assert abs(stationarity_integral(sol.rho, dim, big_n) - 1.0 / mu) < 1e-10
         assert abs(sol.residual) < 1e-10
 
     def test_rho_near_sqrt_d(self):
-        sol = solve_radius(64, 1.0, choose_big_n(64, 1.0))
+        sol = solve_radius(ParamSet(64, 1.0, choose_big_n(64, 1.0)))
         assert sol.rho == pytest.approx(8.0, rel=2e-4)
 
     @pytest.mark.parametrize("big_n", [8.0, 1e-40, 1e-20, 1e20, 1e40])
     def test_scaling_with_big_n(self, big_n):
         # the condition depends on N and rho only through a = N/(2 rho^2)
-        s1 = solve_radius(8, 1.5, 4.0)
-        s2 = solve_radius(8, 1.5, big_n)
+        s1 = solve_radius(ParamSet(8, 1.5, 4.0))
+        s2 = solve_radius(ParamSet(8, 1.5, big_n))
         assert s2.rho == pytest.approx(s1.rho * math.sqrt(big_n / 4.0), rel=1e-9)
         assert abs(stationarity_integral(s2.rho, 8, big_n) - 1.0 / 1.5) < 1e-10
 
@@ -221,14 +221,14 @@ class TestSolveRadius:
     def test_any_positive_float_n(self, big_n, mu):
         # at mu = 1e6, a ~ 7e-7: N/(2a) would overflow at 1e308 and lose digits at
         # 5e-324; at the largest float, 4 mu itself overflows
-        s1 = solve_radius(4, mu, 1.0)
-        assert solve_radius(4, mu, big_n).rho == pytest.approx(s1.rho * math.sqrt(big_n),
-                                                               rel=1e-12)
+        s1 = solve_radius(ParamSet(4, mu, 1.0))
+        assert solve_radius(ParamSet(4, mu, big_n)).rho == pytest.approx(
+            s1.rho * math.sqrt(big_n), rel=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(dim=st.integers(3, 2000), mu=st.floats(1.0, sys.float_info.max))
     def test_any_finite_mu_solves(self, dim, mu):
-        rho = solve_radius(dim, mu, 1.0).rho
+        rho = solve_radius(ParamSet(dim, mu, 1.0)).rho
         assert 0.0 < rho < math.inf
 
     @settings(max_examples=300, deadline=None)
@@ -251,7 +251,7 @@ class TestSolveRadius:
     @settings(max_examples=300, deadline=None)
     @given(dim=st.integers(3, 2000), mu=st.floats(1.0, 1e6))
     def test_evaluations_capped(self, dim, mu):
-        sol = solve_radius(dim, mu, 1.0)
+        sol = solve_radius(ParamSet(dim, mu, 1.0))
         assert sol.quadrature_points == sol.iterations + 2 <= MAX_EVALS
 
     def test_sweep_cells_capped(self):
@@ -285,7 +285,7 @@ class TestSolveRadius:
 
     @pytest.mark.parametrize("dim, mu, rho_hex, residual, iterations", PINNED_SOLVES)
     def test_pinned_iterates(self, dim, mu, rho_hex, residual, iterations):
-        sol = solve_radius(dim, mu, choose_big_n(dim, mu))
+        sol = solve_radius(ParamSet(dim, mu, choose_big_n(dim, mu)))
         assert (sol.rho.hex(), sol.residual, sol.iterations) == (rho_hex, residual, iterations)
 
     @pytest.mark.parametrize("dim, mu", [
@@ -295,7 +295,7 @@ class TestSolveRadius:
         pytest.param(2000, sys.float_info.max, id="largest-mu"),
     ])
     def test_extreme_mu(self, dim, mu):
-        sol = solve_radius(dim, mu, 1.0)
+        sol = solve_radius(ParamSet(dim, mu, 1.0))
         assert 0.0 < sol.rho < math.inf and abs(sol.residual) < RESIDUAL_TOL
         a = bisect_a(np.array([float(dim)]), np.array([mu]))[0]
         assert sol.rho == pytest.approx(1.0 / math.sqrt(2.0 * a), rel=1e-11)
@@ -310,21 +310,47 @@ class TestSolveRadius:
         calls = []
         monkeypatch.setattr(radius, "_integral", lambda a, dim: calls.append(a) or fake(a, dim))
         with pytest.raises(SolverError, match=r"d=4, mu=2\.0"):
-            solve_radius(4, 2.0, 5.0)
+            solve_radius(ParamSet(4, 2.0, 5.0))
         assert len(calls) == MAX_ITER + 2
 
     def test_deterministic(self):
-        s1 = solve_radius(12, 2.0, choose_big_n(12, 2.0))
-        s2 = solve_radius(12, 2.0, choose_big_n(12, 2.0))
+        s1 = solve_radius(ParamSet(12, 2.0, choose_big_n(12, 2.0)))
+        s2 = solve_radius(ParamSet(12, 2.0, choose_big_n(12, 2.0)))
         assert s1.rho == s2.rho
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            solve_radius(2, 1.0, 6.0)
+            solve_radius(ParamSet(2, 1.0, 6.0))
         with pytest.raises(ValueError):
-            solve_radius(8, 0.9, 6.0)
+            solve_radius(ParamSet(8, 0.9, 6.0))
         with pytest.raises(ValueError):
-            solve_radius(8, 1.0, 0.0)
+            solve_radius(ParamSet(8, 1.0, 0.0))
+
+
+# every function with a dimension limit: (least dim, smallest dim it can be given, call at d)
+DIM_LIMITED = {
+    "ParamSet": (2, -10**6, lambda d: ParamSet(d, 1.0, 1.0)),
+    "choose_big_n": (2, -10**6, lambda d: choose_big_n(d, 1.0)),
+    "choose_big_n-array": (2, -10**6, lambda d: choose_big_n(np.array([8, d, 3]), 1.0)),
+    "gamma_ratio": (2, -10**6, gamma_ratio),
+    # a ParamSet holds d >= 2, so d = 2 is the one dim below the limit it can carry
+    "solve_radius": (3, 2, lambda d: solve_radius(ParamSet(d, 1.0, 1.0))),
+    "sweep_radius": (3, -10**6, lambda d: sweep_radius([d], mu_step=1.0)),
+    "lemma_a_check": (3, -10**6, lambda d: lemma_a_check(d, 1.0)),
+    "lemma_b_argmax": (4, -10**6, lambda d: lemma_b_argmax(d, 1.0)),
+    "lemma_b_argmax_numeric": (4, -10**6, lambda d: lemma_b_argmax_numeric(d, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", DIM_LIMITED)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_one_message_per_dim_limit(name, data):
+    least, floor, call = DIM_LIMITED[name]
+    d = data.draw(st.integers(floor, least - 1))
+    with pytest.raises(ValueError) as caught:
+        call(d)
+    assert str(caught.value) == f"dim must be >= {least}, got {d}"
 
 
 class TestSweepRadius:
@@ -340,8 +366,9 @@ class TestSweepRadius:
         assert [d for d, _ in rows] == dims
         for d, pct in rows:
             mus = np.arange(1.0, 2.0 * d + 1.0 + 1e-9, step)
-            expected = max(abs(solve_radius(d, mu, choose_big_n(d, mu)).rho - math.sqrt(d))
-                           / math.sqrt(d) * 100.0 for mu in mus)
+            expected = max(
+                abs(solve_radius(ParamSet(d, mu, choose_big_n(d, mu))).rho - math.sqrt(d))
+                / math.sqrt(d) * 100.0 for mu in mus)
             assert pct == pytest.approx(expected, rel=1e-10)
 
     def test_mu_grid_stays_in_calibrated_range(self):
