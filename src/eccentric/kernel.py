@@ -105,23 +105,21 @@ def _pair_pass(batch: PointBatch, params: ParamSet, want_loss: bool, want_grad: 
     """(loss or None, gradient or None) from one distance pass in square tiles.
 
     The upper triangle of the matrix of d^2 = |z_i - z_j|^2 is taken one
-    _PAIR_TILE-square tile I x J at a time, diagonal tiles included.  A tile
-    adds its log1p(d^2/N) sum to the loss, d^2 from direct differences, then
-    turns d^2 into the weights w_ij = N / (N + d^2) in place.  A full tile
-    whose largest |z_i|^2 and |z_j|^2 sum to at most c N (c = _GRAM_C) takes
-    the weights' d^2, to within 3c gamma_{d+2} N, from one Gram product
-    [-2z, |z|^2, 1] @ [z, 1, |z|^2].T instead.  One product with z1 = [z, 1]
-    gives sum_j w_ij z_j and sum_j w_ij at once; acc gathers them, and the
-    repulsion acc[i, -1] z_i - acc[i, :-1] is formed at the end.  Since
-    w_ij = w_ji, a tile above the diagonal serves both of its row sets: its
-    log1p sum counts twice and w.T @ z1[I] adds to rows J.  The diagonal adds
-    log(1+0) = 0 and w_ii (z_i - z_i).  No BLAS product exceeds (128, 128) @
-    (128, d+1) or (128, d+2) @ (d+2, 128), and tiles add in a fixed order, so
-    the bits did not depend on the BLAS thread count at any shape tested.
+    _PAIR_TILE-square tile I x J at a time, diagonal tiles included.  A full
+    tile whose largest |z_i|^2 and |z_j|^2 sum to at most c N (c = _GRAM_C)
+    takes d^2, to within 3c gamma_{d+2} N, from one Gram product
+    [-2z, |z|^2, 1] @ [z, 1, |z|^2].T; other tiles take it from direct
+    differences.  The tile adds its log1p(d^2/N) sum to the loss, then turns
+    d^2 into the weights w_ij = N / (N + d^2) in place.  One product with
+    z1 = [z, 1] gives sum_j w_ij z_j and sum_j w_ij at once; acc gathers them,
+    and the repulsion acc[i, -1] z_i - acc[i, :-1] is formed at the end.
+    Since w_ij = w_ji, a tile above the diagonal serves both of its row sets:
+    its log1p sum counts twice and w.T @ z1[I] adds to rows J.  The diagonal
+    adds log1p(0) = 0 (to within the Gram error) and w_ii (z_i - z_i).  No
+    BLAS product exceeds (128, 128) @ (128, d+1) or (128, d+2) @ (d+2, 128),
+    and tiles add in a fixed order, so the bits did not depend on the BLAS
+    thread count at any shape tested.
     """
-    # imported here: scipy.spatial adds ~0.5 s to every CLI start
-    from scipy.spatial.distance import cdist
-
     if batch.dim != params.dim:
         raise ValueError(f"batch dim {batch.dim} != params dim {params.dim}")
     if batch.count < 2:
@@ -132,10 +130,10 @@ def _pair_pass(batch: PointBatch, params: ParamSet, want_loss: bool, want_grad: 
     # <= gamma_d s_i, and a Gram entry G (a length-(d+2) dot product, any order) by
     # <= gamma_{d+2} (2|z_i||z_j| + s_i + s_j), so to first order |G - d^2| <= 3 gamma_{d+2}
     # (s_i + s_j) <= 3c gamma_{d+2} N under the guard; as N + d^2 >= N, w errs by at most
-    # 3c gamma_{d+2} relative: 9.6e-14 at d = 16, 3.5e-13 at d = 64 (c = 16), inside the
-    # oracle tests' 1e-12.  Doubling is exact; underflow adds <= (2d+2) 2^-1075 to G.
+    # 3c gamma_{d+2} relative and log1p(d^2/N) by 3c gamma_{d+2} absolute: 9.6e-14 at d = 16,
+    # 3.5e-13 at d = 64 (c = 16).  Doubling is exact; underflow adds <= (2d+2) 2^-1075 to G.
     # An overflowing |z|^2 fails the guard (z * z in the loss below overflows too).
-    full = b - b % _PAIR_TILE if want_grad else 0  # rows [0, full) fill whole tiles
+    full = b - b % _PAIR_TILE  # rows [0, full) fill whole tiles
     if full:
         sq = np.einsum("ij,ij->i", z, z)
         left = np.concatenate((-2.0 * z, sq[:, None], np.ones((b, 1))), axis=1)
@@ -146,15 +144,17 @@ def _pair_pass(batch: PointBatch, params: ParamSet, want_loss: bool, want_grad: 
         rows = slice(lo, lo + _PAIR_TILE)
         for c0 in range(lo, b, _PAIR_TILE):
             cols = slice(c0, c0 + _PAIR_TILE)
-            gram = c0 < full and top[lo // _PAIR_TILE] + top[c0 // _PAIR_TILE] <= _GRAM_C * big_n
-            if want_loss or not gram:
+            if c0 < full and top[lo // _PAIR_TILE] + top[c0 // _PAIR_TILE] <= _GRAM_C * big_n:
+                w = left[rows] @ right[:, cols]
+            else:
+                # imported only where a tile needs it: scipy.spatial adds ~0.25 s and ~30 MiB
+                from scipy.spatial.distance import cdist
                 w = cdist(z[rows], z[cols], "sqeuclidean")
             if want_loss:
                 t = w / big_n
                 np.log1p(t, out=t)
                 log_sum += (1 + (c0 > lo)) * float(np.sum(t))
             if want_grad:
-                w = left[rows] @ right[:, cols] if gram else w
                 w += big_n
                 np.divide(big_n, w, out=w)
                 acc[rows] += w @ z1[cols]
@@ -162,10 +162,10 @@ def _pair_pass(batch: PointBatch, params: ParamSet, want_loss: bool, want_grad: 
                     acc[cols] += w.T @ z1[rows]
     left = right = None  # freed before the temporaries below
     pairs = b * (b - 1)
-    loss = float(np.sum(z * z)) / b - params.mu * big_n * log_sum / pairs
-    rep = acc[:, -1:] * z - acc[:, :-1]
-    grad = (2.0 / b) * z - (4.0 * params.mu / pairs) * rep if want_grad else None
-    return (loss if want_loss else None), grad
+    loss = float(np.sum(z * z)) / b - params.mu * big_n * log_sum / pairs if want_loss else None
+    if not want_grad:
+        return loss, None
+    return loss, (2.0 / b) * z - (4.0 * params.mu / pairs) * (acc[:, -1:] * z - acc[:, :-1])
 
 
 def batch_loss(batch: PointBatch, params: ParamSet) -> float:

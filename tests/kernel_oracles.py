@@ -3,8 +3,8 @@
 `pair_kernel` evaluates one term K(z_i, z_j).  The two batch oracles take a
 `PointBatch` and the loss parameters and use the whole b x b matrix of
 pairwise terms at once, where `eccentric.kernel` works in row blocks.
-`mp_gradient` is the gradient of the pair loss from central differences
-taken at 40 significant digits with mpmath.
+`mp_loss` is the pair loss at 40 significant digits with mpmath, and
+`mp_gradient` its gradient from central differences taken at 40 digits.
 `total_loss` is the autoencoder objective without its gradient, the loss
 that finite differences are taken of; `mp_net_gradient` is its gradient in
 every network parameter from 40-digit mpmath central differences.  `total_loss_gradients` and
@@ -59,11 +59,29 @@ def unblocked_loss_and_gradient(batch, params):
 
 def _mp_loss(rows, mu, big_n):
     """The pair loss in mpmath arithmetic: sum_i |z_i|^2 / b minus
-    mu N / (b(b-1)) sum_{i != j} log(1 + |z_i - z_j|^2 / N), each pair taken once, twice."""
-    b = len(rows)
-    logs = sum(mpmath.log1p(sum((p - q) ** 2 for p, q in zip(rows[i], rows[j])) / big_n)
-               for i in range(b) for j in range(i + 1, b))
-    return sum(c * c for row in rows for c in row) / b - 2 * mu * big_n * logs / (b * (b - 1))
+    mu N / (b(b-1)) sum_{i != j} log(1 + |z_i - z_j|^2 / N), each pair taken once, twice.
+
+    Each entry is m 2^e with an integer m, so on the least exponent E the rows
+    are integers and every |z_i|^2 and |z_j - z_i|^2 is exact.  The sum of logs
+    is the log of one product, taken at 10 digits above the working precision."""
+    b, parts = len(rows), [mpmath.mpf(c)._mpf_ for row in rows for c in row]  # (sign, m, e, _)
+    low = min((e for _, m, e, _ in parts if m), default=0)
+    ints = np.array([(-m if s else m) << (e - low) for s, m, e, _ in parts], dtype=object)
+    ints = ints.reshape(b, -1)
+    with mpmath.extradps(10):
+        scale = mpmath.ldexp(1, 2 * low) / big_n
+        terms = (1 + scale * sq for i in range(b - 1)
+                 for sq in ((ints[i + 1:] - ints[i]) ** 2).sum(axis=1))
+        logs = mpmath.log(mpmath.fprod(terms))
+    quad = mpmath.ldexp(int((ints * ints).sum()), 2 * low)
+    return quad / b - 2 * mu * big_n * logs / (b * (b - 1))
+
+
+def mp_loss(batch, params, digits=40):
+    """The pair loss of a float batch from _mp_loss at ``digits`` significant digits."""
+    with mpmath.workdps(digits):
+        return float(_mp_loss(batch.data.tolist(), mpmath.mpf(params.mu),
+                              mpmath.mpf(params.big_n)))
 
 
 def mp_gradient(batch, params, digits=40, h="1e-15"):

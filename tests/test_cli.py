@@ -894,8 +894,12 @@ class TestExitCodes:
         ["sample", "--mode", "matched", "--reference", "{big}", "--n", "5", "--dim", "3"],
         ["simulate", "--dim", "3", "--mu", "1", "--auto-n", "--count", "5", "--steps", "2",
          "--step-size", "0.1", "--init-scale", "1e200"],
+        # full tiles: the loss's tiles fail the Gram guard and |z|^2 overflows in its mean
+        ["simulate", "--dim", "3", "--mu", "1", "--auto-n", "--count", "256", "--steps", "3",
+         "--step-size", "0.1", "--init-scale", "1e200"],
         ["knn", "--train", "{big}", "--test", "{small}", "--k", "5"],
-    ], ids=["metrics", "align", "spectrum", "sample-matched", "simulate", "knn"])
+    ], ids=["metrics", "align", "spectrum", "sample-matched", "simulate", "simulate-full-tiles",
+            "knn"])
     def test_overflowing_inputs_are_exit_2_without_warnings(self, tmp_path, capsys, argv):
         # squares and covariances of entries near 1e200 overflow: a numerical
         # failure, not values written from inf and nan or a validation error
@@ -934,6 +938,14 @@ class TestExitCodes:
         assert run(argv + ["--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "manifest.json").exists()
+
+    def test_large_finite_full_tiles_are_exit_0(self, tmp_path):
+        # simulate-full-tiles above at 1e150: |z|^2 stays finite, so the tiles that
+        # fail the Gram guard take cdist and the run writes its outputs
+        assert run(["simulate", "--dim", "3", "--mu", "1", "--auto-n", "--count", "256",
+                    "--steps", "3", "--step-size", "0.1", "--init-scale", "1e150",
+                    "--out-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "manifest.json").is_file()
 
     def test_numerical_failure_is_exit_2(self, tmp_path):
         # a divergent step size must be reported as a numerical failure

@@ -21,6 +21,7 @@ from eccentric.kernel import (
 from kernel_oracles import (
     batch_loss_gram,
     mp_gradient,
+    mp_loss,
     pair_kernel,
     unblocked_loss_and_gradient,
 )
@@ -352,25 +353,28 @@ class TestRowBlocks:
         assert np.abs(net).max() <= 1e-12 * np.abs(grad).max()
 
     def test_bits_do_not_depend_on_blas_threads(self):
-        # every tile product is at most (128, 128) @ (128, d+1), and a full
-        # tile that passes the Gram guard also takes one (128, d+2) @ (d+2, 128);
+        # the loss and the gradient of each batch are hashed together.  Every
+        # tile product is at most (128, 128) @ (128, d+1), and a full tile that
+        # passes the Gram guard also takes one (128, d+2) @ (d+2, 128);
         # the b=1536 batches scale four rows by 100 so that the full tiles of
         # their blocks keep cdist and the others take the Gram product.  Among
         # these shapes, a (128, n) @ (n, d) product with n > 128 sums in another
         # order at 2 threads at d=16, b=700 and d=64, b=300
         code = ("import hashlib, numpy as np\n"
                 "from eccentric.kernel import ParamSet, PointBatch, batch_gradient, "
-                "choose_big_n\n"
+                "batch_loss, choose_big_n\n"
+                "def digest(z, p):\n"
+                "    loss = np.float64(batch_loss(z, p)).tobytes()\n"
+                "    return hashlib.sha256(loss + batch_gradient(z, p).tobytes()).hexdigest()\n"
                 "for d in (2, 16, 64):\n"
                 "    for b in (300, 700, 1000, 1500, 2048, 3000):\n"
                 "        z = PointBatch(np.random.default_rng(b).standard_normal((b, d)))\n"
-                "        g = batch_gradient(z, ParamSet(d, 1.5, choose_big_n(d, 1.5)))\n"
-                "        print(d, b, hashlib.sha256(g.tobytes()).hexdigest())\n"
+                "        print(d, b, digest(z, ParamSet(d, 1.5, choose_big_n(d, 1.5))))\n"
                 "for d in (16, 64):\n"
                 "    z = np.random.default_rng(d).standard_normal((1536, d))\n"
                 "    z[::500] *= 100.0\n"
-                "    g = batch_gradient(PointBatch(z), ParamSet(d, 1.5, choose_big_n(d, 1.5)))\n"
-                "    print(d, 1536, hashlib.sha256(g.tobytes()).hexdigest())\n")
+                "    p = ParamSet(d, 1.5, choose_big_n(d, 1.5))\n"
+                "    print(d, 1536, digest(PointBatch(z), p))\n")
         for d in (16, 64):
             z = np.random.default_rng(d).standard_normal((1536, d))
             z[::500] *= 100.0
@@ -392,8 +396,8 @@ class TestRowBlocks:
     @example(count=3 * BLOCK, dim=16, case="guard-edge", seed=0)
     @example(count=2 * BLOCK + 1, dim=64, case="clustered", seed=0)
     def test_gram_tiles_match_unblocked_formula(self, count, dim, case, seed):
-        # full tiles that pass the guard take their weights from the Gram
-        # product; the others, and every partial tile, keep cdist's
+        # full tiles that pass the guard take d^2 for the loss and the weights
+        # from the Gram product; the others, and every partial tile, from cdist
         rng = np.random.default_rng(seed)
         p = random_params(dim, mu=float(rng.uniform(1.0, 3.0)))
         z = rng.standard_normal((count, dim))
@@ -429,6 +433,27 @@ class TestRowBlocks:
         assert loss == pytest.approx(want_loss, rel=1e-12)
         assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
         assert np.array_equal(batch_gradient(batch, p), grad)
+
+    @settings(deadline=None, max_examples=10)
+    @given(st.sampled_from([BLOCK, 2 * BLOCK, 3 * BLOCK]), st.sampled_from([2, 16, 64]),
+           st.floats(-3.0, -0.01), st.integers(0, 2**31 - 1))
+    @example(count=3 * BLOCK, dim=64, log_scale=-0.01, seed=0)
+    @example(count=BLOCK, dim=2, log_scale=-3.0, seed=0)
+    def test_gram_tile_loss_matches_mp_oracle(self, count, dim, log_scale, seed):
+        # every tile is full and passes the guard, so the loss takes each d^2 from
+        # a Gram product; the oracle sums the loss at 40 digits from exact d^2
+        rng = np.random.default_rng(seed)
+        p = random_params(dim, mu=float(rng.uniform(1.0, 3.0)))
+        z = rng.standard_normal((count, dim)) * 10.0 ** rng.uniform(-1, 0, (count, 1))
+        top = np.einsum("ij,ij->i", z, z).max()
+        z *= np.sqrt(GRAM_C * p.big_n / 2 * 10.0 ** log_scale / top)
+        assert max(guard_sums(z)) <= GRAM_C * p.big_n
+        batch = PointBatch(z)
+        loss = batch_loss(batch, p)
+        assert batch_loss_and_gradient(batch, p)[0] == loss
+        want = mp_loss(batch, p)
+        assume(abs(want) >= 1e-3 * np.sum(z * z) / count)  # as in test_rotation_invariance
+        assert loss == pytest.approx(want, rel=1e-12)
 
     def test_sub_tile_bits_are_pinned(self):
         # a batch below one tile never takes the Gram product, so its bits (and

@@ -29,6 +29,26 @@ def test_cli_start_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_flow_loads_no_scipy_spatial(tmp_path):
+    # every tile of flow's batches is full and passes the kernel's Gram guard, so
+    # simulate never calls cdist and leaves scipy.spatial unloaded; a batch of 100 is
+    # one partial tile, which does load it
+    code = ("import sys, numpy as np\n"
+            "from eccentric import cli, kernel\n"
+            "for count, steps in (('512', '120'), ('2048', '12')):\n"
+            "    assert cli.run(['simulate', '--dim', '16', '--mu', '1.0', '--auto-n',\n"
+            "                    '--count', count, '--steps', steps, '--step-size', '0.2',\n"
+            "                    '--init-scale', '1.0', '--seed', '6', '--out-dir', count]) == 0\n"
+            "print([m for m in sys.modules if m.startswith('scipy.spatial')])\n"
+            "kernel.batch_loss(kernel.PointBatch(np.ones((100, 16))), kernel.ParamSet(16, 1, 9))\n"
+            "print('scipy.spatial.distance' in sys.modules)\n")
+    src = str(Path(importlib.import_module("eccentric").__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                         text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.splitlines() == ["[]", "True"]
+    assert (tmp_path / "2048" / "manifest.json").is_file()
+
+
 def test_module_run_writes_outputs(tmp_path):
     # `python -m eccentric.cli` runs the same entry point as the `eccentric` script
     src = str(Path(importlib.import_module("eccentric").__file__).parents[1])
