@@ -107,16 +107,16 @@ def _pair_pass(batch: PointBatch, params: ParamSet, want_loss: bool, want_grad: 
     The upper triangle of the matrix of d^2 = |z_i - z_j|^2 is taken one
     _PAIR_TILE-square tile I x J at a time, diagonal tiles included.  A full
     tile whose largest |z_i|^2 and |z_j|^2 sum to at most c N (c = _GRAM_C)
-    takes d^2, to within 3c gamma_{d+2} N, from one Gram product
-    [-2z, |z|^2, 1] @ [z, 1, |z|^2].T; other tiles take it from direct
-    differences.  The tile adds its log1p(d^2/N) sum to the loss, then turns
-    d^2 into the weights w_ij = N / (N + d^2) in place.  One product with
-    z1 = [z, 1] gives sum_j w_ij z_j and sum_j w_ij at once; acc gathers them,
-    and the repulsion acc[i, -1] z_i - acc[i, :-1] is formed at the end.
-    Since w_ij = w_ji, a tile above the diagonal serves both of its row sets:
-    its log1p sum counts twice and w.T @ z1[I] adds to rows J.  The diagonal
-    adds log1p(0) = 0 (to within the Gram error) and w_ii (z_i - z_i).  No
-    BLAS product exceeds (128, 128) @ (128, d+1) or (128, d+2) @ (d+2, 128),
+    takes G = N + d^2 from one Gram product [-2z, |z|^2 + N, 1] @ [z, 1, |z|^2].T,
+    adds its log(G/N) sum to the loss and turns G into the weights
+    w_ij = N / (N + d^2) in one pass.  Other tiles take d^2 from direct
+    differences, add log1p(d^2/N) and form N / (N + d^2) in two passes.
+    One product with z1 = [z, 1] gives sum_j w_ij z_j and sum_j w_ij at once;
+    acc gathers them, and the repulsion acc[i, -1] z_i - acc[i, :-1] is formed
+    at the end.  Since w_ij = w_ji, a tile above the diagonal serves both of
+    its row sets: its log sum counts twice and w.T @ z1[I] adds to rows J.
+    The diagonal adds log(1) = 0 (to within the Gram error) and w_ii (z_i - z_i).
+    No BLAS product exceeds (128, 128) @ (128, d+1) or (128, d+2) @ (d+2, 128),
     and tiles add in a fixed order, so the bits did not depend on the BLAS
     thread count at any shape tested.
     """
@@ -124,48 +124,57 @@ def _pair_pass(batch: PointBatch, params: ParamSet, want_loss: bool, want_grad: 
         raise ValueError(f"batch dim {batch.dim} != params dim {params.dim}")
     if batch.count < 2:
         raise ValueError(f"loss needs at least 2 points, got {batch.count}")
-    z, b, big_n = batch.data, batch.count, params.big_n
-    z1 = np.concatenate((z, np.ones((b, 1))), axis=1)
+    z, b, d, big_n = batch.data, batch.count, batch.dim, params.big_n
     # The bound.  With u = 2^-53 and gamma_n = nu/(1-nu), s_i = fl(|z_i|^2) errs by
-    # <= gamma_d s_i, and a Gram entry G (a length-(d+2) dot product, any order) by
-    # <= gamma_{d+2} (2|z_i||z_j| + s_i + s_j), so to first order |G - d^2| <= 3 gamma_{d+2}
-    # (s_i + s_j) <= 3c gamma_{d+2} N under the guard; as N + d^2 >= N, w errs by at most
-    # 3c gamma_{d+2} relative and log1p(d^2/N) by 3c gamma_{d+2} absolute: 9.6e-14 at d = 16,
-    # 3.5e-13 at d = 64 (c = 16).  Doubling is exact; underflow adds <= (2d+2) 2^-1075 to G.
-    # An overflowing |z|^2 fails the guard (z * z in the loss below overflows too).
+    # <= gamma_d s_i and fl(s_i + N) by <= u (c+1) N more, and a Gram entry G (a
+    # length-(d+2) dot product, any order) by <= gamma_{d+2} (2|z_i||z_j| + s_i + N + s_j),
+    # so to first order |G - (N + d^2)| <= 3 gamma_{d+2} (s_i + s_j) + gamma_{d+2} N
+    # + u (c+1) N <= ((3c+1) gamma_{d+2} + (c+1) u) N under the guard.  As N + d^2 >= N,
+    # w errs by at most that relative, and log(G/N), with the one rounding of G/N, by
+    # that plus u absolute: 1.0e-13 at d = 16, 3.6e-13 at d = 64 (c = 16).  Doubling is
+    # exact; underflow adds <= (2d+2) 2^-1075 to G.  An overflowing |z|^2 fails the guard.
     full = b - b % _PAIR_TILE  # rows [0, full) fill whole tiles
+    ext = np.ones((b, d + 2))  # [z, 1, |z|^2] when some tile is full; z1 = [z, 1] is a view
+    ext[:, :d] = z
+    acc = np.zeros((b, d + 1))
+    blocks = [slice(lo, lo + _PAIR_TILE) for lo in range(0, b, _PAIR_TILE)]  # sliced once per call
+    z1s, accs = ([a[s] for s in blocks] for a in (ext[:, :d + 1], acc))
     if full:
-        sq = np.einsum("ij,ij->i", z, z)
-        left = np.concatenate((-2.0 * z, sq[:, None], np.ones((b, 1))), axis=1)
-        right = np.vstack((z1.T, sq))  # [z, 1, |z|^2].T, contiguous
+        ext[:, -1] = sq = np.einsum("ij,ij->i", z, z)
+        left = np.concatenate((-2.0 * z, (sq + big_n)[:, None], np.ones((b, 1))), axis=1)
+        right = ext.T.copy()  # contiguous: a transposed view makes each product ~40% slower
+        lefts, rights = [left[s] for s in blocks], [right[:, s] for s in blocks]
         top = sq[:full].reshape(-1, _PAIR_TILE).max(axis=1).tolist()
-    log_sum, acc = 0.0, np.zeros((b, batch.dim + 1))
-    for lo in range(0, b, _PAIR_TILE):
-        rows = slice(lo, lo + _PAIR_TILE)
-        for c0 in range(lo, b, _PAIR_TILE):
-            cols = slice(c0, c0 + _PAIR_TILE)
-            if c0 < full and top[lo // _PAIR_TILE] + top[c0 // _PAIR_TILE] <= _GRAM_C * big_n:
-                w = left[rows] @ right[:, cols]
+    log_sum, n_full = 0.0, full // _PAIR_TILE
+    for i in range(len(blocks)):
+        for j in range(i, len(blocks)):
+            gram = j < n_full and top[i] + top[j] <= _GRAM_C * big_n
+            if gram:
+                w = lefts[i] @ rights[j]  # N + d^2
             else:
                 # imported only where a tile needs it: scipy.spatial adds ~0.25 s and ~30 MiB
                 from scipy.spatial.distance import cdist
-                w = cdist(z[rows], z[cols], "sqeuclidean")
+                w = cdist(z[blocks[i]], z[blocks[j]], "sqeuclidean")
             if want_loss:
                 t = w / big_n
-                np.log1p(t, out=t)
-                log_sum += (1 + (c0 > lo)) * float(np.sum(t))
+                (np.log if gram else np.log1p)(t, out=t)
+                log_sum += (1 + (j > i)) * float(np.sum(t))
             if want_grad:
-                w += big_n
+                if not gram:
+                    w += big_n
                 np.divide(big_n, w, out=w)
-                acc[rows] += w @ z1[cols]
-                if c0 > lo:
-                    acc[cols] += w.T @ z1[rows]
-    left = right = None  # freed before the temporaries below
+                accs[i] += w @ z1s[j]
+                if j > i:
+                    accs[j] += w.T @ z1s[i]
+    left = lefts = right = rights = ext = z1s = None  # freed before the temporaries below
     pairs = b * (b - 1)
     loss = float(np.sum(z * z)) / b - params.mu * big_n * log_sum / pairs if want_loss else None
     if not want_grad:
         return loss, None
-    return loss, (2.0 / b) * z - (4.0 * params.mu / pairs) * (acc[:, -1:] * z - acc[:, :-1])
+    g = acc[:, :-1] - acc[:, -1:] * z  # -(acc[:, -1:] z - acc[:, :-1]), exactly
+    g *= 4.0 * params.mu / pairs
+    g += (2.0 / b) * z
+    return loss, g
 
 
 def batch_loss(batch: PointBatch, params: ParamSet) -> float:

@@ -89,7 +89,8 @@ def simulate(config: SimConfig, init: np.ndarray | None = None) -> SimReport:
                 trace.append(loss)
             else:
                 grad = batch_gradient(PointBatch(z), params)
-            z = z - config.step_size * grad
+            grad *= config.step_size
+            z -= grad  # z is the loop's own: init was copied above
         if not np.all(np.isfinite(z)):
             raise DivergenceError(step)
 

@@ -4,7 +4,9 @@
 `PointBatch` and the loss parameters and use the whole b x b matrix of
 pairwise terms at once, where `eccentric.kernel` works in row blocks.
 `mp_loss` is the pair loss at 40 significant digits with mpmath, and
-`mp_gradient` its gradient from central differences taken at 40 digits.
+`mp_gradient` its gradient from central differences taken at 40 digits,
+and `mp_closed_gradient` the same gradient from its closed form, fast
+enough for full tiles.
 `total_loss` is the autoencoder objective without its gradient, the loss
 that finite differences are taken of; `mp_net_gradient` is its gradient in
 every network parameter from 40-digit mpmath central differences.  `total_loss_gradients` and
@@ -57,6 +59,17 @@ def unblocked_loss_and_gradient(batch, params):
     return loss, (2.0 / b) * z - (4.0 * params.mu / (b * (b - 1))) * rep
 
 
+def _exact_ints(rows):
+    """(ints, low): the rows as a (b, d) object array of integers with rows = ints 2^low.
+
+    Each entry (a float or an mpf) is m 2^e with an integer m, and low is the
+    least e, so every product and sum of the integers is exact."""
+    b, parts = len(rows), [mpmath.mpf(c)._mpf_ for row in rows for c in row]  # (sign, m, e, _)
+    low = min((e for _, m, e, _ in parts if m), default=0)
+    ints = np.array([(-m if s else m) << (e - low) for s, m, e, _ in parts], dtype=object)
+    return ints.reshape(b, -1), low
+
+
 def _mp_loss(rows, mu, big_n):
     """The pair loss in mpmath arithmetic: sum_i |z_i|^2 / b minus
     mu N / (b(b-1)) sum_{i != j} log(1 + |z_i - z_j|^2 / N), each pair taken once, twice.
@@ -64,10 +77,7 @@ def _mp_loss(rows, mu, big_n):
     Each entry is m 2^e with an integer m, so on the least exponent E the rows
     are integers and every |z_i|^2 and |z_j - z_i|^2 is exact.  The sum of logs
     is the log of one product, taken at 10 digits above the working precision."""
-    b, parts = len(rows), [mpmath.mpf(c)._mpf_ for row in rows for c in row]  # (sign, m, e, _)
-    low = min((e for _, m, e, _ in parts if m), default=0)
-    ints = np.array([(-m if s else m) << (e - low) for s, m, e, _ in parts], dtype=object)
-    ints = ints.reshape(b, -1)
+    b, (ints, low) = len(rows), _exact_ints(rows)
     with mpmath.extradps(10):
         scale = mpmath.ldexp(1, 2 * low) / big_n
         terms = (1 + scale * sq for i in range(b - 1)
@@ -102,6 +112,33 @@ def mp_gradient(batch, params, digits=40, h="1e-15"):
                 down = _mp_loss(rows, mu, big_n)
                 row[k] = c
                 grad[i, k] = float((up - down) / (2 * step))
+    return grad
+
+
+def mp_closed_gradient(batch, params, digits=40):
+    """Row i of the pair loss's gradient, (2/b) z_i - 4 mu/(b(b-1)) sum_j w_ij (z_i - z_j)
+    with w_ij = N / (N + |z_i - z_j|^2), at ``digits`` significant digits.
+
+    z and every d^2 are exact integers on 2^low (see _exact_ints), and so is N on
+    its own exponent.  Each w_ij is floored to a multiple of 2^-frac, frac = 4 * digits
+    bits, which errs by less than 2^-frac absolute, so sum_j w_ij (z_i - z_j) is one
+    exact integer sum; only the last two terms are rounded, at ``digits`` digits."""
+    ints, low = _exact_ints(batch.data.tolist())
+    b, frac = len(ints), 4 * digits
+    _, n_man, n_exp, _ = mpmath.mpf(params.big_n)._mpf_  # N = n_man 2^n_exp > 0
+    base = min(n_exp, 2 * low)
+    num = n_man << (n_exp - base)  # N on 2^base, and d^2 on 2^(2 low) shifts to it
+    grad = np.empty(ints.shape)
+    with mpmath.workdps(digits):
+        pull = mpmath.mpf(2) / b
+        push = 4 * mpmath.mpf(params.mu) / (b * (b - 1))
+        for i in range(b):
+            diff = ints[i] - ints
+            sq = (diff * diff).sum(axis=1)
+            w = (num << frac) // (num + (sq << (2 * low - base)))
+            rep = w.dot(diff)
+            grad[i] = [float(pull * mpmath.ldexp(x, low) - push * mpmath.ldexp(r, low - frac))
+                       for x, r in zip(ints[i], rep)]
     return grad
 
 

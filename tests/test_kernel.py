@@ -20,6 +20,7 @@ from eccentric.kernel import (
 )
 from kernel_oracles import (
     batch_loss_gram,
+    mp_closed_gradient,
     mp_gradient,
     mp_loss,
     pair_kernel,
@@ -274,6 +275,17 @@ class TestBatchLossGradient:
             worst = max(worst, float(rel.max()))
         assert worst <= 1e-10
 
+    def test_closed_form_oracle_matches_central_differences(self):
+        # mp_closed_gradient, which checks full Gram tiles, against the
+        # finite-difference oracle on small batches: both hold ~40 digits, so
+        # their float64 roundings agree
+        rng = np.random.default_rng(8)
+        for b, d in [(2, 2), (5, 3), (8, 8)]:
+            p = random_params(d, mu=float(rng.uniform(1.0, 3.0)))
+            batch = PointBatch(rng.standard_normal((b, d)) * rng.uniform(0.1, 3.0))
+            np.testing.assert_allclose(mp_closed_gradient(batch, p), mp_gradient(batch, p),
+                                       rtol=1e-15, atol=0)
+
     def test_repeat_is_bit_identical(self):
         rng = np.random.default_rng(31)
         p = random_params(6)
@@ -455,6 +467,31 @@ class TestRowBlocks:
         assume(abs(want) >= 1e-3 * np.sum(z * z) / count)  # as in test_rotation_invariance
         assert loss == pytest.approx(want, rel=1e-12)
 
+    @settings(deadline=None, max_examples=8)
+    @given(st.sampled_from([BLOCK, 2 * BLOCK]), st.sampled_from([2, 16, 64]),
+           st.floats(1e-9, 0.05), st.integers(0, 2**31 - 1))
+    @example(count=2 * BLOCK, dim=64, margin=1e-9, seed=0)
+    @example(count=BLOCK, dim=2, margin=0.05, seed=1)
+    def test_gram_tile_gradient_matches_mp_oracle(self, count, dim, margin, seed):
+        # every tile is full and passes the guard, the largest tile sum within
+        # `margin` of c N, so every weight comes from a Gram product; the oracle
+        # takes the closed-form gradient at 40 digits from exact d^2.  A component
+        # where the pull and the push cancel errs by up to ~3e-15 max|grad| in
+        # float64, with or without N in the operand, so components below
+        # 1e-4 max|grad| are held to 1e-14 max|grad| absolute
+        rng = np.random.default_rng(seed)
+        p = random_params(dim, mu=float(rng.uniform(1.0, 3.0)))
+        z = rng.standard_normal((count, dim)) * 10.0 ** rng.uniform(-1, 0, (count, 1))
+        top = np.einsum("ij,ij->i", z, z).max()
+        z *= np.sqrt(GRAM_C * p.big_n / 2 * (1 - margin) / top)
+        sums = guard_sums(z)
+        assert (1 - 2 * margin) * GRAM_C * p.big_n <= max(sums) <= GRAM_C * p.big_n
+        batch = PointBatch(z)
+        want = mp_closed_gradient(batch, p)
+        for grad in (batch_gradient(batch, p), batch_loss_and_gradient(batch, p)[1]):
+            rel = np.abs(grad - want) / np.maximum(np.abs(want), 1e-4 * np.abs(want).max())
+            assert rel.max() <= 1e-10
+
     def test_sub_tile_bits_are_pinned(self):
         # a batch below one tile never takes the Gram product, so its bits (and
         # so train's batch-100 steps) are those of the cdist-only kernel
@@ -465,6 +502,18 @@ class TestRowBlocks:
             loss, grad = batch_loss_and_gradient(z, ParamSet(d, 1.5, choose_big_n(d, 1.5)))
             got = hashlib.sha256(np.float64(loss).tobytes() + grad.tobytes()).hexdigest()
             assert got == digest, d
+
+    @pytest.mark.parametrize("count", [100, 2 * BLOCK])
+    def test_gradient_is_a_fresh_array(self, count):
+        # below one tile (cdist) and on Gram tiles, the gradient is a new
+        # C-contiguous (b, d) float64 array and the batch is not written
+        z = np.random.default_rng(count).standard_normal((count, 16))
+        batch, p = PointBatch(z.copy()), random_params(16)
+        for grad in (batch_gradient(batch, p), batch_loss_and_gradient(batch, p)[1]):
+            assert grad.shape == (count, 16) and grad.dtype == np.float64
+            assert grad.flags.c_contiguous and grad.flags.owndata
+            assert not np.shares_memory(grad, batch.data)
+        assert batch.data.tobytes() == z.tobytes()
 
     def test_gradient_without_loss_checks_batch(self):
         p = ParamSet(dim=3, mu=1.0, big_n=6.0)

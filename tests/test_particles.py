@@ -166,6 +166,18 @@ class TestSimulate:
             simulate(cfg, init=init)
         assert exc.value.step == expected
 
+    @pytest.mark.parametrize("count", [100, 256])
+    def test_init_is_left_unchanged(self, count):
+        # simulate steps its own copy in place, below one tile and on Gram tiles
+        p = params_for(16)
+        init = np.random.default_rng(count).standard_normal((count, 16))
+        before = init.copy()
+        cfg = SimConfig(params=p, count=count, steps=3, step_size=0.2)
+        report = simulate(cfg, init=init)
+        assert init.tobytes() == before.tobytes()
+        assert not np.shares_memory(report.final_batch.data, init)
+        assert not np.array_equal(report.final_batch.data, init)
+
     def test_init_shape_checked(self):
         p = params_for(3)
         cfg = SimConfig(params=p, count=4, steps=10, step_size=0.1)
