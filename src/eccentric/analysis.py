@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import PointBatch
+from .kernel import PointBatch, _matmul
 
 # bytes of prefilter values held per block of test rows in knn_classify
 _KNN_BLOCK_BYTES = 1 << 21
@@ -42,10 +42,9 @@ def spectrum(batch: PointBatch) -> SpectrumReport:
     """Covariance spectrum of a point batch (divisor n-1), sorted descending."""
     if batch.count < 2:
         raise ValueError(f"spectrum needs at least 2 points, got {batch.count}")
-    z = batch.data
-    mean = z.mean(axis=0)
-    centered = z - mean
-    cov = centered.T @ centered / (batch.count - 1)
+    mean = batch.data.mean(axis=0)
+    centered = batch.data - mean
+    cov = _matmul(centered.T, centered) / (batch.count - 1)
     evals, evecs = np.linalg.eigh(cov)
     return SpectrumReport(
         eigenvalues=evals[::-1],
@@ -132,8 +131,7 @@ def cross_correlation(e1: PointBatch, e2: PointBatch) -> np.ndarray:
     sb = np.sqrt(np.sum(b * b, axis=0))
     flags = (sa[:, None] == 0.0) | (sb[None, :] == 0.0)
     denom = np.where(flags, 1.0, sa[:, None] * sb[None, :])
-    # numpy's own loop, not BLAS: the bits must not depend on the BLAS thread count
-    corr = np.einsum("ij,ik->jk", a, b) / denom
+    corr = _matmul(a.T, b) / denom
     corr[flags] = 0.0
     return corr
 
@@ -203,10 +201,8 @@ def sample_latents(mode: str, reference: PointBatch | None, n: int, dim: int,
             "covariance estimate is rank-deficient, proceeding with clamped factor"
         )
     v = rep.eigenvectors
-    factor = (v * np.sqrt(np.maximum(rep.eigenvalues, 0.0))) @ v.T
-    out = rng.standard_normal((n, dim)) @ factor
-    out += rep.mean
-    return PointBatch(out)
+    factor = _matmul(v * np.sqrt(np.maximum(rep.eigenvalues, 0.0)), v.T)
+    return PointBatch(_matmul(rng.standard_normal((n, dim)), factor) + rep.mean)
 
 
 def decode_eigen_components(decode, rep: SpectrumReport, scale: float) -> np.ndarray:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .io import open_new
-from .kernel import ParamSet, PointBatch, batch_loss_and_gradient
+from .kernel import ParamSet, PointBatch, _matmul, batch_loss_and_gradient
 
 __all__ = [
     "DenseNetSpec",
@@ -34,8 +34,6 @@ CHECKPOINT_MAGIC = b"EAE1"
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
-# the most terms one BLAS product sums: at 2 threads OpenBLAS blocks a longer sum another way
-_CHUNK = 128
 
 
 def _act(tag: str, pre: np.ndarray):
@@ -50,16 +48,6 @@ def _act(tag: str, pre: np.ndarray):
     np.exp(np.negative(pre, out=pre), out=pre)
     np.reciprocal(np.add(pre, 1.0, out=pre), out=pre)
     return pre * (1.0 - pre)
-
-
-def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a @ b, its inner sum taken _CHUNK terms at a time in a fixed order."""
-    if b.shape[0] <= _CHUNK:
-        return np.matmul(a, b, out=out)
-    out = np.matmul(a[:, :_CHUNK], b[:_CHUNK], out=out)
-    for lo in range(_CHUNK, b.shape[0], _CHUNK):
-        out += a[:, lo:lo + _CHUNK] @ b[lo:lo + _CHUNK]
-    return out
 
 
 def _blocks(vec: np.ndarray, *specs: DenseNetSpec) -> list:

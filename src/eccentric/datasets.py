@@ -7,6 +7,7 @@ where natural.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -87,11 +88,10 @@ def _read_idx(path, magic: int, n_dims: int, unit: str) -> np.ndarray:
     offset = 4 + 4 * n_dims
     if len(buf) < offset:
         raise ValueError(f"{path}: truncated header, {len(buf)} bytes < {offset}")
-    found = struct.unpack(">i", buf[:4])[0]
+    found, *dims = struct.unpack(f">{n_dims + 1}I", buf[:offset])
     if found != magic:
         raise ValueError(f"{path}: bad magic 0x{found:08x} at offset 0, expected 0x{magic:08x}")
-    dims = struct.unpack(f">{n_dims}i", buf[4:offset])
-    expected = int(np.prod(dims))
+    expected = math.prod(dims)  # unsigned and exact: a huge header cannot wrap to the payload size
     if len(buf) - offset != expected:
         raise ValueError(f"{path}: expected {expected} {unit} bytes after offset {offset}, "
                          f"got {len(buf) - offset}")

@@ -2,9 +2,9 @@
 
 Floats are formatted with 17 significant digits (round-trip exact for
 float64), '.' decimal separator and '\\n' line endings, so identical runs
-with the same build and BLAS thread count produce byte-identical files.
-At the shapes the tests run, `simulate` and `train` write the same bytes at
-1 and 2 BLAS threads too; at others (simulate at d = 200) they may not.
+with the same build produce byte-identical files.  Every product goes through
+kernel._matmul, so the bytes do not depend on the BLAS thread count, except
+where eigh's results reach them above d = 128 (README, Determinism).
 
 Every output is written as a new file: whatever file is at its path is
 removed first, so a symlink or hard link there is replaced, not written

@@ -97,8 +97,24 @@ class PointBatch:
         return self.data.shape[1]
 
 
+_CHUNK = 128  # the most terms, and the most output columns, of one BLAS product
 _PAIR_TILE = 128  # side of the square tiles of the b x b distance matrix
 _GRAM_C = 16.0  # the guard's c in _pair_pass; flow's tile sums read ~3 N
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b from BLAS calls that each sum at most _CHUNK terms into at most _CHUNK columns,
+    a longer sum's chunks added in a fixed order, so no bit depends on the BLAS thread count."""
+    k, n = b.shape
+    if k <= _CHUNK and n <= _CHUNK:
+        return np.matmul(a, b, out=out)
+    out = np.empty((a.shape[0], n)) if out is None else out
+    for lo in range(0, n, _CHUNK):
+        cols = out[:, lo:lo + _CHUNK]
+        np.matmul(a[:, :_CHUNK], b[:_CHUNK, lo:lo + _CHUNK], out=cols)
+        for mid in range(_CHUNK, k, _CHUNK):
+            cols += a[:, mid:mid + _CHUNK] @ b[mid:mid + _CHUNK, lo:lo + _CHUNK]
+    return out
 
 
 def _pair_pass(batch: PointBatch, params: ParamSet, want_loss: bool, want_grad: bool):
@@ -116,9 +132,8 @@ def _pair_pass(batch: PointBatch, params: ParamSet, want_loss: bool, want_grad: 
     at the end.  Since w_ij = w_ji, a tile above the diagonal serves both of
     its row sets: its log sum counts twice and w.T @ z1[I] adds to rows J.
     The diagonal adds log(1) = 0 (to within the Gram error) and w_ii (z_i - z_i).
-    No BLAS product exceeds (128, 128) @ (128, d+1) or (128, d+2) @ (d+2, 128),
-    and tiles add in a fixed order, so the bits did not depend on the BLAS
-    thread count at any shape tested.
+    Every product goes through _matmul and tiles add in a fixed order, so the
+    bits do not depend on the BLAS thread count.
     """
     if batch.dim != params.dim:
         raise ValueError(f"batch dim {batch.dim} != params dim {params.dim}")
@@ -150,7 +165,7 @@ def _pair_pass(batch: PointBatch, params: ParamSet, want_loss: bool, want_grad: 
         for j in range(i, len(blocks)):
             gram = j < n_full and top[i] + top[j] <= _GRAM_C * big_n
             if gram:
-                w = lefts[i] @ rights[j]  # N + d^2
+                w = _matmul(lefts[i], rights[j])  # N + d^2
             else:
                 # imported only where a tile needs it: scipy.spatial adds ~0.25 s and ~30 MiB
                 from scipy.spatial.distance import cdist
@@ -163,9 +178,9 @@ def _pair_pass(batch: PointBatch, params: ParamSet, want_loss: bool, want_grad: 
                 if not gram:
                     w += big_n
                 np.divide(big_n, w, out=w)
-                accs[i] += w @ z1s[j]
+                accs[i] += _matmul(w, z1s[j])
                 if j > i:
-                    accs[j] += w.T @ z1s[i]
+                    accs[j] += _matmul(w.T, z1s[i])
     left = lefts = right = rights = ext = z1s = None  # freed before the temporaries below
     pairs = b * (b - 1)
     loss = float(np.sum(z * z)) / b - params.mu * big_n * log_sum / pairs if want_loss else None

@@ -1,11 +1,7 @@
 import itertools
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,18 +265,14 @@ class TestCrossCorrelation:
         corr = cross_correlation(e, PointBatch(-e.data))
         np.testing.assert_allclose(np.diag(corr), -1.0, atol=1e-12)
 
-    def test_bits_do_not_depend_on_blas_threads(self):
+    def test_bits_do_not_depend_on_blas_threads(self, blas_thread_outputs):
         # align's corr_before/corr_after hashes must not depend on the host's BLAS setup
         code = ("import sys; import numpy as np; from eccentric.analysis import "
                 "cross_correlation; from eccentric.kernel import PointBatch; "
                 "rng = np.random.default_rng(3); "
                 "a = rng.standard_normal((2000, 64)); b = a + rng.standard_normal((2000, 64)); "
                 "sys.stdout.write(cross_correlation(PointBatch(a), PointBatch(b)).tobytes().hex())")
-        src = str(Path(analysis.__file__).parents[1])
-        out = [subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
-                              text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                                              "PYTHONPATH": src}).stdout
-               for threads in ("1", "2")]
+        out = blas_thread_outputs(code)
         assert out[0] == out[1]
 
     def test_zero_variance_flags(self):

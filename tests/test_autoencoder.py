@@ -7,7 +7,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from eccentric.autoencoder import (
-    _CHUNK,
     DenseNet,
     DenseNetSpec,
     TrainConfig,
@@ -19,7 +18,7 @@ from eccentric.autoencoder import (
     train,
 )
 from eccentric.datasets import noisy_ring
-from eccentric.kernel import ParamSet, PointBatch, choose_big_n
+from eccentric.kernel import _CHUNK, ParamSet, PointBatch, choose_big_n
 import kernel_oracles
 from kernel_oracles import total_loss
 

@@ -28,19 +28,6 @@ def run_ok(argv):
     assert code == 0, f"expected exit 0, got {code} for {argv}"
 
 
-def blas_thread_outputs(tmp_path, argv):
-    """Manifest `outputs` of argv run as a subprocess at 1 and at 2 BLAS threads."""
-    src = str(Path(cli.__file__).parents[1])
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        subprocess.run([sys.executable, "-m", "eccentric.cli", *argv, "--out-dir", str(out)],
-                       capture_output=True, check=True,
-                       env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src})
-        outputs.append(json.loads((out / "manifest.json").read_text())["outputs"])
-    return outputs
-
-
 class TestLoadConfig:
     def test_parses_flat_keys(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -390,35 +377,35 @@ class TestDeterminismAndVerify:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
         assert run(changed) == 1
 
-    def test_simulate_bits_do_not_depend_on_blas_threads(self, tmp_path):
+    def test_simulate_bits_do_not_depend_on_blas_threads(self, blas_thread_outputs):
         # the kernel's tile products go through BLAS; its thread count must not
         # reach the hashed outputs
-        outputs = blas_thread_outputs(tmp_path, [
+        outputs = blas_thread_outputs([
             "simulate", "--dim", "8", "--mu", "1.0", "--auto-n", "--count", "300",
             "--steps", "6", "--step-size", "0.1", "--init-scale", "1.0", "--seed", "5"])
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("dim,count", [(16, 700), (64, 300)])
-    def test_simulate_bits_at_exposed_shapes(self, tmp_path, dim, count):
+    def test_simulate_bits_at_exposed_shapes(self, dim, count, blas_thread_outputs):
         # shapes where a (128, b - 128) @ (b - 128, d) row-block product summed
         # in another order at 2 BLAS threads.  A step this long carries those
         # last bits of the gradient into z (at 0.2, z - 0.2 g rounded them away
         # at d=64).
-        outputs = blas_thread_outputs(tmp_path, [
+        outputs = blas_thread_outputs([
             "simulate", "--dim", str(dim), "--mu", "1.0", "--auto-n", "--count", str(count),
             "--steps", "3", "--step-size", "5", "--init-scale", "1.0", "--seed", "3"])
         assert outputs[0] == outputs[1]
 
-    def test_train_bits_do_not_depend_on_blas_threads(self, tmp_path):
+    def test_train_bits_do_not_depend_on_blas_threads(self, blas_thread_outputs):
         # a batch of 1000 is summed over in every weight gradient; one BLAS
         # product over all of it split its sum differently at 2 threads
-        outputs = blas_thread_outputs(tmp_path, [
+        outputs = blas_thread_outputs([
             "train", "--dataset", "noisy-ring", "--data-n", "2000", "--batch-size", "1000",
             "--epochs", "3", "--latent-dim", "16", "--hidden", "64", "--mu", "1.5",
             "--auto-n", "--seed", "1"])
         assert outputs[0] == outputs[1]
 
-    def test_wide_idx_train_bits_do_not_depend_on_blas_threads(self, tmp_path):
+    def test_wide_idx_train_bits_do_not_depend_on_blas_threads(self, tmp_path, blas_thread_outputs):
         # 784 input columns: the first layer's product and the backward pass
         # through the decoder's last layer each sum over 784 terms
         rng = np.random.default_rng(4)
@@ -426,13 +413,13 @@ class TestDeterminismAndVerify:
         images.write_bytes(struct.pack(">iiii", 0x803, 300, 28, 28)
                            + rng.integers(0, 256, 300 * 784, dtype=np.uint8).tobytes())
         labels.write_bytes(struct.pack(">ii", 0x801, 300) + bytes(range(10)) * 30)
-        outputs = blas_thread_outputs(tmp_path, [
+        outputs = blas_thread_outputs([
             "train", "--dataset", "idx", "--images", str(images), "--labels", str(labels),
             "--batch-size", "100", "--epochs", "2", "--latent-dim", "8", "--hidden", "32,32",
             "--mu", "1.5", "--auto-n", "--seed", "1"])
         assert outputs[0] == outputs[1]
 
-    def test_knn_bits_do_not_depend_on_blas_threads(self, tmp_path):
+    def test_knn_bits_do_not_depend_on_blas_threads(self, tmp_path, blas_thread_outputs):
         # the KNN prefilter is a BLAS product; only exact distances may reach
         # the outputs.  On a grid at 2^24 the product rounds, the margin still
         # drops most columns, and some rows tie at their k-th distance.
@@ -442,8 +429,45 @@ class TestDeterminismAndVerify:
                             rng.integers(0, 4, 3000))
         write_embedding_csv(test, 2**24 + rng.integers(-21, 22, (300, 16)) / 2,
                             rng.integers(0, 4, 300))
-        outputs = blas_thread_outputs(tmp_path, ["knn", "--train", str(train),
-                                                 "--test", str(test), "--k", "5"])
+        outputs = blas_thread_outputs(["knn", "--train", str(train),
+                                       "--test", str(test), "--k", "5"])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--dim", "200", "--mu", "1", "--auto-n", "--count", "130", "--steps", "2",
+         "--step-size", "0.2", "--init-scale", "1.0", "--seed", "1"],
+        ["simulate", "--dim", "128", "--mu", "1", "--auto-n", "--count", "256", "--steps", "2",
+         "--step-size", "0.2", "--init-scale", "1.0", "--seed", "1"],
+        ["train", "--dataset", "noisy-ring", "--data-n", "400", "--latent-dim", "128",
+         "--hidden", "160", "--batch-size", "100", "--epochs", "2", "--mu", "1.5", "--auto-n",
+         "--seed", "1"],
+    ])
+    def test_bits_past_128_columns_do_not_depend_on_blas_threads(self, argv,
+                                                                 blas_thread_outputs):
+        # the kernel's tile products and the 160-wide layers have more than 128
+        # columns, and the Gram product sums d + 2 > 128 terms at d = 128 and 200.
+        # eigh is promised only up to d = 128, so at d = 200 the eigenvalues in
+        # simulate.json are left out
+        outputs = blas_thread_outputs(argv)
+        if "200" in argv:
+            for out in outputs:
+                del out["simulate.json"]
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--input"],
+        ["sample", "--mode", "matched", "--n", "300", "--dim", "128", "--seed", "1",
+         "--reference"],
+    ])
+    def test_eigh_outputs_at_d128_do_not_depend_on_blas_threads(self, tmp_path, argv,
+                                                               blas_thread_outputs):
+        # eigh's bits are promised up to d = 128; the input is built elementwise,
+        # without BLAS, so that its own bits do not depend on this host's BLAS
+        rng = np.random.default_rng(7)
+        z = rng.standard_normal((1000, 128)) * np.linspace(0.5, 3.0, 128)
+        z[:, 1:] += 0.5 * z[:, :-1]
+        write_embedding_csv(tmp_path / "z.csv", z)
+        outputs = blas_thread_outputs(argv + [str(tmp_path / "z.csv")])
         assert outputs[0] == outputs[1]
 
     def test_out_outside_out_dir_rejected(self, tmp_path):

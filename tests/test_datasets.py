@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -120,6 +121,16 @@ class TestIdx:
         path = tmp_path / "swap.idx"
         path.write_bytes(struct.pack(">iiii", 0x00000801, 1, 1, 1) + b"\x00")
         with pytest.raises(ValueError, match="bad magic"):
+            load_idx_images(path)
+
+    @pytest.mark.parametrize("sizes,payload", [((2**30, 2**30, 16), b""),
+                                               ((-2, -3, 1), bytes(6))])
+    def test_huge_or_negative_sizes_name_the_file(self, tmp_path, sizes, payload):
+        # sizes are unsigned and their product exact, so neither header gets as far
+        # as numpy's reshape, whose message would not name the file
+        path = tmp_path / "sizes.idx"
+        path.write_bytes(struct.pack(">iiii", 0x00000803, *sizes) + payload)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: expected ") + r"\d+ pixel bytes"):
             load_idx_images(path)
 
     def test_truncated_header(self, tmp_path):

@@ -1,8 +1,4 @@
 import hashlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,14 +360,10 @@ class TestRowBlocks:
         net = grad.sum(axis=0) - (2.0 / count) * z.sum(axis=0)
         assert np.abs(net).max() <= 1e-12 * np.abs(grad).max()
 
-    def test_bits_do_not_depend_on_blas_threads(self):
-        # the loss and the gradient of each batch are hashed together.  Every
-        # tile product is at most (128, 128) @ (128, d+1), and a full tile that
-        # passes the Gram guard also takes one (128, d+2) @ (d+2, 128);
-        # the b=1536 batches scale four rows by 100 so that the full tiles of
-        # their blocks keep cdist and the others take the Gram product.  Among
-        # these shapes, a (128, n) @ (n, d) product with n > 128 sums in another
-        # order at 2 threads at d=16, b=700 and d=64, b=300
+    def test_bits_do_not_depend_on_blas_threads(self, blas_thread_outputs):
+        # the loss and the gradient of each batch are hashed together; the
+        # b=1536 batches scale four rows by 100 so that the full tiles of their
+        # blocks keep cdist and the others take the Gram product
         code = ("import hashlib, numpy as np\n"
                 "from eccentric.kernel import ParamSet, PointBatch, batch_gradient, "
                 "batch_loss, choose_big_n\n"
@@ -392,11 +384,7 @@ class TestRowBlocks:
             z[::500] *= 100.0
             sums = guard_sums(z)
             assert min(sums) <= GRAM_C * choose_big_n(d, 1.5) < max(sums)
-        src = str(Path(kernel.__file__).parents[1])
-        out = [subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
-                              text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                                              "PYTHONPATH": src}).stdout
-               for threads in ("1", "2")]
+        out = blas_thread_outputs(code)
         assert len(out[0].splitlines()) == 20
         assert out[0] == out[1]
 
@@ -521,3 +509,21 @@ class TestRowBlocks:
             batch_gradient(PointBatch(np.zeros((1, 3))), p)
         with pytest.raises(ValueError):
             batch_gradient(PointBatch(np.zeros((4, 2))), p)
+
+
+class TestMatmul:
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from([1, 127, 128, 129, 257, 300]),
+           st.sampled_from([1, 127, 128, 129, 257, 300]),
+           st.integers(1, 40), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_matmul_to_rounding(self, k, n, rows, transposed, with_out, seed):
+        # chunking the sum and the columns changes only the rounding: both
+        # results lie within gamma_k (|a| @ |b|) of the exact product
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((k, rows)).T if transposed else rng.standard_normal((rows, k))
+        b = rng.standard_normal((k, n))
+        out = np.full((rows, n), np.nan) if with_out else None
+        got = kernel._matmul(a, b, out=out)
+        assert got.shape == (rows, n) and (out is None or got is out)
+        bound = 2 * k * np.finfo(np.float64).eps * (np.abs(a) @ np.abs(b))
+        assert np.all(np.abs(got - a @ b) <= bound)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -56,3 +57,26 @@ def test_module_run_writes_outputs(tmp_path):
                     "--mu", "1.5", "--auto-n", "--out-dir", "m1"], cwd=tmp_path,
                    capture_output=True, check=True, env={**os.environ, "PYTHONPATH": src})
     assert (tmp_path / "m1" / "manifest.json").is_file()
+
+
+def test_every_product_goes_through_kernel_matmul():
+    # kernel._matmul is the one owner of products whose bits must not depend on
+    # the BLAS thread count; only the KNN prefilter multiplies by itself, since
+    # its margin holds for any summation order
+    blas = ("dot", "inner", "matmul", "multi_dot", "tensordot", "vdot")
+    found = []
+
+    def visit(node, module, func):
+        func = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+        if (isinstance(getattr(node, "op", None), ast.MatMult)
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in blas):
+            found.append((module, func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, func)
+
+    package = Path(importlib.import_module("eccentric").__file__).parent
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    stray = [(module, func) for module, func, _ in found if (module, func) != ("kernel", "_matmul")]
+    assert stray == [("analysis", "knn_classify")], found
