@@ -1,7 +1,7 @@
 """Hyperspherical latent regularization toolkit.
 
 Subpackages: kernel (pair loss and gradient), radius (stationary sphere
-solver and lemma oracles), particles (free gradient-descent flow),
+solver and force profile), particles (free gradient-descent flow),
 autoencoder (toy dense autoencoder with manual backprop), datasets
 (synthetic generators and IDX ingestion), analysis (spectrum, alignment,
 samplers, KNN), cli (command-line entry point).

@@ -33,9 +33,9 @@ class SpectrumReport:
     """Eigenvalues (descending) of a mean-centered covariance, with basis."""
 
     eigenvalues: np.ndarray = field(repr=False)
-    trace: float = 0.0
-    mean: np.ndarray = field(default=None, repr=False)
-    eigenvectors: np.ndarray = field(default=None, repr=False)
+    trace: float
+    mean: np.ndarray = field(repr=False)
+    eigenvectors: np.ndarray = field(repr=False)
 
 
 def spectrum(batch: PointBatch) -> SpectrumReport:
@@ -80,8 +80,8 @@ class AlignmentResult:
     iterations: int
     corr_before: np.ndarray = field(repr=False)
     corr_after: np.ndarray = field(repr=False)
-    aligned_p: PointBatch = field(default=None, repr=False)
-    aligned_q: PointBatch = field(default=None, repr=False)
+    aligned_p: PointBatch = field(repr=False)
+    aligned_q: PointBatch = field(repr=False)
 
 
 def align(e1: PointBatch, e2: PointBatch) -> AlignmentResult:

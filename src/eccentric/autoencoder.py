@@ -171,9 +171,9 @@ class TrainConfig:
 class TrainReport:
     recon_trace: list = field(repr=False)
     reg_trace: list = field(repr=False)
-    encoder: DenseNet = field(repr=False, default=None)
-    decoder: DenseNet = field(repr=False, default=None)
-    embedding: PointBatch = field(repr=False, default=None)
+    encoder: DenseNet = field(repr=False)
+    decoder: DenseNet = field(repr=False)
+    embedding: PointBatch = field(repr=False)
 
 
 def total_loss_gradients(x: np.ndarray, encoder: DenseNet, decoder: DenseNet,

@@ -143,15 +143,6 @@ def _cmd_force_profile(cfg):
                          zip(prof.distances, prof.magnitudes))}
 
 
-def _cmd_lemma_check(cfg):
-    payload = {"dim": cfg["dim"], "a": cfg["a"],
-               "lemma_a_integral": radius.lemma_a_check(cfg["dim"], cfg["a"])}
-    if cfg["dim"] >= radius.LEMMA_B_MIN_DIM:
-        payload["lemma_b_u_closed_form"] = radius.lemma_b_argmax(cfg["dim"], cfg["a"])
-        payload["lemma_b_u_numeric"] = radius.lemma_b_argmax_numeric(cfg["dim"], cfg["a"])
-    return {"lemma.json": (io.write_json, payload)}
-
-
 def _cmd_simulate(cfg):
     rep = particles.simulate(particles.SimConfig(
         params=_param_set(cfg, cfg["dim"]), count=cfg["count"], steps=cfg["steps"],
@@ -272,7 +263,6 @@ _COMMANDS = {
     "force-profile": (_cmd_force_profile, {
         "dim": 2, "mu": 0.0, "big_n": 0.0, "auto_n": False, "r_max": 0.0,
         "steps": 0, "out": "force_profile.csv"}),
-    "lemma-check": (_cmd_lemma_check, {"dim": 0, "a": 0.0}),
     "simulate": (_cmd_simulate, {
         "dim": 0, "mu": 0.0, "big_n": 0.0, "auto_n": False, "count": 0,
         "steps": 0, "step_size": 0.0, "seed": 0, "init_scale": 0.01}),
@@ -343,6 +333,9 @@ def run(argv=None) -> int:
         cfg = {key: getattr(args, key) for key in defaults}
         if "out" in cfg:
             _check_out(cfg["out"])
+        for key in ("seed", "data_seed"):
+            if cfg.get(key, 0) < 0:
+                raise ValueError(f"--{key.replace('_', '-')} must be >= 0, got {cfg[key]}")
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.verify:

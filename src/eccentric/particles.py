@@ -51,9 +51,9 @@ class SimConfig:
 class SimReport:
     final_batch: PointBatch = field(repr=False)
     loss_trace: list = field(repr=False)
-    radial_mean: float = 0.0
-    radial_std: float = 0.0
-    spectrum: SpectrumReport = None
+    radial_mean: float
+    radial_std: float
+    spectrum: SpectrumReport
 
 
 def radial_stats(batch: PointBatch) -> tuple[float, float]:

@@ -1,4 +1,4 @@
-"""Stationary sphere radius: closed-form integral, root search, lemma oracles, force profile.
+"""Stationary sphere radius: closed-form integral, root search, force profile.
 
 A uniform distribution on the sphere of radius rho in dimension d >= 3 is a
 stationary point of the repulsive pair loss exactly when
@@ -27,8 +27,7 @@ quadratic interpolation safeguarded by bisection.  It keeps a plain
 bisection's bracket and stopping rule, and meets that rule in 5-9
 evaluations of I per cell for d <= 2000 and mu <= 1e6.  Then
 rho = sqrt(N)/sqrt(2a); the quotient N/(2a) itself can overflow or
-underflow.  The two identities used to justify the N(d, mu) selection rule
-are numerical oracles that integrate f_{d,a}.
+underflow.
 """
 
 from __future__ import annotations
@@ -44,34 +43,14 @@ __all__ = [
     "SolverError",
     "RadiusSolution",
     "ForceProfile",
-    "gamma_ratio",
     "solve_radius",
     "sweep_radius",
-    "lemma_a_check",
-    "lemma_b_argmax",
-    "lemma_b_argmax_numeric",
     "force_profile",
 ]
 
 
 class SolverError(FloatingPointError):
     """The root search for a stalled (MAX_ITER steps) for the given parameters."""
-
-
-def gamma_ratio(dim: int) -> float:
-    """Gamma(d/2) / Gamma((d-1)/2) via log-gamma difference (no overflow to d=1e6)."""
-    _check_dim(dim, 2)
-    return math.exp(math.lgamma(dim / 2.0) - math.lgamma((dim - 1) / 2.0))
-
-
-def _f_integrand(u: np.ndarray, dim: int, a: float) -> np.ndarray:
-    """f_{d,a}(u) including the 2a/sqrt(pi) * Gamma-ratio prefactor."""
-    u = np.asarray(u, dtype=np.float64)
-    t = np.clip(a * (u - 1.0), 0.0, 2.0)
-    p = 0.5 * (dim - 1)
-    q = 0.5 * (dim - 3)
-    val = t**p * (2.0 - t) ** q / u
-    return (2.0 * a / math.sqrt(math.pi)) * gamma_ratio(dim) * val
 
 
 @dataclass(frozen=True)
@@ -102,9 +81,6 @@ SERIES_TERMS = 128
 A_RTOL = 2e-12
 RESIDUAL_TOL = 1e-10
 MAX_ITER = 200
-LEMMA_B_GRID = 4001
-LEMMA_B_XATOL = 1e-10
-LEMMA_B_MIN_DIM = 4  # f_{d,a} has an interior maximum from d = 4 on
 
 
 def _hyp2f1_pfaff(dim: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -261,60 +237,6 @@ def sweep_radius(dims, mu_step: float = 0.25) -> list[tuple[int, float]]:
     pct = np.abs(rho - np.sqrt(dim)) / np.sqrt(dim) * 100.0
     bounds = np.cumsum([0] + [g.size for g in grids])
     return [(d, float(pct[s:e].max())) for d, s, e in zip(dims, bounds[:-1], bounds[1:])]
-
-
-def lemma_a_check(dim: int, a: float) -> float:
-    """Integral of u * f_{d,a}(u) over [1, 1 + 2/a]; identically 2 for 0 < a < 2.
-
-    Integrated numerically (scipy's adaptive Gauss-Kronrod), so the identity
-    is checked independently of the closed form used by the solver.
-    """
-    _check_dim(dim, 3)
-    if not 0.0 < a < 2.0:
-        raise ValueError(f"requires 0 < a < 2, got {a}")
-    # imported here: scipy.integrate adds ~0.2 s and ~13 MiB to every CLI start
-    from scipy.integrate import quad
-
-    value, _ = quad(lambda u: u * float(_f_integrand(u, dim, a)), 1.0, 1.0 + 2.0 / a,
-                    epsabs=1e-13, epsrel=1e-13)
-    return value
-
-
-def _check_lemma_b(dim: int, a: float) -> None:
-    """Lemma B's domain: d >= LEMMA_B_MIN_DIM and a > 0."""
-    _check_dim(dim, LEMMA_B_MIN_DIM)
-    if not a > 0:
-        raise ValueError(f"requires a > 0, got {a}")
-
-
-def lemma_b_argmax(dim: int, a: float) -> float:
-    """Closed-form location of the maximum of f_{d,a} on (1, 1 + 2/a).
-
-    The stationarity condition a = (1 + 1/(u(d-3)+1)) / (u-1) is quadratic
-    in u; the root with u > 1 is returned.
-    """
-    _check_lemma_b(dim, a)
-    m = dim - 3
-    # a*m*u^2 + (a*(1-m) - m)*u - (a + 2) = 0
-    qa = a * m
-    qb = a * (1.0 - m) - m
-    qc = -(a + 2.0)
-    disc = qb * qb - 4.0 * qa * qc
-    return (-qb + math.sqrt(disc)) / (2.0 * qa)
-
-
-def lemma_b_argmax_numeric(dim: int, a: float) -> float:
-    """Grid scan plus bounded Brent refinement of the maximum of f_{d,a}."""
-    _check_lemma_b(dim, a)
-    # imported here: scipy.optimize adds ~10 MiB to every CLI start
-    from scipy.optimize import minimize_scalar
-
-    u = np.linspace(1.0, 1.0 + 2.0 / a, LEMMA_B_GRID)
-    k = int(np.argmax(_f_integrand(u, dim, a)))
-    bounds = (u[max(k - 1, 0)], u[min(k + 1, LEMMA_B_GRID - 1)])
-    res = minimize_scalar(lambda x: -float(_f_integrand(x, dim, a)), bounds=bounds,
-                          method="bounded", options={"xatol": LEMMA_B_XATOL})
-    return float(res.x)
 
 
 def force_profile(params: ParamSet, r_max: float, steps: int) -> ForceProfile:

@@ -1,4 +1,4 @@
-"""Independent evaluations of the pair loss, kept as test oracles.
+"""Independent evaluations of the pair loss and the radius lemmas, kept as test oracles.
 
 `pair_kernel` evaluates one term K(z_i, z_j).  The two batch oracles take a
 `PointBatch` and the loss parameters and use the whole b x b matrix of
@@ -14,10 +14,20 @@ every network parameter from 40-digit mpmath central differences.  `total_loss_g
 weight and bias arrays with sample-major activations, a separate bias sum,
 one unchunked product per weight gradient and a concatenated gradient; and
 textbook Adam, with both bias corrections applied to the moments.
+
+The two lemmas that justify the N(d, mu) rule are checked on the integrand
+f_{d,a} of the stationarity integral itself, not on the closed form the
+solver evaluates: `lemma_a_check` integrates its first moment (2 for
+0 < a < 2), and `lemma_b_argmax` gives its argmax (d >= 4) in closed form,
+which `lemma_b_argmax_numeric` finds by a grid scan and a bounded Brent search.
 """
+
+import math
 
 import mpmath
 import numpy as np
+from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 from scipy.spatial.distance import cdist
 
 from eccentric.autoencoder import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, LEAKY_SLOPE
@@ -257,3 +267,44 @@ def adam_step(theta, grad, m, v, t, learning_rate, weight_decay):
     m_hat = m / (1.0 - ADAM_BETA1**t)
     v_hat = v / (1.0 - ADAM_BETA2**t)
     theta -= learning_rate * (m_hat / (np.sqrt(v_hat) + ADAM_EPSILON) + weight_decay * theta)
+
+
+def gamma_ratio(dim):
+    """Gamma(d/2) / Gamma((d-1)/2) via log-gamma difference (no overflow to d=1e6)."""
+    return math.exp(math.lgamma(dim / 2.0) - math.lgamma((dim - 1) / 2.0))
+
+
+def _f_integrand(u, dim, a):
+    """f_{d,a}(u) including the 2a/sqrt(pi) * Gamma-ratio prefactor."""
+    u = np.asarray(u, dtype=np.float64)
+    t = np.clip(a * (u - 1.0), 0.0, 2.0)
+    val = t ** (0.5 * (dim - 1)) * (2.0 - t) ** (0.5 * (dim - 3)) / u
+    return (2.0 * a / math.sqrt(math.pi)) * gamma_ratio(dim) * val
+
+
+def lemma_a_check(dim, a):
+    """Integral of u * f_{d,a}(u) over [1, 1 + 2/a] by scipy's adaptive Gauss-Kronrod."""
+    value, _ = quad(lambda u: u * float(_f_integrand(u, dim, a)), 1.0, 1.0 + 2.0 / a,
+                    epsabs=1e-13, epsrel=1e-13)
+    return value
+
+
+def lemma_b_argmax(dim, a):
+    """Closed-form argmax of f_{d,a} on (1, 1 + 2/a) for d >= 4.
+
+    Its stationarity condition a = (1 + 1/(u m + 1)) / (u - 1), m = d - 3, is the
+    quadratic a m u^2 + (a (1 - m) - m) u - (a + 2) = 0; the root u > 1 is returned.
+    """
+    m = dim - 3
+    qa, qb, qc = a * m, a * (1.0 - m) - m, -(a + 2.0)
+    return (-qb + math.sqrt(qb * qb - 4.0 * qa * qc)) / (2.0 * qa)
+
+
+def lemma_b_argmax_numeric(dim, a):
+    """The argmax of f_{d,a}: the best of a grid, refined by a bounded Brent search."""
+    u = np.linspace(1.0, 1.0 + 2.0 / a, 4001)
+    k = int(np.argmax(_f_integrand(u, dim, a)))
+    res = minimize_scalar(lambda x: -float(_f_integrand(x, dim, a)),
+                          bounds=(u[max(k - 1, 0)], u[min(k + 1, u.size - 1)]),
+                          method="bounded", options={"xatol": 1e-10})
+    return float(res.x)

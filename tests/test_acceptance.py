@@ -27,15 +27,15 @@ from eccentric.kernel import (
     batch_loss_and_gradient,
     choose_big_n,
 )
-from kernel_oracles import batch_loss_gram, total_loss
-from eccentric.particles import SimConfig, simulate
-from eccentric.radius import (
-    force_profile,
+from kernel_oracles import (
+    batch_loss_gram,
     lemma_a_check,
     lemma_b_argmax,
     lemma_b_argmax_numeric,
-    sweep_radius,
+    total_loss,
 )
+from eccentric.particles import SimConfig, simulate
+from eccentric.radius import force_profile, sweep_radius
 
 
 def report(num, ok, detail):

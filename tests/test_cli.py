@@ -550,16 +550,6 @@ class TestForceProfileCommand:
         assert not (tmp_path / "manifest.json").exists()
 
 
-class TestLemmaCheckCommand:
-    def test_payload(self, tmp_path):
-        run_ok(["lemma-check", "--dim", "4", "--a", "1.0",
-                "--out-dir", str(tmp_path)])
-        payload = json.loads((tmp_path / "lemma.json").read_text())
-        assert payload["lemma_a_integral"] == pytest.approx(2.0, abs=1e-8)
-        assert payload["lemma_b_u_closed_form"] == pytest.approx(
-            (1 + math.sqrt(13)) / 2, rel=1e-10)
-
-
 class TestAnalysisPipeline:
     def test_train_encode_spectrum_align_metrics_knn(self, tmp_path):
         train_dir = tmp_path / "train"
@@ -952,11 +942,16 @@ class TestExitCodes:
         (["solve-radius", "--dim", "4", "--mu", "0.5", "--big-n", "4"],
          "solver assumes mu >= 1, got 0.5"),
         (["sweep-radius", "--dims", "4,2"], "dim must be >= 3, got 2"),
-        (["lemma-check", "--dim", "2", "--a", "1"], "dim must be >= 3, got 2"),
         (["simulate", "--dim", "1", "--big-n", "4"], "dim must be >= 2, got 1"),
         (["train", "--latent-dim", "1", "--big-n", "4"], "dim must be >= 2, got 1"),
-    ], ids=["solve-radius-dim", "solve-radius-mu", "sweep-radius-dims", "lemma-check-dim",
-            "simulate-dim", "train-latent-dim"])
+        (["simulate", "--dim", "2", "--big-n", "4", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["train", "--big-n", "4", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["sample", "--n", "3", "--dim", "2", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["train", "--big-n", "4", "--data-seed", "-1"], "--data-seed must be >= 0, got -1"),
+        (["encode", "--data-seed", "-3"], "--data-seed must be >= 0, got -3"),
+    ], ids=["solve-radius-dim", "solve-radius-mu", "sweep-radius-dims", "simulate-dim",
+            "train-latent-dim", "simulate-seed", "train-seed", "sample-seed", "train-data-seed",
+            "encode-data-seed"])
     def test_domain_limit(self, tmp_path, capsys, argv, message):
         # each limit has one owner, and its one message is all the run prints
         assert run(argv + ["--out-dir", str(tmp_path)]) == 1

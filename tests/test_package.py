@@ -20,9 +20,8 @@ def test_every_export_resolves(name):
 
 
 def test_cli_start_loads_no_scipy():
-    # scipy.spatial alone took ~0.5 s of a ~0.6 s CLI start; each command
-    # imports the scipy module it uses when it first needs it: only lemma-check
-    # needs optimize and integrate, only align needs csgraph, and each imports its own
+    # scipy.spatial alone took ~0.5 s of a ~0.6 s CLI start; each function imports
+    # the scipy module it uses when it first needs it (test_src_imports_only_pinned_scipy)
     code = "import sys, eccentric.cli; print([m for m in sys.modules if m.startswith('scipy')])"
     src = str(Path(importlib.import_module("eccentric").__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
@@ -59,24 +58,46 @@ def test_module_run_writes_outputs(tmp_path):
     assert (tmp_path / "m1" / "manifest.json").is_file()
 
 
+def _walk(node, module, func):
+    """(module, enclosing function, node) for node and every node below it."""
+    func = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+    yield module, func, node
+    for child in ast.iter_child_nodes(node):
+        yield from _walk(child, module, func)
+
+
+def _package_nodes():
+    package = Path(importlib.import_module("eccentric").__file__).parent
+    for path in sorted(package.glob("*.py")):
+        yield from _walk(ast.parse(path.read_text()), path.stem, None)
+
+
 def test_every_product_goes_through_kernel_matmul():
     # kernel._matmul is the one owner of products whose bits must not depend on
     # the BLAS thread count; only the KNN prefilter multiplies by itself, since
     # its margin holds for any summation order
     blas = ("dot", "inner", "matmul", "multi_dot", "tensordot", "vdot")
-    found = []
-
-    def visit(node, module, func):
-        func = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
-        if (isinstance(getattr(node, "op", None), ast.MatMult)
-                or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in blas):
-            found.append((module, func, node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, module, func)
-
-    package = Path(importlib.import_module("eccentric").__file__).parent
-    for path in sorted(package.glob("*.py")):
-        visit(ast.parse(path.read_text()), path.stem, None)
+    found = [(module, func, node.lineno) for module, func, node in _package_nodes()
+             if isinstance(getattr(node, "op", None), ast.MatMult)
+             or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in blas]
     stray = [(module, func) for module, func, _ in found if (module, func) != ("kernel", "_matmul")]
     assert stray == [("analysis", "knn_classify")], found
+
+
+def test_src_imports_only_pinned_scipy():
+    # the solver's 2F1, the Gram tiles that fail their guard and align's matching
+    # are the only users of scipy, each importing its module where it needs it
+    imports = []
+    for module, func, node in _package_nodes():
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        imports += [(module, func, name) for name in names if name.split(".")[0] == "scipy"]
+    assert imports == [("analysis", "align", "scipy.sparse"),
+                       ("analysis", "align", "scipy.sparse.csgraph"),
+                       ("kernel", "_pair_pass", "scipy.spatial.distance"),
+                       ("radius", "_hyp2f1_pfaff", "scipy.special")]
