@@ -73,13 +73,6 @@ def _param_set(cfg, dim: int) -> ParamSet:
     return ParamSet(dim=dim, mu=cfg["mu"], big_n=big_n, lam=cfg.get("lam", 0.0))
 
 
-def _check_out(name: str) -> None:
-    """--out names a file inside --out-dir: the manifest and --verify key outputs by name."""
-    if Path(name).name != name or name in ("", ".", "..", io.MANIFEST_NAME):
-        raise ValueError(
-            f"--out must be a bare file name other than {io.MANIFEST_NAME}, got {name!r}")
-
-
 def _parse_int_list(text: str, flag: str) -> list[int]:
     """Comma-separated integers; "" is the empty list, an empty entry is an error."""
     try:
@@ -124,7 +117,7 @@ def _read_embedding(path) -> PointBatch:
 def _cmd_solve_radius(cfg):
     params = _param_set(cfg, cfg["dim"])
     sol = radius.solve_radius(params)
-    print(f"rho = {sol.rho:.17g} (residual {sol.residual:.3e})")
+    print(f"rho = {io.format_value(sol.rho)} (residual {sol.residual:.3e})")
     return {"radius.json": (io.write_json, {
         "dim": cfg["dim"], "mu": cfg["mu"], "big_n": params.big_n,
         "rho": sol.rho, "residual": sol.residual,
@@ -133,14 +126,15 @@ def _cmd_solve_radius(cfg):
 
 
 def _cmd_sweep_radius(cfg):
-    rows = radius.sweep_radius(_parse_int_list(cfg["dims"], "--dims"), mu_step=cfg["mu_step"])
-    return {cfg["out"]: (io.write_csv, ["d", "max_percent_diff"], rows)}
+    dims = _parse_int_list(cfg["dims"], "--dims")
+    pct = [p for _, p in radius.sweep_radius(dims, mu_step=cfg["mu_step"])]
+    return {"sweep.csv": (io.write_csv, ["d", "max_percent_diff"], np.array(dims), np.array(pct))}
 
 
 def _cmd_force_profile(cfg):
     prof = radius.force_profile(_param_set(cfg, cfg["dim"]), cfg["r_max"], cfg["steps"])
-    return {cfg["out"]: (io.write_csv, ["distance", "magnitude"],
-                         zip(prof.distances, prof.magnitudes))}
+    return {"force_profile.csv": (io.write_csv, ["distance", "magnitude"],
+                                  prof.distances, prof.magnitudes)}
 
 
 def _cmd_simulate(cfg):
@@ -149,7 +143,8 @@ def _cmd_simulate(cfg):
         step_size=cfg["step_size"], seed=cfg["seed"], init_scale=cfg["init_scale"]))
     return {
         "points.csv": (io.write_embedding_csv, rep.final_batch.data),
-        "loss_trace.csv": (io.write_csv, ["record", "loss"], list(enumerate(rep.loss_trace))),
+        "loss_trace.csv": (io.write_csv, ["record", "loss"], np.arange(len(rep.loss_trace)),
+                           np.array(rep.loss_trace)),
         "simulate.json": (io.write_json, {
             "radial_mean": rep.radial_mean, "radial_std": rep.radial_std,
             "trace": rep.spectrum.trace,
@@ -170,8 +165,8 @@ def _cmd_train(cfg):
     return {
         "encoder.bin": (functools.partial(autoencoder.save_checkpoint, rep.encoder),),
         "decoder.bin": (functools.partial(autoencoder.save_checkpoint, rep.decoder),),
-        "traces.csv": (io.write_csv, ["epoch", "recon", "reg"],
-                       [(i, *rg) for i, rg in enumerate(zip(rep.recon_trace, rep.reg_trace))]),
+        "traces.csv": (io.write_csv, ["epoch", "recon", "reg"], np.arange(len(rep.recon_trace)),
+                       np.array(rep.recon_trace), np.array(rep.reg_trace)),
         "embedding.csv": (io.write_embedding_csv, rep.embedding.data, rep.embedding.labels),
     }
 
@@ -237,7 +232,7 @@ def _cmd_knn(cfg):
         raise ValueError("--train file must carry a label column")
     preds, error = analysis.knn_classify(train.data, train.labels, test.data, cfg["k"],
                                          test.labels)
-    return {"predictions.csv": (io.write_csv, ["item", "label"], list(enumerate(preds))),
+    return {"predictions.csv": (io.write_csv, ["item", "label"], np.arange(len(preds)), preds),
             "knn.json": (io.write_json, {"k": cfg["k"], "error_rate": error})}
 
 
@@ -249,20 +244,18 @@ def _cmd_decode_components(cfg):
     _, dec_spec = _net_specs(sizes, rep.eigenvalues.shape[0], cfg["output_width"])
     net = autoencoder.load_checkpoint(cfg["checkpoint"], dec_spec)
     comps = analysis.decode_eigen_components(net.forward, rep, cfg["scale"])
-    rows = [[k, sign, *row] for k, pair in enumerate(comps)
-            for sign, row in zip((1, -1), pair)]
+    d, _, width = comps.shape
     return {"components.csv": (
-        io.write_csv, ["component", "sign"] + [f"o{i}" for i in range(comps.shape[2])], rows)}
+        io.write_csv, ["component", "sign"] + [f"o{i}" for i in range(width)],
+        np.repeat(np.arange(d), 2), np.tile([1, -1], d), comps.reshape(2 * d, width))}
 
 
 _COMMANDS = {
     "solve-radius": (_cmd_solve_radius, {
         "dim": 0, "mu": 0.0, "big_n": 0.0, "auto_n": False}),
-    "sweep-radius": (_cmd_sweep_radius, {
-        "dims": "", "mu_step": 0.25, "out": "sweep.csv"}),
+    "sweep-radius": (_cmd_sweep_radius, {"dims": "", "mu_step": 0.25}),
     "force-profile": (_cmd_force_profile, {
-        "dim": 2, "mu": 0.0, "big_n": 0.0, "auto_n": False, "r_max": 0.0,
-        "steps": 0, "out": "force_profile.csv"}),
+        "dim": 2, "mu": 0.0, "big_n": 0.0, "auto_n": False, "r_max": 0.0, "steps": 0}),
     "simulate": (_cmd_simulate, {
         "dim": 0, "mu": 0.0, "big_n": 0.0, "auto_n": False, "count": 0,
         "steps": 0, "step_size": 0.0, "seed": 0, "init_scale": 0.01}),
@@ -331,8 +324,6 @@ def run(argv=None) -> int:
             args = parser.parse_args(
                 argv[:cut] + _config_argv(args.config, defaults) + argv[cut:])
         cfg = {key: getattr(args, key) for key in defaults}
-        if "out" in cfg:
-            _check_out(cfg["out"])
         for key in ("seed", "data_seed"):
             if cfg.get(key, 0) < 0:
                 raise ValueError(f"--{key.replace('_', '-')} must be >= 0, got {cfg[key]}")

@@ -112,4 +112,8 @@ def load_idx_labels(path) -> np.ndarray:
 
 def load_idx_pair(images_path, labels_path) -> PointBatch:
     """Read matching IDX image and label files into one labelled batch."""
-    return PointBatch(load_idx_images(images_path), load_idx_labels(labels_path))
+    images, labels = load_idx_images(images_path), load_idx_labels(labels_path)
+    try:
+        return PointBatch(images, labels)
+    except ValueError as exc:
+        raise ValueError(f"{images_path}, {labels_path}: {exc}") from None

@@ -1,7 +1,8 @@
 """Deterministic CSV/JSON emission and run manifests.
 
-Floats are formatted with 17 significant digits (round-trip exact for
-float64), '.' decimal separator and '\\n' line endings, so identical runs
+Every CSV goes through write_csv, which formats each column by its dtype:
+integers with %d, floats with %.17g (17 significant digits, round-trip exact
+for float64), '.' decimal separator and '\\n' line endings, so identical runs
 with the same build produce byte-identical files.  Every product goes through
 kernel._matmul, so the bytes do not depend on the BLAS thread count, except
 where eigh's results reach them above d = 128 (README, Determinism).
@@ -17,7 +18,7 @@ import hashlib
 import json
 import re
 import warnings
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -60,15 +61,23 @@ def open_new(path, binary=False):
     return open(path, "xb") if binary else open(path, "x", newline="\n")
 
 
-def _write_lines(path, header, lines):
-    """Write the header row, then each line of an iterable (each ending in '\\n')."""
+def write_csv(path, header, *columns):
+    """Write the header row, then one row per entry of the columns.
+
+    Each column is a 1-D array or a 2-D block of columns of one dtype, all of
+    the same length; integer columns are written with %d and float columns
+    with %.17g.  Rows are formatted _IO_ROWS at a time, one format string per
+    block."""
+    blocks = [c if c.ndim == 2 else c[:, None] for c in map(np.asarray, columns)]
+    if len({len(b) for b in blocks}) > 1:
+        raise ValueError(f"{path}: columns of unequal lengths {[len(b) for b in blocks]}")
+    row_fmt = ",".join("%d" if b.dtype.kind in "iu" else "%.17g"
+                       for b in blocks for _ in range(b.shape[1])) + "\n"
     with open_new(path) as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(lines)
-
-
-def write_csv(path, header, rows):
-    _write_lines(path, header, (",".join(map(format_value, row)) + "\n" for row in rows))
+        for lo in range(0, len(blocks[0]), _IO_ROWS):
+            table = np.hstack([b[lo:lo + _IO_ROWS].astype(object) for b in blocks])
+            fh.write(row_fmt * len(table) % tuple(table.ravel().tolist()))
 
 
 def write_json(path, obj):
@@ -77,20 +86,15 @@ def write_json(path, obj):
 
 
 def write_embedding_csv(path, coords: np.ndarray, labels=None):
-    """One row per item: coordinates, then an optional trailing label column.
-
-    One format string per _IO_ROWS-row block writes what write_csv would."""
+    """One row per item: columns c0..c{d-1}, then an optional integer label column."""
     coords = np.asarray(coords)
-    header = [f"c{i}" for i in range(coords.shape[1])] + ["label"] * (labels is not None)
-    row_fmt = ",".join(["%.17g"] * coords.shape[1] + ["%d"] * (labels is not None)) + "\n"
-    def blocks():
-        for lo in range(0, len(coords), _IO_ROWS):
-            rows = coords[lo:lo + _IO_ROWS].tolist()
-            if labels is not None:
-                for row, label in zip(rows, np.asarray(labels[lo:lo + _IO_ROWS]).tolist()):
-                    row.append(label)
-            yield (row_fmt * len(rows)) % tuple(chain.from_iterable(rows))
-    _write_lines(path, header, blocks())
+    header = [f"c{i}" for i in range(coords.shape[1])]
+    if labels is None:
+        return write_csv(path, header, coords)
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"{path}: labels must be integers, got dtype {labels.dtype}")
+    write_csv(path, header + ["label"], coords, labels)
 
 
 def _load_rows(path, lines, first, dtype, width):

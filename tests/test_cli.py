@@ -139,7 +139,6 @@ def _force_profile_values(draw, auto_n: bool) -> dict:
         "big_n": 0.0 if auto_n else draw(st.floats(0.5, 50.0)),
         "r_max": draw(st.floats(0.5, 10.0)),
         "steps": draw(st.integers(2, 40)),
-        "out": draw(st.from_regex(r"-?[a-z][a-z0-9_]{0,6}\.csv", fullmatch=True)),
     }
 
 
@@ -182,8 +181,13 @@ class TestConfigAsFlags:
             run_ok(["force-profile", *flags(expected), "--out-dir", str(tmp / "flags")])
             from_file = _manifest_config(tmp / "file")
             assert from_file == _manifest_config(tmp / "flags")
-            assert from_file["out"] == expected["out"]
-            assert (tmp / "file" / expected["out"]).exists()
+
+    def test_file_value_may_start_with_a_dash(self, tmp_path, capsys):
+        # one --dims=-3,4 token; as two tokens argparse would take -3,4 for a flag
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("dims=-3,4\n")
+        assert run(["sweep-radius", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        assert "error: dim must be >= 3, got -3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line, named", [("dim=abc", "--dim"), ("auto-n=maybe", "auto_n")])
     def test_bad_file_value_names_the_key(self, tmp_path, capsys, line, named):
@@ -469,21 +473,6 @@ class TestDeterminismAndVerify:
         write_embedding_csv(tmp_path / "z.csv", z)
         outputs = blas_thread_outputs(argv + [str(tmp_path / "z.csv")])
         assert outputs[0] == outputs[1]
-
-    def test_out_outside_out_dir_rejected(self, tmp_path):
-        # an --out path would escape the scratch directory of --verify
-        assert run(["sweep-radius", "--dims", "4", "--mu-step", "1",
-                    "--out", str(tmp_path / "elsewhere.csv"),
-                    "--out-dir", str(tmp_path / "run")]) == 1
-        assert not (tmp_path / "elsewhere.csv").exists()
-
-    @pytest.mark.parametrize("name", ["", ".", "..", "manifest.json"])
-    def test_out_must_name_a_file_beside_the_manifest(self, tmp_path, capsys, name):
-        out = tmp_path / "run"
-        assert run(["sweep-radius", "--dims", "4", "--mu-step", "1", "--out", name,
-                    "--out-dir", str(out)]) == 1
-        assert "error:" in capsys.readouterr().err
-        assert not (out / "manifest.json").exists()
 
     def test_verify_without_manifest(self, tmp_path):
         assert run(["solve-radius", "--dim", "8", "--mu", "1.0", "--auto-n",
@@ -980,18 +969,6 @@ def _must_not_run(*args, **kwargs):
 
 class TestFlagsCheckedFirst:
     """A bad or missing flag is rejected before any input is read or computed."""
-
-    @pytest.mark.parametrize("argv, patched", [
-        (["sweep-radius", "--dims", "3,12,38,117", "--mu-step", "0.05", "--out", "../x.csv"],
-         "sweep_radius"),
-        (["force-profile", "--mu", "1", "--big-n", "4", "--r-max", "8", "--steps", "5",
-          "--out", "../x.csv"], "force_profile"),
-    ], ids=["sweep-radius", "force-profile"])
-    def test_out(self, tmp_path, capsys, monkeypatch, argv, patched):
-        monkeypatch.setattr(radius, patched, _must_not_run)
-        assert run(argv + ["--out-dir", str(tmp_path / "run")]) == 1
-        assert "error: --out must be a bare file name" in capsys.readouterr().err
-        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("argv, message", [
         ([], "either --big-n > 0 or --auto-n is required"),

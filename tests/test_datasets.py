@@ -147,9 +147,8 @@ class TestIdx:
             load_idx_images(path)
 
     def test_pair_count_mismatch(self, tmp_path):
-        (tmp_path / "img.idx").write_bytes(
-            idx_image_bytes(np.zeros((3, 1, 1), dtype=np.uint8)))
-        (tmp_path / "lab.idx").write_bytes(
-            idx_label_bytes(np.zeros(2, dtype=np.uint8)))
-        with pytest.raises(ValueError, match="count mismatch"):
-            load_idx_pair(tmp_path / "img.idx", tmp_path / "lab.idx")
+        images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
+        images.write_bytes(idx_image_bytes(np.zeros((3, 1, 1), dtype=np.uint8)))
+        labels.write_bytes(idx_label_bytes(np.zeros(2, dtype=np.uint8)))
+        with pytest.raises(ValueError, match=re.escape(f"{images}, {labels}: count mismatch")):
+            load_idx_pair(images, labels)

@@ -41,7 +41,7 @@ class TestFormatValue:
 class TestCsvJson:
     def test_csv_layout(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_csv(path, ["a", "b"], [(1, 0.5), (2, 1/3)])
+        write_csv(path, ["a", "b"], np.array([1, 2]), np.array([0.5, 1/3]))
         text = path.read_text()
         lines = text.split("\n")
         assert lines[0] == "a,b"
@@ -59,9 +59,9 @@ class TestCsvJson:
 
     def test_byte_identical_rewrites(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        rows = [(i, np.sin(i)) for i in range(20)]
-        write_csv(p1, ["i", "v"], rows)
-        write_csv(p2, ["i", "v"], rows)
+        i = np.arange(20)
+        write_csv(p1, ["i", "v"], i, np.sin(i))
+        write_csv(p2, ["i", "v"], i, np.sin(i))
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -159,14 +159,13 @@ class TestEmbeddingCsv:
             np.testing.assert_array_equal(back_labels, labels)
         else:
             assert back_labels is None
-        # the row formatter writes what write_csv writes through format_value
+        # the block writer writes what format_value writes per cell
         header = [f"c{i}" for i in range(coords.shape[1])]
         rows = [list(c) for c in coords]
         if with_labels:
             header.append("label")
             rows = [r + [int(l)] for r, l in zip(rows, labels)]
-        write_csv(tmp_path / "generic.csv", header, rows)
-        assert path.read_bytes() == (tmp_path / "generic.csv").read_bytes()
+        assert path.read_text() == reference_csv(header, rows)
 
 
 def reference_csv(header, rows):
@@ -250,6 +249,35 @@ class TestEmbeddingCsvBlocks:
         assert message.startswith(f"{path}: ") and named in message
         assert f"line {line}" in message and not re.search(r"\brow \d", message)
 
+    @settings(deadline=None, max_examples=40,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 2) | st.integers(B - 2, B + 2) | st.integers(2 * B - 1, 2 * B + 1),
+           st.integers(1, 3), st.booleans(), st.data())
+    def test_finite_round_trip_is_bit_identical(self, tmp_path, rows, width, with_labels, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+            [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+             -1.7976931348623157e308])
+        coords = data.draw(hnp.arrays(np.float64, (rows, width), elements=finite))
+        labels = None
+        if with_labels:
+            labels = data.draw(hnp.arrays(np.int64, rows, elements=st.integers(-2**63, 2**63 - 1)
+                                          | st.sampled_from([-2**63, 2**63 - 1])))
+        path = tmp_path / "e.csv"
+        write_embedding_csv(path, coords, labels)
+        back, back_labels = read_embedding_csv(path)
+        np.testing.assert_array_equal(back.view(np.int64), coords.view(np.int64))
+        if with_labels:
+            np.testing.assert_array_equal(back_labels, labels)
+        else:
+            assert back_labels is None
+
+    def test_float_labels_are_rejected(self, tmp_path):
+        # %d would truncate 0.5 to 0; the reader rejects fractional labels as well
+        path = tmp_path / "e.csv"
+        with pytest.raises(ValueError, match=r"e\.csv: labels must be integers"):
+            write_embedding_csv(path, np.zeros((2, 1)), np.array([0.5, 1.5]))
+        assert not path.exists()
+
     def test_no_coordinate_columns(self, tmp_path):
         path = tmp_path / "lab.csv"
         path.write_text("label\n1\n2\n")
@@ -278,10 +306,29 @@ class TestEmbeddingCsvBlocks:
             assert peak < 2 * data_bytes + 2**21
 
 
+class TestWriteCsv:
+    @settings(deadline=None, max_examples=40,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(0, 2 * B + 1).flatmap(lambda n: st.tuples(
+        hnp.arrays(np.int64, n), hnp.arrays(np.float64, (n, 2)), hnp.arrays(np.uint8, n))))
+    def test_mixed_columns_write_the_per_cell_bytes(self, tmp_path, columns):
+        ints, floats, small = columns
+        header = ["i", "x", "y", "u"]
+        write_csv(tmp_path / "m.csv", header, ints, floats, small)
+        rows = [[int(i), *map(float, f), int(u)] for i, f, u in zip(ints, floats, small)]
+        assert (tmp_path / "m.csv").read_text() == reference_csv(header, rows)
+
+    def test_columns_of_unequal_length_are_rejected(self, tmp_path):
+        path = tmp_path / "u.csv"
+        with pytest.raises(ValueError, match=r"u\.csv: columns of unequal lengths \[3, 2\]"):
+            write_csv(path, ["a", "b"], np.arange(3), np.arange(2.0))
+        assert not path.exists()
+
+
 class TestManifest:
     def test_write_and_verify_clean(self, tmp_path):
         out = tmp_path / "f.csv"
-        write_csv(out, ["x"], [(1,)])
+        write_csv(out, ["x"], np.array([1]))
         manifest = write_manifest(tmp_path, "demo", {"k": 1.5}, [out])
         assert manifest["outputs"]["f.csv"] == sha256_file(out)
         assert manifest["config"] == {"k": "1.5"}
@@ -289,21 +336,21 @@ class TestManifest:
 
     def test_verify_detects_tampering(self, tmp_path):
         out = tmp_path / "f.csv"
-        write_csv(out, ["x"], [(1,)])
+        write_csv(out, ["x"], np.array([1]))
         write_manifest(tmp_path, "demo", {}, [out])
         out.write_text("x\n2\n")
         assert verify_manifest(tmp_path) == ["f.csv"]
 
     def test_verify_detects_missing_file(self, tmp_path):
         out = tmp_path / "f.csv"
-        write_csv(out, ["x"], [(1,)])
+        write_csv(out, ["x"], np.array([1]))
         write_manifest(tmp_path, "demo", {}, [out])
         out.unlink()
         assert verify_manifest(tmp_path) == ["f.csv"]
 
     def test_manifest_is_deterministic(self, tmp_path):
         out = tmp_path / "f.csv"
-        write_csv(out, ["x"], [(1,)])
+        write_csv(out, ["x"], np.array([1]))
         write_manifest(tmp_path, "demo", {"a": 1, "b": 0.25}, [out])
         first = (tmp_path / MANIFEST_NAME).read_bytes()
         write_manifest(tmp_path, "demo", {"b": 0.25, "a": 1}, [out])

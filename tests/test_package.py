@@ -101,3 +101,14 @@ def test_src_imports_only_pinned_scipy():
                        ("analysis", "align", "scipy.sparse.csgraph"),
                        ("kernel", "_pair_pass", "scipy.spatial.distance"),
                        ("radius", "_hyp2f1_pfaff", "scipy.special")]
+
+
+def test_one_owner_of_the_float_format():
+    # every float reaches text through io: write_csv's block format for CSV rows and
+    # format_value for the manifest's config and solve-radius's printed rho
+    nodes = list(_package_nodes())  # keeps every tree alive, so node ids stay unique
+    prose = {id(node.value) for _, _, node in nodes if isinstance(node, ast.Expr)}
+    found = sorted({(module, func) for module, func, node in nodes
+                    if isinstance(node, ast.Constant) and id(node) not in prose
+                    and ".17g" in str(node.value)})
+    assert found == [("io", "format_value"), ("io", "write_csv")]
