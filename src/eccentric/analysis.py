@@ -289,16 +289,21 @@ def knn_classify(train_coords: np.ndarray, train_labels: np.ndarray,
     preds = np.empty(test.count, dtype=train.labels.dtype)
     # a test row holds its n prefilter values and, in the vote, about 16 arrays of k
     height = max(1, _KNN_BLOCK_BYTES // (8 * (n + 16 * k)))
+    # every block reuses one buffer for its prefilter values and one for their
+    # partitioned copy, so their pages are faulted in once per call
+    pre_buf = np.empty((min(height, test.count), n))
+    kth_buf = np.empty_like(pre_buf)
     for lo in range(0, test.count, height):
         x = test.data[lo:lo + height]
+        pre, kth = pre_buf[:len(x)], kth_buf[:len(x)]
         # an overflow here only widens the bound (see the margin)
         with np.errstate(over="ignore", invalid="ignore"):
-            pre = (-2.0 * x) @ train.data.T
+            np.matmul(-2.0 * x, train.data.T, out=pre)
             pre += yy
-            kth = np.partition(pre, k - 1, axis=1)[:, k - 1]
-            bound = kth + (slack * (np.einsum("ij,ij->i", x, x) + yy2) + floor)
+            np.copyto(kth, pre)
+            kth.partition(k - 1, axis=1)
+            bound = kth[:, k - 1] + (slack * (np.einsum("ij,ij->i", x, x) + yy2) + floor)
         rows, cols = np.divmod(np.flatnonzero(~(pre > bound[:, None])), n)
-        del pre
         dist = np.empty(rows.size)
         for a in range(0, rows.size, chunk):
             diff = x[rows[a:a + chunk]]

@@ -10,6 +10,10 @@ where eigh's results reach them above d = 128 (README, Determinism).
 Every output is written as a new file: whatever file is at its path is
 removed first, so a symlink or hard link there is replaced, not written
 through.
+
+read_embedding_csv parses each block of rows as one JSON array with orjson,
+and hands a block to np.loadtxt where JSON would read it otherwise or not at
+all (nan, inf, -0 and the like); either way a file reads to the same bits.
 """
 
 from __future__ import annotations
@@ -97,12 +101,48 @@ def write_embedding_csv(path, coords: np.ndarray, labels=None):
     write_csv(path, header + ["label"], coords, labels)
 
 
-def _load_rows(path, lines, first, dtype, width):
-    """Parse data lines first, first + 1, ... of path, each of width fields.
+def _json_rows(lines, width, labeled):
+    """(coords, labels or None) of the lines through one orjson parse, or None
+    to leave them to np.loadtxt.
 
-    An error names the first bad line, counted from the top of the file."""
+    orjson rounds JSON's numbers, a subset of np.loadtxt's fields, as
+    np.loadtxt does; a block is declined where its bits could differ: a value
+    that is not a number, rows of another shape, an exact zero (JSON reads -0
+    as the integer 0) or a label that is not an int64."""
+    text = "[[" + "],[".join([line.rstrip("\n") for line in lines]) + "]]"
+    # true, false, null and strings need one of these; arrays and objects fail
+    # np.array or the shape check
+    if any(c in text for c in '"tfn'):
+        return None
+    import orjson
     try:
-        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        rows = orjson.loads(text)
+        table = np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError):
+        return None
+    if table.shape != (len(lines), width + labeled) or not table[:, :width].all():
+        return None
+    if not labeled:
+        return table, None
+    # Python ints that all fit in int64 make an int64 array; a float does not
+    labels = np.array([row[-1] for row in rows])
+    return (table[:, :width], labels) if labels.dtype == np.int64 else None
+
+
+def _load_rows(path, lines, first, width, labeled):
+    """(coords, labels or None) of data lines first, first + 1, ... of path.
+
+    A block that the JSON step declines is parsed by np.loadtxt, which reads
+    nan, inf and the other fields outside JSON's number grammar; an error
+    names the first bad line, counted from the top of the file."""
+    rows = _json_rows(lines, width, labeled)
+    if rows is not None:
+        return rows
+    # a structured row keeps the label column integer: '3.5' there is an error
+    dtype = np.dtype([("c", "f8", (width,))] + [("label", "i8")] * labeled)
+    try:
+        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        return rows["c"], (rows["label"] if labeled else None)
     except (ValueError, DeprecationWarning) as exc:
         error = exc
     for number, line in enumerate(lines, first):
@@ -110,23 +150,35 @@ def _load_rows(path, lines, first, dtype, width):
             np.loadtxt([line], dtype=dtype, delimiter=",", comments=None, ndmin=1)
         except (ValueError, DeprecationWarning) as exc:
             fields = line.count(",") + 1
-            if fields != width:
+            if fields != width + labeled:
                 raise ValueError(f"{path}: {fields} columns on line {number}, "
-                                 f"{width} in the header") from None
+                                 f"{width + labeled} in the header") from None
             # numpy numbers the row within the lines it was given
             raise ValueError(f"{path}: " + re.sub(r"\brow \d+", f"line {number}", str(exc))
                              ) from None
     raise ValueError(f"{path}: {error}") from None
 
 
+def _is_number(field):
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def read_embedding_csv(path):
     """Read a coordinates CSV; returns (coords, labels-or-None).
 
-    Every line after the header is a data row: a blank line, a comment, a
-    fractional label or a row width other than the header's is an error
-    naming the path and the line.  Blank lines before the header and after
-    the last row are ignored.  Rows are parsed _IO_ROWS at a time, so beyond
-    the result the reader holds one block of text and the parsed blocks."""
+    The first nonblank line is the header of column names: a header whose
+    every field is a number is an error, not a first row.  Every line after
+    it is a data row: a blank line, a comment, a fractional label or a row
+    width other than the header's is an error naming the path and the line.
+    Blank lines before the header and after the last row are ignored.  Rows
+    are parsed _IO_ROWS at a time, each block as one orjson array where JSON
+    reads every field and by np.loadtxt otherwise, with the same bits either
+    way; so beyond the result the reader holds one block of text and the
+    parsed blocks."""
     with open(path) as fh, warnings.catch_warnings():
         # older numpy truncates an unparsable int field through float with
         # only a DeprecationWarning; make that an error as well
@@ -136,12 +188,13 @@ def read_embedding_csv(path):
             if header.strip():
                 break
         header = header.strip().split(",")
+        if all(map(_is_number, header)):
+            raise ValueError(f"{path}: line {head} is all numbers; expected a header of "
+                             "column names")
         labeled = header[-1] == "label"
         width = len(header) - labeled
         if not width:
             raise ValueError(f"{path}: no coordinate columns in the header")
-        # a structured row keeps the label column integer: '3.5' there is an error
-        dtype = np.dtype([("c", "f8", (width,))] + [("label", "i8")] * labeled)
         blocks, first, blank = [], head + 1, None
         while block := list(islice(fh, _IO_ROWS)):
             # the rows end at the first blank line; every line after it must be blank
@@ -153,12 +206,12 @@ def read_embedding_csv(path):
             if any(map(str.strip, block[end:])):
                 raise ValueError(f"{path}: blank line {blank} among the data rows")
             if end:
-                blocks.append(_load_rows(path, block[:end], first, dtype, len(header)))
+                blocks.append(_load_rows(path, block[:end], first, width, labeled))
             first += len(block)
     if not blocks:
         raise ValueError(f"{path}: no data rows")
-    coords = np.concatenate([b["c"] for b in blocks])
-    return coords, (np.concatenate([b["label"] for b in blocks]) if labeled else None)
+    coords, labels = zip(*blocks)
+    return np.concatenate(coords), (np.concatenate(labels) if labeled else None)
 
 
 def sha256_file(path) -> str:

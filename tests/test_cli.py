@@ -711,6 +711,15 @@ class TestExitCodes:
         assert "error:" in (err := capsys.readouterr().err) and "lab.csv" in err
         assert not (tmp_path / "knn" / "manifest.json").exists()
 
+    def test_headerless_embedding(self, tmp_path, capsys):
+        # its first row would otherwise be read as the header and dropped
+        path = tmp_path / "x.csv"
+        path.write_text("0.5,1.5\n2.5,3.5\n4.5,5.5\n")
+        assert run(["spectrum", "--input", str(path), "--out-dir", str(tmp_path / "s")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: line 1 is all numbers; expected a header" in err
+        assert not (tmp_path / "s" / "manifest.json").exists()
+
     @pytest.mark.parametrize("n, dim, named", [
         ("3", "0", "dim"), ("3", "-1", "dim"), ("0", "2", "n"), ("-1", "2", "n")])
     def test_sample_size_must_be_positive(self, tmp_path, capsys, n, dim, named):

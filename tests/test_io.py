@@ -128,6 +128,23 @@ class TestEmbeddingCsv:
         with pytest.raises(ValueError, match=f"e.csv: {widths} the header"):
             read_embedding_csv(path)
 
+    @pytest.mark.parametrize("lead", ["", "\n \n"], ids=["", "after-blank-lead"])
+    def test_numeric_header_is_rejected(self, tmp_path, lead):
+        # a file without a header would otherwise lose its first row to it
+        path = tmp_path / "e.csv"
+        path.write_text(lead + "0.5,1.5\n2.5,3.5\n4.5,5.5\n")
+        line = lead.count("\n") + 1
+        with pytest.raises(ValueError, match=rf"e\.csv: line {line} is all numbers; "
+                                             "expected a header of column names"):
+            read_embedding_csv(path)
+
+    def test_header_with_some_numeric_names_is_read(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("0,1,label\n0.5,1.5,2\n")
+        coords, labels = read_embedding_csv(path)
+        np.testing.assert_array_equal(coords, [[0.5, 1.5]])
+        np.testing.assert_array_equal(labels, [2])
+
     def test_surrounding_blank_lines_are_ignored(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("\nc0,c1,label\n1,2,0\n3,4,1\n\n\n")
@@ -189,6 +206,27 @@ def per_row_embedding_csv(path, coords, labels=None):
 
 
 B = io._IO_ROWS
+
+# fields for the JSON step's differential test.  JSON reads these: finite floats as
+# %.17g and repr, integers past 2^53 and 2^64, and zeros (-0 as the integer 0), each
+# padded with the spaces and tabs both parsers skip
+_pad = st.sampled_from(["", " ", "\t"])
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+JSON_FIELDS = st.tuples(
+    _pad,
+    _finite.map(lambda x: "%.17g" % x) | _finite.map(repr)
+    | st.integers(2**53, 2**70).map(str) | st.integers(-2**70, -2**53).map(str)
+    | st.sampled_from(["-0", "0", "-0.0", "1e-400", "5e-324", "9007199254740993"]),
+    _pad).map("".join)
+# labels: int64 values, and values JSON reads as a float or past int64
+LABEL_FIELDS = st.tuples(
+    _pad,
+    st.sampled_from(["3", "-0", str(-2**63), str(2**63 - 1), "3.0", "3e0", str(2**63)]),
+    _pad).map("".join)
+# fields outside JSON's number grammar
+ODD_FIELDS = st.sampled_from([
+    "+1", ".5", "1.", "01", "nan", "inf", "-inf", "1e400", "true", "null", '"1.5"', "[1]",
+    "{}", "1],[2", ""])
 
 
 class TestEmbeddingCsvBlocks:
@@ -270,6 +308,45 @@ class TestEmbeddingCsvBlocks:
             np.testing.assert_array_equal(back_labels, labels)
         else:
             assert back_labels is None
+
+    @settings(deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_json_step_agrees_with_loadtxt(self, tmp_path, monkeypatch, data):
+        # each file is read as is, then with the JSON step declining every block,
+        # so np.loadtxt alone parses it: same bits, or the same error
+        rows = data.draw(st.integers(1, 4))
+        width = data.draw(st.integers(1, 3))
+        labeled = data.draw(st.booleans())
+        cells = [[data.draw(JSON_FIELDS) for _ in range(width)]
+                 + ([data.draw(LABEL_FIELDS)] if labeled else []) for _ in range(rows)]
+        if data.draw(st.booleans()):
+            row = cells[data.draw(st.integers(0, rows - 1))]
+            row[data.draw(st.integers(0, len(row) - 1))] = data.draw(ODD_FIELDS)
+        header = [f"c{i}" for i in range(width)] + ["label"] * labeled
+        path = tmp_path / "e.csv"
+        path.write_text("\n".join(map(",".join, [header] + cells)) + "\n")
+
+        def read():
+            try:
+                return read_embedding_csv(path)
+            except ValueError as exc:
+                return str(exc)
+
+        fast = read()
+        with monkeypatch.context() as patch:
+            patch.setattr(io, "_json_rows", lambda *args: None)
+            slow = read()
+        if isinstance(slow, str):
+            assert fast == slow
+            return
+        assert not isinstance(fast, str), fast
+        np.testing.assert_array_equal(fast[0].view(np.int64), slow[0].view(np.int64))
+        if labeled:
+            assert fast[1].dtype == slow[1].dtype == np.int64
+            np.testing.assert_array_equal(fast[1], slow[1])
+        else:
+            assert fast[1] is slow[1] is None
 
     def test_float_labels_are_rejected(self, tmp_path):
         # %d would truncate 0.5 to 0; the reader rejects fractional labels as well

@@ -21,8 +21,10 @@ def test_every_export_resolves(name):
 
 def test_cli_start_loads_no_scipy():
     # scipy.spatial alone took ~0.5 s of a ~0.6 s CLI start; each function imports
-    # the scipy module it uses when it first needs it (test_src_imports_only_pinned_scipy)
-    code = "import sys, eccentric.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    # the scipy module it uses when it first needs it (test_src_imports_only_pinned_scipy),
+    # and the CSV reader imports orjson the same way (test_src_imports_orjson_in_one_place)
+    code = ("import sys, eccentric.cli\n"
+            "print([m for m in sys.modules if m.split('.')[0] in ('scipy', 'orjson')])")
     src = str(Path(importlib.import_module("eccentric").__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
                          text=True, env={**os.environ, "PYTHONPATH": src}).stdout
@@ -72,6 +74,18 @@ def _package_nodes():
         yield from _walk(ast.parse(path.read_text()), path.stem, None)
 
 
+def _imports(top):
+    """(module, enclosing function, imported name) for every import of package top."""
+    for module, func, node in _package_nodes():
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        yield from ((module, func, name) for name in names if name.split(".")[0] == top)
+
+
 def test_every_product_goes_through_kernel_matmul():
     # kernel._matmul is the one owner of products whose bits must not depend on
     # the BLAS thread count; only the KNN prefilter multiplies by itself, since
@@ -88,19 +102,15 @@ def test_every_product_goes_through_kernel_matmul():
 def test_src_imports_only_pinned_scipy():
     # the solver's 2F1, the Gram tiles that fail their guard and align's matching
     # are the only users of scipy, each importing its module where it needs it
-    imports = []
-    for module, func, node in _package_nodes():
-        if isinstance(node, ast.ImportFrom):
-            names = [node.module or ""]
-        elif isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        else:
-            continue
-        imports += [(module, func, name) for name in names if name.split(".")[0] == "scipy"]
-    assert imports == [("analysis", "align", "scipy.sparse"),
-                       ("analysis", "align", "scipy.sparse.csgraph"),
-                       ("kernel", "_pair_pass", "scipy.spatial.distance"),
-                       ("radius", "_hyp2f1_pfaff", "scipy.special")]
+    assert list(_imports("scipy")) == [("analysis", "align", "scipy.sparse"),
+                                       ("analysis", "align", "scipy.sparse.csgraph"),
+                                       ("kernel", "_pair_pass", "scipy.spatial.distance"),
+                                       ("radius", "_hyp2f1_pfaff", "scipy.special")]
+
+
+def test_src_imports_orjson_in_one_place():
+    # only the CSV reader's JSON step parses with orjson; np.loadtxt reads the rest
+    assert list(_imports("orjson")) == [("io", "_json_rows", "orjson")]
 
 
 def test_one_owner_of_the_float_format():
