@@ -233,7 +233,9 @@ def knn_classify(train_coords: np.ndarray, train_labels: np.ndarray,
     smallest value gets its exact distance; the others cannot be among the k
     nearest.  The label with the most votes wins; a vote tie goes to the
     smallest summed neighbor distance, accumulated nearest-first, then to the
-    lowest label.  Test rows are taken one block at a time.  Returns
+    lowest label.  The votes are counted over each row's class groups, which
+    one np.unique numbers, so the vote's memory is linear in k whatever the
+    number of classes.  Test rows are taken one block at a time.  Returns
     (predictions, error_rate) where error_rate is None unless truth labels
     are given, and raises FloatingPointError if a distance to one of a row's
     k nearest overflows.  The inputs are arrays wrapped here, not PointBatch,
@@ -242,14 +244,8 @@ def knn_classify(train_coords: np.ndarray, train_labels: np.ndarray,
     """
     if train_labels is None:
         raise ValueError("train_labels must be given")
-    batches = []
-    for names, coords, labels in (("train_coords, train_labels", train_coords, train_labels),
-                                  ("test_coords, truth", test_coords, truth)):
-        try:
-            batches.append(PointBatch(coords, labels))
-        except ValueError as exc:
-            raise ValueError(f"{names}: {exc}") from None
-    train, test = batches
+    train = PointBatch.named("train_coords, train_labels", train_coords, train_labels)
+    test = PointBatch.named("test_coords, truth", test_coords, truth)
     n, dim = train.data.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
@@ -286,6 +282,8 @@ def knn_classify(train_coords: np.ndarray, train_labels: np.ndarray,
     floor = 8 * (dim + 4) * np.finfo(np.float64).smallest_subnormal
     # pairs per chunk of the exact pass: two (chunk, d) arrays fill one block
     chunk = max(1, _KNN_BLOCK_BYTES // (16 * dim))
+    # each training row's class: the rank of its label among the distinct labels
+    classes, cls = np.unique(train.labels, return_inverse=True)
     preds = np.empty(test.count, dtype=train.labels.dtype)
     # a test row holds its n prefilter values and, in the vote, about 16 arrays of k
     height = max(1, _KNN_BLOCK_BYTES // (8 * (n + 16 * k)))
@@ -324,23 +322,17 @@ def knn_classify(train_coords: np.ndarray, train_labels: np.ndarray,
                                      "training points")
         # the candidates may be every training row: free them before the next block
         del rows, dist, order
-        labels = train.labels[cols]
-        # group each row by label, nearest-first within a label; lexsort is
-        # stable, so equal distances keep training-index order
-        order = np.lexsort((near, labels), axis=1)
-        near = np.take_along_axis(near, order, axis=1)
-        labels = np.take_along_axis(labels, order, axis=1)
-        group = np.zeros(labels.shape, dtype=np.intp)
-        np.cumsum(labels[:, 1:] != labels[:, :-1], axis=1, out=group[:, 1:])
-        slot = (group + k * np.arange(labels.shape[0])[:, None]).ravel()
-        # bincount adds its weights in input order: each label's distances
-        # accumulate nearest-first; unused slots get no votes
-        votes = np.bincount(slot, minlength=labels.size).reshape(-1, k)
-        summed = np.bincount(slot, near.ravel(), minlength=labels.size).reshape(-1, k)
-        label_of = np.zeros(labels.size, dtype=labels.dtype)
-        label_of[slot] = labels.ravel()
-        label_of = label_of.reshape(-1, k)
-        best = np.lexsort((label_of, summed, -votes), axis=1)[:, 0]
-        preds[lo:lo + height] = label_of[np.arange(labels.shape[0]), best]
+        # one slot per (row, class) pair that a pick names, ascending with the
+        # label within a row; np.unique numbers the slots, so the groups take
+        # O(rows k) memory, not a (rows, classes) table
+        slot = cls[cols] + len(classes) * np.arange(len(x))[:, None]
+        group = np.unique(slot, return_inverse=True)[1].reshape(slot.shape)
+        # bincount adds its weights in input order, and each row's picks come
+        # in (distance, index) order: each label's distances add nearest-first
+        votes = np.bincount(group.ravel())[group]
+        summed = np.bincount(group.ravel(), near.ravel())[group]
+        # most votes, then smallest summed distance, then lowest label
+        best = np.lexsort((slot, summed, -votes), axis=1)[:, 0]
+        preds[lo:lo + height] = train.labels[cols[np.arange(len(x)), best]]
     error = None if test.labels is None else float(np.mean(preds != test.labels))
     return preds, error

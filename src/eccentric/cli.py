@@ -102,11 +102,7 @@ def _load_cli_dataset(cfg) -> PointBatch:
 
 def _read_embedding(path) -> PointBatch:
     """An embedding CSV as a batch, with its label column if it has one."""
-    coords, labels = io.read_embedding_csv(path)
-    try:
-        return PointBatch(coords, labels)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return PointBatch.named(path, *io.read_embedding_csv(path))
 
 
 # ---------------------------------------------------------------------------

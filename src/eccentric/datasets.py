@@ -112,8 +112,5 @@ def load_idx_labels(path) -> np.ndarray:
 
 def load_idx_pair(images_path, labels_path) -> PointBatch:
     """Read matching IDX image and label files into one labelled batch."""
-    images, labels = load_idx_images(images_path), load_idx_labels(labels_path)
-    try:
-        return PointBatch(images, labels)
-    except ValueError as exc:
-        raise ValueError(f"{images_path}, {labels_path}: {exc}") from None
+    return PointBatch.named(f"{images_path}, {labels_path}", load_idx_images(images_path),
+                            load_idx_labels(labels_path))

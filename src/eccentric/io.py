@@ -187,7 +187,7 @@ def read_embedding_csv(path):
         for head, header in enumerate(fh, 1):
             if header.strip():
                 break
-        header = header.strip().split(",")
+        header = [name.strip() for name in header.split(",")]
         if all(map(_is_number, header)):
             raise ValueError(f"{path}: line {head} is all numbers; expected a header of "
                              "column names")

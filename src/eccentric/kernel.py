@@ -88,6 +88,14 @@ class PointBatch:
                 raise ValueError(f"count mismatch: {len(arr)} points, labels shape {labels.shape}")
             object.__setattr__(self, "labels", labels)
 
+    @classmethod
+    def named(cls, source, data, labels=None) -> PointBatch:
+        """PointBatch(data, labels), with source in front of any error it raises."""
+        try:
+            return cls(data, labels)
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
+
     @property
     def count(self) -> int:
         return self.data.shape[0]

@@ -456,6 +456,10 @@ class TestKnnClassify:
         *[("tiny", k) for k in (1, 5, 8, 13, 80)],
         ("blocks", 5),
         ("blocks", 2000),
+        # labels that the class numbering must map back: one class per
+        # training row, and negative, unsorted values out to +-2^62
+        *[("row-classes", k) for k in (1, 5, 13, 80)],
+        *[("signed", k) for k in (1, 5, 13, 80)],
     ], ids=lambda v: f"k{v}" if isinstance(v, int) else v)
     def test_matches_loop_oracle(self, kind, k):
         if kind == "normal":
@@ -474,6 +478,10 @@ class TestKnnClassify:
             if kind == "blocks":
                 height = analysis._KNN_BLOCK_BYTES // (8 * (n + 16 * k))
                 assert m > 2 * height  # >= 3 blocks
+            if kind == "row-classes":
+                labels = rng.permutation(n) - n // 2
+            if kind == "signed":
+                labels = rng.choice([2**62, -2**62, 7, -1, 0, -5, 2**62 - 1], n)
         preds, _ = knn_classify(train, labels, test, k=k)
         np.testing.assert_array_equal(preds, knn_loop_oracle(train, labels, test, k))
 
@@ -490,7 +498,10 @@ class TestKnnClassify:
         rng = np.random.default_rng(seed)
         # rows drawn with replacement: duplicate training rows
         train = offset + rng.integers(-3, 4, (n, dim))[rng.integers(0, n, n)].astype(float)
-        labels = rng.integers(0, 3, n)
+        # 1 to n distinct labels, negative ones included, in no order
+        names = rng.choice(np.arange(-n, n), data.draw(st.integers(1, n), label="classes"),
+                           replace=False)
+        labels = names[rng.integers(0, len(names), n)]
         test = offset + rng.integers(-7, 8, (rng.integers(1, 21), dim)) / 2
         preds, _ = knn_classify(train, labels, test, k=k)
         np.testing.assert_array_equal(preds, knn_loop_oracle(train, labels, test, k))
@@ -523,14 +534,18 @@ class TestKnnClassify:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
-    @pytest.mark.parametrize("n_train, n_test", [(5000, 2000), (20000, 200)],
-                             ids=["analyze-k5", "wide-train"])
-    def test_peak_memory_scales_with_block(self, n_train, n_test):
+    @pytest.mark.parametrize("n_train, n_test, classes", [
+        (5000, 2000, 10), (20000, 200, 10),
+        # a (rows, classes) vote table would take a block of its own
+        (20000, 200, None),
+    ], ids=["analyze-k5", "wide-train", "wide-train-row-classes"])
+    def test_peak_memory_scales_with_block(self, n_train, n_test, classes):
         # a block's prefilter values, their partitioned copy and its masks;
         # no copy of the training set, which is 10 MiB in the wide case
         rng = np.random.default_rng(28)
         train = rng.standard_normal((n_train, 64))
-        labels = rng.integers(0, 10, n_train)
+        labels = (rng.permutation(n_train) if classes is None
+                  else rng.integers(0, classes, n_train))
         test = rng.standard_normal((n_test, 64))
         tracemalloc.start()
         try:

@@ -617,6 +617,14 @@ class TestAnalysisPipeline:
         assert "error: scale must be finite" in capsys.readouterr().err
         assert not (out / "components.csv").exists()
 
+    def test_spaced_header_keeps_its_label_column(self, tmp_path):
+        # "c0, c1, label": the label column is read as labels, not as a third coordinate
+        path = tmp_path / "sp.csv"
+        path.write_text("c0, c1, label\n0.5, 1.5, 3\n2.5, 3.5, 4\n4.5, 5.5, 3\n")
+        run_ok(["spectrum", "--input", str(path), "--out-dir", str(tmp_path / "s")])
+        payload = json.loads((tmp_path / "s" / "spectrum.json").read_text())
+        assert payload["eigenvalues"] == pytest.approx([8.0, 0.0], abs=1e-12)
+
     def test_sample_modes(self, tmp_path):
         std_dir = tmp_path / "std"
         run_ok(["sample", "--mode", "standard", "--n", "50", "--dim", "3",

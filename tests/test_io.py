@@ -145,6 +145,15 @@ class TestEmbeddingCsv:
         np.testing.assert_array_equal(coords, [[0.5, 1.5]])
         np.testing.assert_array_equal(labels, [2])
 
+    @pytest.mark.parametrize("header", ["c0, c1, label", " c0 ,c1,\tlabel "],
+                             ids=["after-commas", "around-names"])
+    def test_spaces_around_header_names(self, tmp_path, header):
+        path = tmp_path / "e.csv"
+        path.write_text(header + "\n0.5, 1.5, 3\n2.5, 3.5, 4\n")
+        coords, labels = read_embedding_csv(path)
+        np.testing.assert_array_equal(coords, [[0.5, 1.5], [2.5, 3.5]])
+        np.testing.assert_array_equal(labels, [3, 4])
+
     def test_surrounding_blank_lines_are_ignored(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("\nc0,c1,label\n1,2,0\n3,4,1\n\n\n")
