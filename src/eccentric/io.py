@@ -1,8 +1,8 @@
 """Deterministic CSV/JSON emission and run manifests.
 
-Every CSV goes through write_csv, which formats each column by its dtype:
-integers with %d, floats with %.17g (17 significant digits, round-trip exact
-for float64), '.' decimal separator and '\\n' line endings, so identical runs
+Every CSV goes through write_csv: integers in full, floats as the shortest text
+that reads back to their float64 bits (orjson's; nan, inf and -inf by name), as
+format_value writes one value, and '\\n' line endings, so identical runs
 with the same build produce byte-identical files.  Every product goes through
 kernel._matmul, so the bytes do not depend on the BLAS thread count, except
 where eigh's results reach them above d = 128 (README, Determinism).
@@ -45,12 +45,14 @@ _IO_ROWS = 256
 
 
 def format_value(x) -> str:
+    """One value's text; a float's is the one write_csv writes (module docstring)."""
     if isinstance(x, (bool, np.bool_)):
         return str(bool(x)).lower()
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
-        return f"{float(x):.17g}"
+        import orjson
+        return orjson.dumps(float(x)).decode() if np.isfinite(x) else repr(float(x))
     return str(x)
 
 
@@ -65,23 +67,30 @@ def open_new(path, binary=False):
     return open(path, "xb") if binary else open(path, "x", newline="\n")
 
 
-def write_csv(path, header, *columns):
-    """Write the header row, then one row per entry of the columns.
+def _text_rows(block):
+    """The rows of a 2-D block as bytes, each cell as format_value writes it."""
+    import orjson
+    block = np.ascontiguousarray(block, np.float64 if block.dtype.kind == "f" else None)
+    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+    # orjson writes null for each non-finite float, in row-major order
+    if block.dtype.kind == "f" and not (finite := np.isfinite(block)).all():
+        names = iter([format_value(x).encode() for x in block[~finite]])
+        text = re.sub(rb"null", lambda _: next(names), text)
+    return text[2:-2].split(b"],[")
 
-    Each column is a 1-D array or a 2-D block of columns of one dtype, all of
-    the same length; integer columns are written with %d and float columns
-    with %.17g.  Rows are formatted _IO_ROWS at a time, one format string per
-    block."""
+
+def write_csv(path, header, *columns):
+    """Write the header row, then one row per entry of the columns: 1-D arrays or
+    2-D blocks of one dtype, all of the same length, each cell as format_value
+    writes it, through orjson's numpy serializer _IO_ROWS rows at a time."""
     blocks = [c if c.ndim == 2 else c[:, None] for c in map(np.asarray, columns)]
     if len({len(b) for b in blocks}) > 1:
         raise ValueError(f"{path}: columns of unequal lengths {[len(b) for b in blocks]}")
-    row_fmt = ",".join("%d" if b.dtype.kind in "iu" else "%.17g"
-                       for b in blocks for _ in range(b.shape[1])) + "\n"
-    with open_new(path) as fh:
-        fh.write(",".join(header) + "\n")
+    with open_new(path, binary=True) as fh:
+        fh.write((",".join(header) + "\n").encode())
         for lo in range(0, len(blocks[0]), _IO_ROWS):
-            table = np.hstack([b[lo:lo + _IO_ROWS].astype(object) for b in blocks])
-            fh.write(row_fmt * len(table) % tuple(table.ravel().tolist()))
+            parts = [_text_rows(b[lo:lo + _IO_ROWS]) for b in blocks if b.shape[1]]
+            fh.write(b"\n".join(map(b",".join, zip(*parts))) + b"\n")
 
 
 def write_json(path, obj):

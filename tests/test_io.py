@@ -1,5 +1,7 @@
 import json
+import math
 import re
+import struct
 import tracemalloc
 import warnings
 
@@ -23,10 +25,29 @@ from eccentric.io import (
 )
 
 
+# zeros of both signs, the smallest subnormal, the smallest normal, the largest
+# finite values and the non-finite ones
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, np.inf, -np.inf, np.nan,
+               1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def significant_digits(text):
+    """The digits of a number's text from its first nonzero digit to its last."""
+    return len(re.split("[eE]", text)[0].lstrip("-").replace(".", "").strip("0")) or 1
+
+
 class TestFormatValue:
     def test_float_round_trips(self):
         for x in (0.1, 1/3, 1e-300, -2.5e17, np.float64(np.pi)):
             assert float(format_value(x)) == float(x)
+
+    def test_shortest_text_and_names(self):
+        # the shortest text that reads back to the float64 bits, and the names
+        # np.loadtxt reads for the non-finite values
+        assert [format_value(x) for x in (0.1, 1e-7, np.float32(0.5), 2.0, -0.0, 1e16)] == [
+            "0.1", "1e-7", "0.5", "2.0", "-0.0", "1e16"]
+        assert [format_value(x) for x in (np.nan, -np.nan, np.inf, -np.inf)] == [
+            "nan", "nan", "inf", "-inf"]
 
     def test_int_and_bool(self):
         assert format_value(7) == "7"
@@ -165,9 +186,7 @@ class TestEmbeddingCsv:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
                       elements=st.floats(allow_nan=True, allow_infinity=True)
-                      | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308,
-                                         np.inf, -np.inf, np.nan, 1.7976931348623157e308,
-                                         -1.7976931348623157e308])),
+                      | st.sampled_from(EDGE_FLOATS)),
            st.booleans(), st.data())
     def test_round_trip_is_bit_exact(self, tmp_path, coords, with_labels, data):
         labels = None
@@ -201,29 +220,29 @@ def reference_csv(header, rows):
 
 
 def per_row_embedding_csv(path, coords, labels=None):
-    """write_embedding_csv with one format string per row: the oracle for its blocks."""
+    """write_embedding_csv one row at a time, each cell through format_value: the
+    oracle for its blocks."""
     header = [f"c{i}" for i in range(coords.shape[1])]
-    fmt = ["%.17g"] * coords.shape[1]
     rows = coords.tolist()
     if labels is not None:
         header.append("label")
-        fmt.append("%d")
         rows = [row + [label] for row, label in zip(rows, np.asarray(labels).tolist())]
-    fmt = ",".join(fmt) + "\n"
-    path.write_bytes((",".join(header) + "\n" + "".join(fmt % tuple(row) for row in rows)
-                      ).encode())
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for row in rows:
+            fh.write((",".join(map(format_value, row)) + "\n").encode())
 
 
 B = io._IO_ROWS
 
 # fields for the JSON step's differential test.  JSON reads these: finite floats as
-# %.17g and repr, integers past 2^53 and 2^64, and zeros (-0 as the integer 0), each
-# padded with the spaces and tabs both parsers skip
+# the writers write them, as %.17g and as repr, integers past 2^53 and 2^64, and
+# zeros (-0 as the integer 0), each padded with the spaces and tabs both parsers skip
 _pad = st.sampled_from(["", " ", "\t"])
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 JSON_FIELDS = st.tuples(
     _pad,
-    _finite.map(lambda x: "%.17g" % x) | _finite.map(repr)
+    _finite.map(format_value) | _finite.map(lambda x: "%.17g" % x) | _finite.map(repr)
     | st.integers(2**53, 2**70).map(str) | st.integers(-2**70, -2**53).map(str)
     | st.sampled_from(["-0", "0", "-0.0", "1e-400", "5e-324", "9007199254740993"]),
     _pad).map("".join)
@@ -396,13 +415,49 @@ class TestWriteCsv:
     @settings(deadline=None, max_examples=40,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.integers(0, 2 * B + 1).flatmap(lambda n: st.tuples(
-        hnp.arrays(np.int64, n), hnp.arrays(np.float64, (n, 2)), hnp.arrays(np.uint8, n))))
+        hnp.arrays(np.int64, n), hnp.arrays(np.float64, (n, 3)), hnp.arrays(np.uint8, n),
+        hnp.arrays(np.uint64, n))))
     def test_mixed_columns_write_the_per_cell_bytes(self, tmp_path, columns):
-        ints, floats, small = columns
-        header = ["i", "x", "y", "u"]
-        write_csv(tmp_path / "m.csv", header, ints, floats, small)
-        rows = [[int(i), *map(float, f), int(u)] for i, f, u in zip(ints, floats, small)]
+        ints, wide, small, big = columns
+        # integer columns keep their dtype: a uint64 past int64 is written in full
+        big[:1] = 2**64 - 1
+        # a column-permuted view, as align writes: not contiguous
+        floats = wide[:, ::-2]
+        assert not floats.flags.c_contiguous or not len(floats)
+        header = ["i", "x", "y", "u", "w"]
+        write_csv(tmp_path / "m.csv", header, ints, floats, small, big)
+        rows = [[int(i), *map(float, f), int(u), int(w)]
+                for i, f, u, w in zip(ints, floats, small, big)]
         assert (tmp_path / "m.csv").read_text() == reference_csv(header, rows)
+
+    def test_zero_width_block_writes_no_cells(self, tmp_path):
+        path = tmp_path / "z.csv"
+        write_csv(path, ["i"], np.zeros((3, 0)), np.arange(3))
+        assert path.read_text() == "i\n0\n1\n2\n"
+
+    @settings(deadline=None, max_examples=200,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+                      elements=st.floats() | st.sampled_from(EDGE_FLOATS))
+           | hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8)
+                        ).map(lambda bits: bits.view(np.float64)))
+    def test_float_cells_read_back_to_their_bits(self, tmp_path, block):
+        # each cell, parsed by Python's float(), gives back its float64 bits (nan
+        # stays nan, -0.0 keeps its sign), with no more significant digits than repr
+        path = tmp_path / "f.csv"
+        write_csv(path, [f"c{i}" for i in range(block.shape[1])], block)
+        lines = path.read_text().split("\n")
+        assert lines[-1] == "" and len(lines) == block.shape[0] + 2
+        for row, line in zip(block.tolist(), lines[1:-1]):
+            cells = line.split(",")
+            assert len(cells) == len(row)
+            for x, text in zip(row, cells):
+                back = float(text)
+                if math.isnan(x):
+                    assert math.isnan(back), text
+                    continue
+                assert struct.pack("<d", back) == struct.pack("<d", x), (text, repr(x))
+                assert significant_digits(text) <= significant_digits(repr(x)), (text, repr(x))
 
     def test_columns_of_unequal_length_are_rejected(self, tmp_path):
         path = tmp_path / "u.csv"

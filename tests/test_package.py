@@ -1,6 +1,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -109,16 +110,33 @@ def test_src_imports_only_pinned_scipy():
 
 
 def test_src_imports_orjson_in_one_place():
-    # only the CSV reader's JSON step parses with orjson; np.loadtxt reads the rest
-    assert list(_imports("orjson")) == [("io", "_json_rows", "orjson")]
+    # io alone uses orjson: format_value and write_csv's block serializer write float
+    # text with it, and the CSV reader's JSON step parses with it
+    assert list(_imports("orjson")) == [("io", "format_value", "orjson"),
+                                        ("io", "_text_rows", "orjson"),
+                                        ("io", "_json_rows", "orjson")]
 
 
 def test_one_owner_of_the_float_format():
-    # every float reaches text through io: write_csv's block format for CSV rows and
-    # format_value for the manifest's config and solve-radius's printed rho
-    nodes = list(_package_nodes())  # keeps every tree alive, so node ids stay unique
-    prose = {id(node.value) for _, _, node in nodes if isinstance(node, ast.Expr)}
-    found = sorted({(module, func) for module, func, node in nodes
-                    if isinstance(node, ast.Constant) and id(node) not in prose
-                    and ".17g" in str(node.value)})
-    assert found == [("io", "format_value"), ("io", "write_csv")]
+    # every float in CSV text, the manifest's config and solve-radius's printed rho
+    # reaches text through io: format_value per value and _text_rows, write_csv's
+    # block serializer, both as orjson's shortest round-trip text
+    nodes = list(_package_nodes())
+    dumps = sorted({(module, func) for module, func, node in nodes
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "dumps"
+                    and getattr(node.func.value, "id", None) == "orjson"})
+    assert dumps == [("io", "_text_rows"), ("io", "format_value")]
+    # no fixed-digit format writes a value: the one float format spec left in src is
+    # solve-radius's residual, a 3-digit diagnostic
+    specs = sorted((module, func, ast.unparse(node.format_spec)) for module, func, node in nodes
+                   if isinstance(node, ast.FormattedValue) and node.format_spec is not None
+                   and re.search(r"[efg%]$", ast.unparse(node.format_spec).strip("'\"")))
+    assert specs == [("cli", "_cmd_solve_radius", "f'.3e'")]
+    percent = [(module, func) for module, func, node in nodes
+               if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+               and isinstance(node.left, ast.Constant) and isinstance(node.left.value, str)
+               and re.search(r"%[-+ #0-9.*]*[eEfFgG]", node.left.value)]
+    assert percent == []
+    package = Path(importlib.import_module("eccentric").__file__).parent
+    assert [p.name for p in sorted(package.glob("*.py")) if ".17g" in p.read_text()] == []
