@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -30,7 +29,9 @@ __all__ = ["main", "run", "load_config"]
 def load_config(path) -> dict[str, str]:
     """Parse a flat key=value config file ('#' comments, last duplicate wins)."""
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    with io.named_errors(path):
+        text = Path(path).read_text(encoding="utf-8")
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -326,13 +327,13 @@ def run(argv=None) -> int:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.verify:
-            if not (out_dir / io.MANIFEST_NAME).exists():
+            manifest = out_dir / io.MANIFEST_NAME
+            if not manifest.exists():
                 raise ValueError(f"--verify: no manifest in {out_dir}")
             # re-run into a scratch directory so the checked run is never touched
             with tempfile.TemporaryDirectory() as scratch:
-                shutil.copy(out_dir / io.MANIFEST_NAME, scratch)
                 _run_handler(handler, cfg, Path(scratch))
-                bad = io.verify_manifest(scratch)
+                bad = io.verify_manifest(scratch, manifest)
             if bad:
                 print(f"verify: output hashes differ from stored manifest: {', '.join(bad)}",
                       file=sys.stderr)

@@ -22,6 +22,7 @@ import hashlib
 import json
 import re
 import warnings
+from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
 
@@ -56,6 +57,16 @@ def format_value(x) -> str:
     return str(x)
 
 
+@contextmanager
+def named_errors(path, errors=UnicodeDecodeError):
+    """Re-raise an error of type errors from the block as a ValueError with
+    path in front of its message, as every error about a file's content has."""
+    try:
+        yield
+    except errors as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def open_new(path, binary=False):
     """Open path for writing as a new file, removing the file there first.
 
@@ -82,14 +93,22 @@ def _text_rows(block):
 def write_csv(path, header, *columns):
     """Write the header row, then one row per entry of the columns: 1-D arrays or
     2-D blocks of one dtype, all of the same length, each cell as format_value
-    writes it, through orjson's numpy serializer _IO_ROWS rows at a time."""
+    writes it, through orjson's numpy serializer _IO_ROWS rows at a time.
+    Columns of zero width add no cells; with no cells at all, each row is an
+    empty line."""
     blocks = [c if c.ndim == 2 else c[:, None] for c in map(np.asarray, columns)]
+    if not blocks:
+        raise ValueError(f"{path}: no columns to write")
     if len({len(b) for b in blocks}) > 1:
         raise ValueError(f"{path}: columns of unequal lengths {[len(b) for b in blocks]}")
+    cells = [b for b in blocks if b.shape[1]]
     with open_new(path, binary=True) as fh:
         fh.write((",".join(header) + "\n").encode())
+        if not cells:
+            fh.write(b"\n" * len(blocks[0]))
+            return
         for lo in range(0, len(blocks[0]), _IO_ROWS):
-            parts = [_text_rows(b[lo:lo + _IO_ROWS]) for b in blocks if b.shape[1]]
+            parts = [_text_rows(b[lo:lo + _IO_ROWS]) for b in cells]
             fh.write(b"\n".join(map(b",".join, zip(*parts))) + b"\n")
 
 
@@ -182,13 +201,14 @@ def read_embedding_csv(path):
     The first nonblank line is the header of column names: a header whose
     every field is a number is an error, not a first row.  Every line after
     it is a data row: a blank line, a comment, a fractional label or a row
-    width other than the header's is an error naming the path and the line.
+    width other than the header's is an error naming the path and the line,
+    and so is text that is not UTF-8.
     Blank lines before the header and after the last row are ignored.  Rows
     are parsed _IO_ROWS at a time, each block as one orjson array where JSON
     reads every field and by np.loadtxt otherwise, with the same bits either
     way; so beyond the result the reader holds one block of text and the
     parsed blocks."""
-    with open(path) as fh, warnings.catch_warnings():
+    with open(path, encoding="utf-8") as fh, named_errors(path), warnings.catch_warnings():
         # older numpy truncates an unparsable int field through float with
         # only a DeprecationWarning; make that an error as well
         warnings.simplefilter("error", DeprecationWarning)
@@ -243,12 +263,21 @@ def write_manifest(out_dir, command: str, config: dict, outputs):
     return manifest
 
 
-def verify_manifest(out_dir) -> list[str]:
-    """Re-hash every file listed in the manifest; returns mismatch names."""
+def verify_manifest(out_dir, manifest=None) -> list[str]:
+    """Re-hash in out_dir every file that the manifest (out_dir's by default)
+    lists; returns mismatch names.
+
+    A manifest that is not JSON, or has no 'outputs' table, is an error
+    naming it."""
     out_dir = Path(out_dir)
-    manifest = json.loads((out_dir / MANIFEST_NAME).read_text())
+    manifest = Path(manifest or out_dir / MANIFEST_NAME)
+    with named_errors(manifest, ValueError):  # not UTF-8, not JSON
+        table = json.loads(manifest.read_bytes())
+    outputs = table.get("outputs") if isinstance(table, dict) else None
+    if not isinstance(outputs, dict):
+        raise ValueError(f"{manifest}: expected an object with an 'outputs' table")
     bad = []
-    for name, digest in manifest["outputs"].items():
+    for name, digest in outputs.items():
         target = out_dir / name
         if not target.exists() or sha256_file(target) != digest:
             bad.append(name)

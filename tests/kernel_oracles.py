@@ -1,37 +1,54 @@
-"""Independent evaluations of the pair loss and the radius lemmas, kept as test oracles.
+"""The tests' independent oracles and shared numeric helpers, each written once.
 
-`pair_kernel` evaluates one term K(z_i, z_j).  The two batch oracles take a
-`PointBatch` and the loss parameters and use the whole b x b matrix of
-pairwise terms at once, where `eccentric.kernel` works in row blocks.
-`mp_loss` is the pair loss at 40 significant digits with mpmath, and
-`mp_gradient` its gradient from central differences taken at 40 digits,
-and `mp_closed_gradient` the same gradient from its closed form, fast
-enough for full tiles.
-`total_loss` is the autoencoder objective without its gradient, the loss
-that finite differences are taken of; `mp_net_gradient` is its gradient in
-every network parameter from 40-digit mpmath central differences.  `total_loss_gradients` and
-`adam_step` restate the autoencoder's training step plainly: per-layer
-weight and bias arrays with sample-major activations, a separate bias sum,
-one unchunked product per weight gradient and a concatenated gradient; and
-textbook Adam, with both bias corrections applied to the moments.
+- Builders: `params_for` gives the N(d, mu) `ParamSet`, and
+  `descending_embedding` an embedding with distinct, descending column energies.
+- Pair loss: `pair_kernel` evaluates one term K(z_i, z_j).
+  `batch_loss_gram` and `unblocked_loss_and_gradient` use the whole b x b
+  matrix of pairwise terms at once, where `eccentric.kernel` works in tiles.
+  `fd_gradient` is batch_loss's gradient from float64 central differences,
+  `mp_loss` the loss at 40 significant digits with mpmath, `mp_gradient` its
+  gradient from central differences taken at 40 digits, and
+  `mp_closed_gradient` the same gradient from its closed form, fast enough for
+  full tiles.
+- Autoencoder: `total_loss` is the objective without its gradient;
+  `fd_net_gradient` (float64) and `mp_net_gradient` (40-digit mpmath) take
+  central differences of it in every network parameter.
+  `total_loss_gradients` and `adam_step` restate the training step plainly:
+  per-layer weight and bias arrays with sample-major activations, a separate
+  bias sum, one unchunked product per weight gradient and a concatenated
+  gradient; and textbook Adam, with both bias corrections applied to the moments.
+- Radius: `stationarity_integral_mp` is the stationarity integral at 40 digits.
+  The two lemmas behind the N(d, mu) rule are checked on its integrand
+  f_{d,a}, not on the closed form the solver evaluates: `lemma_a_check`
+  integrates its first moment (2 for 0 < a < 2), and `lemma_b_argmax` gives its
+  argmax (d >= 4) in closed form, which `lemma_b_argmax_numeric` finds by a grid
+  scan and a bounded Brent search.
+- Analysis: `best_diagonal_mass` is the exhaustive d!-assignment optimum that
+  `align` must reach, and `knn_loop_oracle` classifies by an explicit vote.
 
-The two lemmas that justify the N(d, mu) rule are checked on the integrand
-f_{d,a} of the stationarity integral itself, not on the closed form the
-solver evaluates: `lemma_a_check` integrates its first moment (2 for
-0 < a < 2), and `lemma_b_argmax` gives its argmax (d >= 4) in closed form,
-which `lemma_b_argmax_numeric` finds by a grid scan and a bounded Brent search.
+Only numpy and eccentric load with the module; each oracle imports mpmath or
+scipy when it is called, so importing the module costs no more than the program.
 """
 
 import math
 
-import mpmath
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
-from scipy.spatial.distance import cdist
 
 from eccentric.autoencoder import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, LEAKY_SLOPE
-from eccentric.kernel import PointBatch, batch_loss, batch_loss_and_gradient
+from eccentric.kernel import ParamSet, PointBatch, batch_loss, batch_loss_and_gradient, choose_big_n
+
+
+def params_for(dim, mu=1.0, lam=0.0):
+    """The loss parameters at N = N(dim, mu)."""
+    return ParamSet(dim=dim, mu=mu, big_n=choose_big_n(dim, mu), lam=lam)
+
+
+def descending_embedding(rng, n, d):
+    """Random embedding with distinct, descending column energies."""
+    cols = rng.standard_normal((n, d))
+    cols -= cols.mean(axis=0)
+    cols /= np.linalg.norm(cols, axis=0)
+    return PointBatch(cols * (d - np.arange(d, dtype=np.float64)))
 
 
 def pair_kernel(z_i, z_j, params):
@@ -59,6 +76,7 @@ def batch_loss_gram(batch, params):
 
 def unblocked_loss_and_gradient(batch, params):
     """The loss and its gradient from one full b x b distance matrix."""
+    from scipy.spatial.distance import cdist
     z = batch.data
     b = z.shape[0]
     sq = cdist(z, z, "sqeuclidean") / params.big_n
@@ -69,11 +87,25 @@ def unblocked_loss_and_gradient(batch, params):
     return loss, (2.0 / b) * z - (4.0 * params.mu / (b * (b - 1))) * rep
 
 
+def fd_gradient(z, params, h=1e-5):
+    """Central differences (L(z + h e) - L(z - h e)) / 2h of batch_loss in every
+    coordinate of the (b, d) array z, in float64."""
+    grad = np.zeros_like(z)
+    for i, j in np.ndindex(z.shape):
+        up, down = z.copy(), z.copy()
+        up[i, j] += h
+        down[i, j] -= h
+        grad[i, j] = (batch_loss(PointBatch(up), params)
+                      - batch_loss(PointBatch(down), params)) / (2 * h)
+    return grad
+
+
 def _exact_ints(rows):
     """(ints, low): the rows as a (b, d) object array of integers with rows = ints 2^low.
 
     Each entry (a float or an mpf) is m 2^e with an integer m, and low is the
     least e, so every product and sum of the integers is exact."""
+    import mpmath
     b, parts = len(rows), [mpmath.mpf(c)._mpf_ for row in rows for c in row]  # (sign, m, e, _)
     low = min((e for _, m, e, _ in parts if m), default=0)
     ints = np.array([(-m if s else m) << (e - low) for s, m, e, _ in parts], dtype=object)
@@ -87,6 +119,7 @@ def _mp_loss(rows, mu, big_n):
     Each entry is m 2^e with an integer m, so on the least exponent E the rows
     are integers and every |z_i|^2 and |z_j - z_i|^2 is exact.  The sum of logs
     is the log of one product, taken at 10 digits above the working precision."""
+    import mpmath
     b, (ints, low) = len(rows), _exact_ints(rows)
     with mpmath.extradps(10):
         scale = mpmath.ldexp(1, 2 * low) / big_n
@@ -99,6 +132,7 @@ def _mp_loss(rows, mu, big_n):
 
 def mp_loss(batch, params, digits=40):
     """The pair loss of a float batch from _mp_loss at ``digits`` significant digits."""
+    import mpmath
     with mpmath.workdps(digits):
         return float(_mp_loss(batch.data.tolist(), mpmath.mpf(params.mu),
                               mpmath.mpf(params.big_n)))
@@ -110,6 +144,7 @@ def mp_gradient(batch, params, digits=40, h="1e-15"):
 
     The float inputs convert exactly; the O(h^2) truncation and the rounding
     of 40 digits divided by h both stay far below float64 resolution."""
+    import mpmath
     with mpmath.workdps(digits):
         rows = [[mpmath.mpf(float(c)) for c in row] for row in batch.data]
         mu, big_n, step = mpmath.mpf(params.mu), mpmath.mpf(params.big_n), mpmath.mpf(h)
@@ -133,6 +168,7 @@ def mp_closed_gradient(batch, params, digits=40):
     its own exponent.  Each w_ij is floored to a multiple of 2^-frac, frac = 4 * digits
     bits, which errs by less than 2^-frac absolute, so sum_j w_ij (z_i - z_j) is one
     exact integer sum; only the last two terms are rounded, at ``digits`` digits."""
+    import mpmath
     ints, low = _exact_ints(batch.data.tolist())
     b, frac = len(ints), 4 * digits
     _, n_man, n_exp, _ = mpmath.mpf(params.big_n)._mpf_  # N = n_man 2^n_exp > 0
@@ -160,9 +196,28 @@ def total_loss(x, encoder, decoder, params):
     return recon, reg, recon + params.lam * reg
 
 
+def fd_net_gradient(x, encoder, decoder, params, h=1e-6):
+    """Central differences of the total loss in every parameter, in float64, laid
+    out like encoder.vec then decoder.vec."""
+    out = []
+    for p in (encoder.vec, decoder.vec):
+        g = np.zeros_like(p)
+        for idx in range(p.size):
+            orig = p[idx]
+            p[idx] = orig + h
+            up = total_loss(x, encoder, decoder, params)[2]
+            p[idx] = orig - h
+            down = total_loss(x, encoder, decoder, params)[2]
+            p[idx] = orig
+            g[idx] = (up - down) / (2 * h)
+        out.append(g)
+    return np.concatenate(out)
+
+
 def _mp_forward(spec, vec, rows):
     """A DenseNet's forward pass over lists of mpf rows, its parameters ``vec``
     (mpf, checkpoint order: W_k row-major, then b_k) layer by layer."""
+    import mpmath
     slope, offset = mpmath.mpf(LEAKY_SLOPE), 0
     for (fan_in, fan_out), tag in zip(zip(spec.layer_widths, spec.layer_widths[1:]),
                                       spec.activations):
@@ -183,6 +238,7 @@ def _mp_forward(spec, vec, rows):
 def _mp_total_loss(x, specs, vecs, mu, big_n, lam):
     """The autoencoder objective in mpmath arithmetic: the batch mean of
     |x - x_hat|^2 plus lam times the pair loss on the latent codes."""
+    import mpmath
     z = _mp_forward(specs[0], vecs[0], x)
     x_hat = _mp_forward(specs[1], vecs[1], z)
     recon = mpmath.fsum((p - q) ** 2 for r, s in zip(x, x_hat) for p, q in zip(r, s))
@@ -193,6 +249,7 @@ def mp_net_gradient(x, encoder, decoder, params, digits=40, h="1e-15"):
     """Central differences of the total loss in every parameter, laid out like
     encoder.vec then decoder.vec, each loss evaluated with mpmath at ``digits``
     significant digits (see mp_gradient for the choice of h)."""
+    import mpmath
     with mpmath.workdps(digits):
         rows = [[mpmath.mpf(float(c)) for c in row] for row in x]
         specs = (encoder.spec, decoder.spec)
@@ -269,6 +326,36 @@ def adam_step(theta, grad, m, v, t, learning_rate, weight_decay):
     theta -= learning_rate * (m_hat / (np.sqrt(v_hat) + ADAM_EPSILON) + weight_decay * theta)
 
 
+def stationarity_integral_mp(rho, dim, big_n):
+    """Stationarity integral at 40 digits: Euler's integral with its full
+    Gamma/Beta prefactor, its 2F1 evaluated through Pfaff's transform so the
+    argument z/(z-1) lies in (0, 1).
+
+    mpmath's hyp2f1 is unreliable at 40 digits on the untransformed argument
+    (d=1000, mu=1.5, rho=sqrt(d)) and, past x = 0.8, on the transformed one
+    too (d=1000, x=0.81 returns 3e33 for a value of 1.68).  From d = 64 on
+    the series is summed term by term instead; its terms fall at least as
+    fast as n^(-(d+1)/2)."""
+    import mpmath as mp
+    with mp.workdps(40):
+        a = mp.mpf(big_n) / (2 * mp.mpf(rho) ** 2)
+        p = mp.mpf(dim - 1) / 2
+        q = mp.mpf(dim - 3) / 2
+        z = -2 / a
+        x = z / (z - 1)
+        if dim < 64:
+            hyp = mp.hyp2f1(1, q + 1, dim, x)
+        else:
+            hyp = term = mp.mpf(1)
+            n = 0
+            while term > mp.mpf(10) ** -45:
+                term *= (q + 1 + n) / (dim + n) * x
+                hyp += term
+                n += 1
+        pref = 2 / mp.sqrt(mp.pi) * mp.gamma(mp.mpf(dim) / 2) / mp.gamma(p)
+        return float(pref * mp.mpf(2) ** (dim - 1) * mp.beta(p + 1, q + 1) * hyp / (1 - z))
+
+
 def gamma_ratio(dim):
     """Gamma(d/2) / Gamma((d-1)/2) via log-gamma difference (no overflow to d=1e6)."""
     return math.exp(math.lgamma(dim / 2.0) - math.lgamma((dim - 1) / 2.0))
@@ -284,6 +371,7 @@ def _f_integrand(u, dim, a):
 
 def lemma_a_check(dim, a):
     """Integral of u * f_{d,a}(u) over [1, 1 + 2/a] by scipy's adaptive Gauss-Kronrod."""
+    from scipy.integrate import quad
     value, _ = quad(lambda u: u * float(_f_integrand(u, dim, a)), 1.0, 1.0 + 2.0 / a,
                     epsabs=1e-13, epsrel=1e-13)
     return value
@@ -302,9 +390,37 @@ def lemma_b_argmax(dim, a):
 
 def lemma_b_argmax_numeric(dim, a):
     """The argmax of f_{d,a}: the best of a grid, refined by a bounded Brent search."""
+    from scipy.optimize import minimize_scalar
     u = np.linspace(1.0, 1.0 + 2.0 / a, 4001)
     k = int(np.argmax(_f_integrand(u, dim, a)))
     res = minimize_scalar(lambda x: -float(_f_integrand(x, dim, a)),
                           bounds=(u[max(k - 1, 0)], u[min(k + 1, u.size - 1)]),
                           method="bounded", options={"xatol": 1e-10})
     return float(res.x)
+
+
+def best_diagonal_mass(corr):
+    """The largest sum_i |corr[i, p(i)]| over all d! column assignments p.
+
+    Signs cannot change |corr|, so this is the best diagonal mass over all
+    2^d d! signed permutations."""
+    from itertools import permutations
+    mag = np.abs(corr)
+    return max(sum(mag[i, pi] for i, pi in enumerate(p))
+               for p in permutations(range(len(mag))))
+
+
+def knn_loop_oracle(train, labels, test, k):
+    """Per-point loop with explicit vote counting: stable (distance, index)
+    neighbors, then most votes, smallest summed distance, lowest label."""
+    preds = []
+    for x in test:
+        d = np.linalg.norm(train - x, axis=1)
+        nearest = np.argsort(d, kind="stable")[:k]
+        cand = {}
+        for j in nearest:
+            lab = int(labels[j])
+            cnt, tot = cand.get(lab, (0, 0.0))
+            cand[lab] = (cnt + 1, tot + float(d[j]))
+        preds.append(min(cand.items(), key=lambda kv: (-kv[1][0], kv[1][1], kv[0]))[0])
+    return np.array(preds)

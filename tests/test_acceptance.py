@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.  The whole suite targets a single CPU core.
 """
 
-import itertools
 import json
 import math
 
@@ -29,10 +28,14 @@ from eccentric.kernel import (
 )
 from kernel_oracles import (
     batch_loss_gram,
+    best_diagonal_mass,
+    descending_embedding,
+    fd_gradient,
+    fd_net_gradient,
     lemma_a_check,
     lemma_b_argmax,
     lemma_b_argmax_numeric,
-    total_loss,
+    params_for,
 )
 from eccentric.particles import SimConfig, simulate
 from eccentric.radius import force_profile, sweep_radius
@@ -82,34 +85,6 @@ def test_criterion_04_argmax_closed_form():
     report(4, worst < 1e-6, f"max closed-form vs numeric gap {worst:.2e}")
 
 
-def _fd_batch_gradient(z, params, h=1e-5):
-    g = np.zeros_like(z)
-    for i in range(z.shape[0]):
-        for j in range(z.shape[1]):
-            zp, zm = z.copy(), z.copy()
-            zp[i, j] += h
-            zm[i, j] -= h
-            g[i, j] = (batch_loss(PointBatch(zp), params)
-                       - batch_loss(PointBatch(zm), params)) / (2 * h)
-    return g
-
-
-def _fd_net_gradients(x, encoder, decoder, params, h=1e-6):
-    grads = []
-    for p in (encoder.vec, decoder.vec):
-        g = np.zeros_like(p)
-        for idx in range(p.size):
-            orig = p[idx]
-            p[idx] = orig + h
-            up = total_loss(x, encoder, decoder, params)[2]
-            p[idx] = orig - h
-            down = total_loss(x, encoder, decoder, params)[2]
-            p[idx] = orig
-            g[idx] = (up - down) / (2 * h)
-        grads.append(g)
-    return np.concatenate(grads)
-
-
 def test_criterion_05_gradient_oracles():
     """Analytic gradients match central finite differences."""
     rng = np.random.default_rng(0)
@@ -118,10 +93,10 @@ def test_criterion_05_gradient_oracles():
         d = int(rng.integers(2, 9))
         b = int(rng.integers(4, 12))
         mu = float(rng.uniform(1.0, 3.0))
-        params = ParamSet(dim=d, mu=mu, big_n=choose_big_n(d, mu))
+        params = params_for(d, mu)
         z = rng.standard_normal((b, d))
         _, analytic = batch_loss_and_gradient(PointBatch(z), params)
-        numeric = _fd_batch_gradient(z, params)
+        numeric = fd_gradient(z, params)
         rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-8)
         worst_kernel = max(worst_kernel, float(rel.max()))
 
@@ -132,15 +107,14 @@ def test_criterion_05_gradient_oracles():
         hidden = int(rng.integers(3, 7))
         act = ["identity", "leaky-relu", "sigmoid"][int(rng.integers(0, 3))]
         mu = float(rng.uniform(1.0, 2.0))
-        params = ParamSet(dim=latent, mu=mu, big_n=choose_big_n(latent, mu),
-                          lam=float(rng.uniform(0.05, 1.0)))
+        params = params_for(latent, mu, lam=float(rng.uniform(0.05, 1.0)))
         enc = DenseNet.initialize(
             DenseNetSpec((width, hidden, latent), (act, "identity")), rng)
         dec = DenseNet.initialize(
             DenseNetSpec((latent, hidden, width), (act, "sigmoid")), rng)
         x = rng.uniform(0.1, 0.9, (8, width))
         _, _, _, analytic = total_loss_gradients(x, enc, dec, params)
-        numeric = _fd_net_gradients(x, enc, dec, params)
+        numeric = fd_net_gradient(x, enc, dec, params)
         rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-6)
         worst_net = max(worst_net, float(rel.max()))
 
@@ -157,7 +131,7 @@ def test_criterion_06_gram_expansion_equivalence():
         d = int(rng.integers(2, 65))
         b = int(rng.integers(2, 40))
         mu = float(rng.uniform(1.0, 4.0))
-        params = ParamSet(dim=d, mu=mu, big_n=choose_big_n(d, mu))
+        params = params_for(d, mu)
         z = rng.standard_normal((b, d)) * rng.uniform(0.5, 3.0)
         direct = batch_loss(PointBatch(z), params)
         gram = batch_loss_gram(PointBatch(z), params)
@@ -168,7 +142,7 @@ def test_criterion_06_gram_expansion_equivalence():
 def test_criterion_07_particle_convergence():
     """The free cloud settles on the sqrt(d) sphere with a near-flat spectrum."""
     d, b = 16, 512
-    params = ParamSet(dim=d, mu=1.0, big_n=choose_big_n(d, 1.0))
+    params = params_for(d)
     rep = simulate(SimConfig(params=params, count=b, steps=3000, step_size=0.2,
                              seed=0, init_scale=1.0))
     root_d = math.sqrt(d)
@@ -209,28 +183,18 @@ def test_criterion_08_force_peak_location():
     report(8, all(oks), "; ".join(details) + ", within one grid step")
 
 
-def _descending_embedding(rng, n, d):
-    cols = rng.standard_normal((n, d))
-    cols -= cols.mean(axis=0)
-    cols /= np.linalg.norm(cols, axis=0)
-    return PointBatch(cols * (d - np.arange(d, dtype=np.float64)))
-
-
 def test_criterion_09_alignment_recovery():
     """Signed-permutation recovery matches the exhaustive oracle; d=64 improves."""
     rng = np.random.default_rng(2)
     exact_ok = True
     for d in (2, 3, 4, 5):
         for _ in range(3):
-            e1 = _descending_embedding(rng, 30, d)
+            e1 = descending_embedding(rng, 30, d)
             perm = rng.permutation(d)
             signs = rng.choice([-1.0, 1.0], size=d)
             e2 = PointBatch(e1.data[:, perm] * signs)
-            corr = np.abs(cross_correlation(e1, e2))
             # oracle: best diagonal mass over all 2^d d! signed permutations
-            # (signs cannot change |corr|, so d! assignments suffice)
-            best = max(sum(corr[i, pi] for i, pi in enumerate(p))
-                       for p in itertools.permutations(range(d)))
+            best = best_diagonal_mass(cross_correlation(e1, e2))
             res = align(e1, e2)
             achieved = float(np.sum(np.abs(np.diag(res.corr_after))))
             recovered = np.allclose(res.aligned_p.data, res.aligned_q.data,
@@ -238,7 +202,7 @@ def test_criterion_09_alignment_recovery():
             exact_ok &= recovered and achieved >= best - 1e-9
 
     d = 64
-    e1 = _descending_embedding(rng, 200, d)
+    e1 = descending_embedding(rng, 200, d)
     perm = rng.permutation(d)
     signs = rng.choice([-1.0, 1.0], size=d)
     e2 = PointBatch(e1.data[:, perm] * signs
@@ -256,8 +220,7 @@ def test_criterion_09_alignment_recovery():
 
 
 def _two_ring_run(lam, seed):
-    mu = 1.0
-    params = ParamSet(dim=2, mu=mu, big_n=choose_big_n(2, mu), lam=lam)
+    params = params_for(2, lam=lam)
     enc = DenseNetSpec((2, 32, 32, 2), ("leaky-relu", "leaky-relu", "identity"))
     dec = DenseNetSpec((2, 32, 32, 2), ("leaky-relu", "leaky-relu", "sigmoid"))
     cfg = TrainConfig(encoder=enc, decoder=dec, params=params, batch_size=100,

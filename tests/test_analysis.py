@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 import warnings
@@ -20,6 +19,7 @@ from eccentric.analysis import (
 )
 from eccentric.autoencoder import DenseNet, DenseNetSpec
 from eccentric.kernel import PointBatch
+from kernel_oracles import best_diagonal_mass, descending_embedding, knn_loop_oracle
 
 
 class TestLibraryEigensolver:
@@ -92,14 +92,6 @@ class TestPrincipalEmbedding:
         zc = z - z.mean(axis=0)
         from scipy.spatial.distance import pdist
         np.testing.assert_allclose(pdist(emb), pdist(zc), atol=1e-10)
-
-
-def descending_embedding(rng, n, d):
-    """Random embedding with distinct, descending column energies."""
-    cols = rng.standard_normal((n, d))
-    cols -= cols.mean(axis=0)
-    cols /= np.linalg.norm(cols, axis=0)
-    return PointBatch(cols * (d - np.arange(d, dtype=np.float64)))
 
 
 def apply_signed_perm(emb, perm, signs):
@@ -181,9 +173,7 @@ class TestAlign:
     def test_diagonal_mass_matches_brute_force(self, d, seed, make_pair):
         # oracle: exhaustive search over all d! column assignments
         e1, e2 = make_pair(np.random.default_rng(seed), d)
-        corr = np.abs(cross_correlation(e1, e2))
-        best = max(sum(corr[i, pi] for i, pi in enumerate(p))
-                   for p in itertools.permutations(range(d)))
+        best = best_diagonal_mass(cross_correlation(e1, e2))
         res = align(e1, e2)
         achieved = float(np.sum(np.abs(np.diag(res.corr_after))))
         assert achieved >= best - 1e-9
@@ -421,22 +411,6 @@ class TestDecodeEigenComponents:
             minus = net.forward((rep.mean - step)[None, :])[0]
             np.testing.assert_allclose(got[k, 0], plus, rtol=0, atol=1e-12)
             np.testing.assert_allclose(got[k, 1], minus, rtol=0, atol=1e-12)
-
-
-def knn_loop_oracle(train, labels, test, k):
-    """Per-point loop with explicit vote counting: stable (distance, index)
-    neighbors, then most votes, smallest summed distance, lowest label."""
-    preds = []
-    for x in test:
-        d = np.linalg.norm(train - x, axis=1)
-        nearest = np.argsort(d, kind="stable")[:k]
-        cand = {}
-        for j in nearest:
-            lab = int(labels[j])
-            cnt, tot = cand.get(lab, (0, 0.0))
-            cand[lab] = (cnt + 1, tot + float(d[j]))
-        preds.append(min(cand.items(), key=lambda kv: (-kv[1][0], kv[1][1], kv[0]))[0])
-    return np.array(preds)
 
 
 class TestKnnClassify:

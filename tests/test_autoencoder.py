@@ -18,13 +18,9 @@ from eccentric.autoencoder import (
     train,
 )
 from eccentric.datasets import noisy_ring
-from eccentric.kernel import _CHUNK, ParamSet, PointBatch, choose_big_n
+from eccentric.kernel import _CHUNK, PointBatch
 import kernel_oracles
-from kernel_oracles import total_loss
-
-
-def latent_params(dim=2, mu=1.0, lam=0.0):
-    return ParamSet(dim=dim, mu=mu, big_n=choose_big_n(dim, mu), lam=lam)
+from kernel_oracles import fd_net_gradient, params_for, total_loss
 
 
 def tiny_nets(rng, in_width=4, latent=2, enc_hidden=(6,), dec_hidden=(6,),
@@ -103,29 +99,6 @@ class TestDenseNetForward:
         assert np.all(net.biases[0] == 0.0)
 
 
-def fd_param_gradients(x, encoder, decoder, params, h=1e-6):
-    """Central finite differences of the total loss in every parameter.
-
-    Returns one vector laid out like total_loss_gradients' gradient.
-    """
-    def value():
-        return total_loss(x, encoder, decoder, params)[2]
-
-    out = []
-    for p in (encoder.vec, decoder.vec):
-        g = np.zeros_like(p)
-        for idx in range(p.size):
-            orig = p[idx]
-            p[idx] = orig + h
-            up = value()
-            p[idx] = orig - h
-            down = value()
-            p[idx] = orig
-            g[idx] = (up - down) / (2 * h)
-        out.append(g)
-    return np.concatenate(out)
-
-
 class TestGradients:
     @pytest.mark.parametrize("act, enc_hidden, dec_hidden", [
         pytest.param("identity", (6,), (6,), id="identity"),
@@ -139,16 +112,16 @@ class TestGradients:
         rng = np.random.default_rng(5)
         encoder, decoder = tiny_nets(rng, enc_hidden=enc_hidden, dec_hidden=dec_hidden,
                                      act=act)
-        params = latent_params(lam=0.5)
+        params = params_for(2, lam=0.5)
         x = rng.uniform(0.1, 0.9, (10, 4))
         _, _, _, analytic = total_loss_gradients(x, encoder, decoder, params)
-        numeric = fd_param_gradients(x, encoder, decoder, params)
+        numeric = fd_net_gradient(x, encoder, decoder, params)
         np.testing.assert_allclose(analytic, numeric, atol=1e-7, rtol=1e-5)
 
     def test_loss_values_match_total_loss(self):
         rng = np.random.default_rng(7)
         encoder, decoder = tiny_nets(rng)
-        params = latent_params(lam=0.3)
+        params = params_for(2, lam=0.3)
         x = rng.uniform(0.0, 1.0, (12, 4))
         recon_a, reg_a, total_a = total_loss(x, encoder, decoder, params)
         recon_b, reg_b, total_b, _ = total_loss_gradients(x, encoder, decoder, params)
@@ -161,7 +134,7 @@ class TestGradients:
         encoder, decoder = tiny_nets(rng)
         x = rng.uniform(0.0, 1.0, (6, 4))
         recon, reg, total, _ = total_loss_gradients(x, encoder, decoder,
-                                                    latent_params(lam=0.0))
+                                                    params_for(2, lam=0.0))
         assert reg == 0.0
         assert total == recon
 
@@ -191,7 +164,7 @@ class TestGradients:
         encoder = DenseNet.initialize(DenseNetSpec(widths, acts), rng)
         decoder = DenseNet.initialize(DenseNetSpec(dec_widths, dec_acts), rng)
         encoder.vec[:] += 0.1 * rng.standard_normal(encoder.vec.size)  # biases away from 0
-        params = latent_params(dim=widths[-1], mu=1.5, lam=lam)
+        params = params_for(widths[-1], mu=1.5, lam=lam)
         x = rng.uniform(0.0, 1.0, (batch, widths[0]))
         recon, reg, total, grad = total_loss_gradients(x, encoder, decoder, params)
         want = kernel_oracles.total_loss_gradients(x, encoder, decoder, params)
@@ -210,8 +183,8 @@ class TestGradients:
             latent = int(rng.integers(2, 4))
             encoder, decoder = tiny_nets(rng, in_width=width, latent=latent,
                                          enc_hidden=(hidden,), dec_hidden=(hidden,), act=act)
-            params = latent_params(dim=latent, mu=float(rng.uniform(1.0, 2.0)),
-                                   lam=float(rng.uniform(0.05, 1.0)))
+            params = params_for(latent, mu=float(rng.uniform(1.0, 2.0)),
+                                lam=float(rng.uniform(0.05, 1.0)))
             x = rng.uniform(0.1, 0.9, (8, width))
             oracle = kernel_oracles.mp_net_gradient(x, encoder, decoder, params)
             _, _, _, grad = total_loss_gradients(x, encoder, decoder, params)
@@ -228,11 +201,11 @@ class TestGradients:
         encoder, decoder = tiny_nets(rng)
         with pytest.raises(ValueError):
             total_loss_gradients(np.zeros((1, 4)), encoder, decoder,
-                                 latent_params())
+                                 params_for(2))
 
 
 def ring_config(lam=0.0, epochs=2, seed=0, lr=1e-3):
-    params = latent_params(lam=lam)
+    params = params_for(2, lam=lam)
     enc = DenseNetSpec((2, 8, 2), ("leaky-relu", "identity"))
     dec = DenseNetSpec((2, 8, 2), ("leaky-relu", "sigmoid"))
     return TrainConfig(encoder=enc, decoder=dec, params=params, batch_size=20,
@@ -290,7 +263,7 @@ class TestTrain:
             train(cfg, noisy_ring(n=10, seed=0))
 
     def test_config_width_validation(self):
-        params = latent_params(dim=2)
+        params = params_for(2)
         enc = DenseNetSpec((2, 8, 3), ("leaky-relu", "identity"))
         dec = DenseNetSpec((2, 8, 2), ("leaky-relu", "sigmoid"))
         with pytest.raises(ValueError):

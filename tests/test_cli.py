@@ -478,6 +478,16 @@ class TestDeterminismAndVerify:
         assert run(["solve-radius", "--dim", "8", "--mu", "1.0", "--auto-n",
                     "--out-dir", str(tmp_path), "--verify"]) == 1
 
+    @pytest.mark.parametrize("text", ['{"outputs": 5}', "[]", "{}", '{"outputs": '],
+                             ids=["outputs-not-a-table", "list", "no-outputs", "truncated"])
+    def test_verify_malformed_manifest(self, tmp_path, capsys, text):
+        argv = ["solve-radius", "--dim", "8", "--mu", "1.0", "--auto-n",
+                "--out-dir", str(tmp_path)]
+        run_ok(argv)
+        (tmp_path / "manifest.json").write_text(text)
+        assert run(argv + ["--verify"]) == 1
+        assert f"error: {tmp_path / 'manifest.json'}: " in capsys.readouterr().err
+
 
 class TestOutputsReplaced:
     @pytest.mark.parametrize("argv, linked, symlinked", [
@@ -681,6 +691,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error:" in err and (named is None or named in err)
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--input", "--config"])
+    def test_undecodable_text_names_its_file(self, tmp_path, capsys, flag):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"c0,c1\n1.0,\xff\n")
+        # the file read first is the one at flag: --config is read before --input
+        argv = ["spectrum", "--input", str(tmp_path / "none.csv"), "--out-dir", str(tmp_path)]
+        assert run(argv + [flag, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
 
     def test_no_command(self, capsys):
         assert run([]) == 1

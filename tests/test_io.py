@@ -434,6 +434,11 @@ class TestWriteCsv:
         path = tmp_path / "z.csv"
         write_csv(path, ["i"], np.zeros((3, 0)), np.arange(3))
         assert path.read_text() == "i\n0\n1\n2\n"
+        # no cells at all: still one line per row, across more than one block
+        write_csv(path, ["e"], np.zeros((300, 0)))
+        assert path.read_text() == "e\n" + "\n" * 300
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: no columns"):
+            write_csv(path, ["e"])
 
     @settings(deadline=None, max_examples=200,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

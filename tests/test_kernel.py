@@ -16,16 +16,14 @@ from eccentric.kernel import (
 )
 from kernel_oracles import (
     batch_loss_gram,
+    fd_gradient,
     mp_closed_gradient,
     mp_gradient,
     mp_loss,
     pair_kernel,
+    params_for,
     unblocked_loss_and_gradient,
 )
-
-
-def random_params(dim, mu=1.0):
-    return ParamSet(dim=dim, mu=mu, big_n=choose_big_n(dim, mu))
 
 
 class TestChooseBigN:
@@ -135,7 +133,7 @@ class TestPairKernel:
     @given(st.integers(0, 2**31 - 1))
     def test_symmetry(self, seed):
         rng = np.random.default_rng(seed)
-        p = random_params(5)
+        p = params_for(5)
         a = rng.standard_normal(5)
         b = rng.standard_normal(5)
         assert pair_kernel(a, b, p) == pair_kernel(b, a, p)
@@ -148,7 +146,7 @@ class TestBatchLoss:
 
     def test_two_points_equal_pair_kernel(self):
         rng = np.random.default_rng(7)
-        p = random_params(4)
+        p = params_for(4)
         z = rng.standard_normal((2, 4))
         assert batch_loss(PointBatch(z), p) == pytest.approx(
             pair_kernel(z[0], z[1], p), rel=1e-14)
@@ -156,7 +154,7 @@ class TestBatchLoss:
     def test_matches_pairwise_definition(self):
         # oracle: literal double loop over ordered pairs
         rng = np.random.default_rng(11)
-        p = random_params(6, mu=1.5)
+        p = params_for(6, mu=1.5)
         z = rng.standard_normal((9, 6))
         b = len(z)
         expected = sum(pair_kernel(z[i], z[j], p)
@@ -165,7 +163,7 @@ class TestBatchLoss:
 
     def test_matches_gram_expansion(self):
         rng = np.random.default_rng(3)
-        p = ParamSet(dim=64, mu=1.0, big_n=choose_big_n(64, 1.0))
+        p = params_for(64)
         z = rng.standard_normal((100, 64))
         direct = batch_loss(PointBatch(z), p)
         gram = batch_loss_gram(PointBatch(z), p)
@@ -184,7 +182,7 @@ class TestBatchLoss:
         # rotating the cloud by Q rotates the gradient, permuting its rows
         # permutes the gradient rows, and neither changes the loss
         rng = np.random.default_rng(seed)
-        p = random_params(dim, mu=float(rng.uniform(1.0, 3.0)))
+        p = params_for(dim, mu=float(rng.uniform(1.0, 3.0)))
         z = rng.standard_normal((count, dim)) * rng.uniform(0.1, 3.0)
         loss, grad = batch_loss_and_gradient(PointBatch(z), p)
         assert loss == batch_loss(PointBatch(z), p)
@@ -202,7 +200,7 @@ class TestBatchLoss:
     def test_diagonal_neutrality(self):
         # masking the diagonal of the distance matrix must change nothing
         rng = np.random.default_rng(13)
-        p = random_params(3)
+        p = params_for(3)
         z = rng.standard_normal((7, 3))
         b = len(z)
         sq = np.sum((z[:, None, :] - z[None, :, :]) ** 2, axis=-1)
@@ -222,19 +220,6 @@ class TestBatchLoss:
             batch_loss(PointBatch(np.zeros((4, 2))), p)
 
 
-def finite_difference_gradient(z, p, h=1e-5):
-    grad = np.zeros_like(z)
-    for i in range(z.shape[0]):
-        for j in range(z.shape[1]):
-            zp = z.copy()
-            zp[i, j] += h
-            zm = z.copy()
-            zm[i, j] -= h
-            grad[i, j] = (batch_loss(PointBatch(zp), p)
-                          - batch_loss(PointBatch(zm), p)) / (2 * h)
-    return grad
-
-
 class TestBatchLossGradient:
     def test_origin_is_zero(self):
         p = ParamSet(dim=3, mu=1.0, big_n=6.0)
@@ -242,17 +227,17 @@ class TestBatchLossGradient:
 
     def test_antisymmetric_pair(self):
         rng = np.random.default_rng(2)
-        p = random_params(5)
+        p = params_for(5)
         z = rng.standard_normal(5)
         _, g = batch_loss_and_gradient(PointBatch(np.stack([z, -z])), p)
         np.testing.assert_allclose(g[0], -g[1], rtol=1e-14)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(21)
-        p = random_params(8, mu=1.25)
+        p = params_for(8, mu=1.25)
         z = rng.standard_normal((20, 8))
         _, analytic = batch_loss_and_gradient(PointBatch(z), p)
-        numeric = finite_difference_gradient(z, p)
+        numeric = fd_gradient(z, p)
         rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-12)
         assert rel.max() < 1e-6
 
@@ -263,7 +248,7 @@ class TestBatchLossGradient:
         worst = 0.0
         for _ in range(5):
             d, b = int(rng.integers(2, 9)), int(rng.integers(4, 12))
-            p = random_params(d, mu=float(rng.uniform(1.0, 3.0)))
+            p = params_for(d, mu=float(rng.uniform(1.0, 3.0)))
             batch = PointBatch(rng.standard_normal((b, d)))
             oracle = mp_gradient(batch, p)
             _, grad = batch_loss_and_gradient(batch, p)
@@ -277,14 +262,14 @@ class TestBatchLossGradient:
         # their float64 roundings agree
         rng = np.random.default_rng(8)
         for b, d in [(2, 2), (5, 3), (8, 8)]:
-            p = random_params(d, mu=float(rng.uniform(1.0, 3.0)))
+            p = params_for(d, mu=float(rng.uniform(1.0, 3.0)))
             batch = PointBatch(rng.standard_normal((b, d)) * rng.uniform(0.1, 3.0))
             np.testing.assert_allclose(mp_closed_gradient(batch, p), mp_gradient(batch, p),
                                        rtol=1e-15, atol=0)
 
     def test_repeat_is_bit_identical(self):
         rng = np.random.default_rng(31)
-        p = random_params(6)
+        p = params_for(6)
         z = rng.standard_normal((50, 6))
         l1, g1 = batch_loss_and_gradient(PointBatch(z), p)
         l2, g2 = batch_loss_and_gradient(PointBatch(z), p)
@@ -320,7 +305,7 @@ class TestRowBlocks:
     @example(count=2 * BLOCK, dim=3, seed=2)
     def test_matches_unblocked_formula(self, count, dim, seed):
         rng = np.random.default_rng(seed)
-        p = random_params(dim, mu=float(rng.uniform(1.0, 3.0)))
+        p = params_for(dim, mu=float(rng.uniform(1.0, 3.0)))
         z = rng.standard_normal((count, dim)) * rng.uniform(0.1, 3.0)
         batch = PointBatch(z)
         want_loss, want_grad = unblocked_loss_and_gradient(batch, p)
@@ -340,7 +325,7 @@ class TestRowBlocks:
         # a row's gradient gathers pair terms from the blocks before it as well
         # as its own, so moving rows between blocks must only permute the rows
         rng = np.random.default_rng(seed)
-        p = random_params(dim, mu=float(rng.uniform(1.0, 3.0)))
+        p = params_for(dim, mu=float(rng.uniform(1.0, 3.0)))
         z = rng.standard_normal((count, dim)) * rng.uniform(0.1, 3.0)
         loss, grad = batch_loss_and_gradient(PointBatch(z), p)
         assume(abs(loss) >= 1e-3 * np.sum(z * z) / count)  # as in test_rotation_invariance
@@ -354,7 +339,7 @@ class TestRowBlocks:
         # w_ij (z_i - z_j) + w_ji (z_j - z_i) = 0, so the repulsive part sums to
         # zero over the rows and only the pull (2/b) z is left
         rng = np.random.default_rng(count)
-        p = random_params(6, mu=1.5)
+        p = params_for(6, mu=1.5)
         z = rng.standard_normal((count, 6)) * 2.0
         grad = batch_gradient(PointBatch(z), p)
         net = grad.sum(axis=0) - (2.0 / count) * z.sum(axis=0)
@@ -399,7 +384,7 @@ class TestRowBlocks:
         # full tiles that pass the guard take d^2 for the loss and the weights
         # from the Gram product; the others, and every partial tile, from cdist
         rng = np.random.default_rng(seed)
-        p = random_params(dim, mu=float(rng.uniform(1.0, 3.0)))
+        p = params_for(dim, mu=float(rng.uniform(1.0, 3.0)))
         z = rng.standard_normal((count, dim))
         blocks = np.arange(count) // BLOCK
         if case == "clustered":
@@ -443,7 +428,7 @@ class TestRowBlocks:
         # every tile is full and passes the guard, so the loss takes each d^2 from
         # a Gram product; the oracle sums the loss at 40 digits from exact d^2
         rng = np.random.default_rng(seed)
-        p = random_params(dim, mu=float(rng.uniform(1.0, 3.0)))
+        p = params_for(dim, mu=float(rng.uniform(1.0, 3.0)))
         z = rng.standard_normal((count, dim)) * 10.0 ** rng.uniform(-1, 0, (count, 1))
         top = np.einsum("ij,ij->i", z, z).max()
         z *= np.sqrt(GRAM_C * p.big_n / 2 * 10.0 ** log_scale / top)
@@ -468,7 +453,7 @@ class TestRowBlocks:
         # float64, with or without N in the operand, so components below
         # 1e-4 max|grad| are held to 1e-14 max|grad| absolute
         rng = np.random.default_rng(seed)
-        p = random_params(dim, mu=float(rng.uniform(1.0, 3.0)))
+        p = params_for(dim, mu=float(rng.uniform(1.0, 3.0)))
         z = rng.standard_normal((count, dim)) * 10.0 ** rng.uniform(-1, 0, (count, 1))
         top = np.einsum("ij,ij->i", z, z).max()
         z *= np.sqrt(GRAM_C * p.big_n / 2 * (1 - margin) / top)
@@ -496,7 +481,7 @@ class TestRowBlocks:
         # below one tile (cdist) and on Gram tiles, the gradient is a new
         # C-contiguous (b, d) float64 array and the batch is not written
         z = np.random.default_rng(count).standard_normal((count, 16))
-        batch, p = PointBatch(z.copy()), random_params(16)
+        batch, p = PointBatch(z.copy()), params_for(16)
         for grad in (batch_gradient(batch, p), batch_loss_and_gradient(batch, p)[1]):
             assert grad.shape == (count, 16) and grad.dtype == np.float64
             assert grad.flags.c_contiguous and grad.flags.owndata

@@ -32,6 +32,21 @@ def test_cli_start_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_oracles_load_no_mpmath_scipy_or_pytest():
+    # the oracle module loads only numpy and eccentric, so a script outside the
+    # suite can import it at the program's own memory cost; each oracle imports
+    # mpmath or the scipy module it uses when it is first called
+    code = ("import sys, kernel_oracles\n"
+            "print(sorted({'mpmath', 'scipy.integrate', 'scipy.optimize', 'scipy.spatial',\n"
+            "              'pytest'} & set(sys.modules)))")
+    tests = Path(__file__).parent
+    src = str(Path(importlib.import_module("eccentric").__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                         text=True, env={**os.environ,
+                                         "PYTHONPATH": os.pathsep.join([str(tests), src])})
+    assert out.stdout.strip() == "[]"
+
+
 def test_flow_loads_no_scipy_spatial(tmp_path):
     # every tile of flow's batches is full and passes the kernel's Gram guard, so
     # simulate never calls cdist and leaves scipy.spatial unloaded; a batch of 100 is

@@ -8,7 +8,6 @@ from eccentric.kernel import (
     PointBatch,
     batch_loss,
     batch_loss_and_gradient,
-    choose_big_n,
 )
 from eccentric import particles
 from eccentric.particles import (
@@ -18,10 +17,7 @@ from eccentric.particles import (
     radial_stats,
     simulate,
 )
-
-
-def params_for(dim, mu=1.0):
-    return ParamSet(dim=dim, mu=mu, big_n=choose_big_n(dim, mu))
+from kernel_oracles import params_for
 
 
 class TestRadialStats:

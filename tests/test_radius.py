@@ -12,7 +12,7 @@ from eccentric.radius import ForceProfile, SolverError, force_profile, solve_rad
 from eccentric.radius import (A_RTOL, MAX_ITER, RESIDUAL_TOL, SERIES_MIN_DIM, _integral,
                               _mu_grid, _solve_a)
 from kernel_oracles import (_f_integrand, gamma_ratio, lemma_a_check, lemma_b_argmax,
-                            lemma_b_argmax_numeric)
+                            lemma_b_argmax_numeric, stationarity_integral_mp)
 
 # solve_radius(ParamSet(d, mu, choose_big_n(d, mu))) as (d, mu, rho.hex(), residual, iterations):
 # any change to the order of the root search's operations changes some of these bits
@@ -56,36 +56,6 @@ def bisect_a(dim, mu):
 def stationarity_integral(rho, dim, big_n):
     """Left-hand side of the stationarity condition at radius rho; 1/mu at the root."""
     return float(_integral(np.array([big_n / (2.0 * rho * rho)]), np.array([float(dim)]))[0])
-
-
-def _integral_mp(rho, dim, big_n):
-    """Stationarity integral at 40 digits: Euler's integral with its full
-    Gamma/Beta prefactor, its 2F1 evaluated through Pfaff's transform so the
-    argument z/(z-1) lies in (0, 1).
-
-    mpmath's hyp2f1 is unreliable at 40 digits on the untransformed argument
-    (d=1000, mu=1.5, rho=sqrt(d)) and, past x = 0.8, on the transformed one
-    too (d=1000, x=0.81 returns 3e33 for a value of 1.68).  From d = 64 on
-    the series is summed term by term instead; its terms fall at least as
-    fast as n^(-(d+1)/2)."""
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(40):
-        a = mp.mpf(big_n) / (2 * mp.mpf(rho) ** 2)
-        p = mp.mpf(dim - 1) / 2
-        q = mp.mpf(dim - 3) / 2
-        z = -2 / a
-        x = z / (z - 1)
-        if dim < 64:
-            hyp = mp.hyp2f1(1, q + 1, dim, x)
-        else:
-            hyp = term = mp.mpf(1)
-            n = 0
-            while term > mp.mpf(10) ** -45:
-                term *= (q + 1 + n) / (dim + n) * x
-                hyp += term
-                n += 1
-        pref = 2 / mp.sqrt(mp.pi) * mp.gamma(mp.mpf(dim) / 2) / mp.gamma(p)
-        return float(pref * mp.mpf(2) ** (dim - 1) * mp.beta(p + 1, q + 1) * hyp / (1 - z))
 
 
 class TestGammaRatio:
@@ -135,7 +105,7 @@ class TestStationarityIntegral:
             big_n = choose_big_n(dim, mu)
             for scale in (0.3, 1.0, 3.0):
                 rho = scale * math.sqrt(dim)
-                expected = _integral_mp(rho, dim, big_n)
+                expected = stationarity_integral_mp(rho, dim, big_n)
                 assert stationarity_integral(rho, dim, big_n) == pytest.approx(expected,
                                                                                rel=1e-11)
 
